@@ -11,8 +11,6 @@ PR 2's caches take it out of the picture):
   after ``ANALYZE``; identical answer bags are asserted query by query.
 * **scan sharing**: per-query shared-scan reuse counters; the gate
   requires the cross-disjunct cache to fire on >= 5 of the 21 queries.
-* **parallel q6**: the heaviest UCQ re-runs with a 4-worker disjunct
-  pool; the gate requires >= 1.3x over the naive baseline.
 * **row vs vectorized**: every catalogue query runs under the row
   executor and the vectorized batch executor (optimizer ON for both);
   identical bags are asserted query by query and the gate requires the
@@ -20,7 +18,7 @@ PR 2's caches take it out of the picture):
 * **scale sweep** (``--sweep``): total catalogue time for both executors
   at scales 0.1/0.25/0.5/1.0, for the committed report.
 * **differential oracle** (``--oracle``): the whole catalogue is
-  cross-checked across the 6-config engine matrix (including the
+  cross-checked across the 7-config engine matrix (including the
   ``vectorized`` config) with the optimizer ON, so the speedup numbers
   are backed by three-way answer agreement.
 
@@ -48,8 +46,6 @@ from repro.npd.seed import SeedProfile
 from repro.obda import OBDAEngine
 from repro.sql.optimizer import OptimizerSettings, naive_settings
 
-PARALLEL_QUERY = "q6"
-
 
 def parse_args(argv) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -67,12 +63,6 @@ def parse_args(argv) -> argparse.Namespace:
         help="timed repetitions per query per mode (min is reported)",
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=4,
-        help="disjunct worker-pool size for the parallel probe",
-    )
-    parser.add_argument(
         "--min-reduction",
         type=float,
         default=0.0,
@@ -84,13 +74,6 @@ def parse_args(argv) -> argparse.Namespace:
         type=int,
         default=5,
         help="queries on which scan sharing must fire (default 5)",
-    )
-    parser.add_argument(
-        "--min-parallel-speedup",
-        type=float,
-        default=1.3,
-        help=f"required {PARALLEL_QUERY} speedup of the parallel mode over "
-        "the naive baseline (default 1.3)",
     )
     parser.add_argument(
         "--min-vectorized-speedup",
@@ -113,7 +96,7 @@ def parse_args(argv) -> argparse.Namespace:
     parser.add_argument(
         "--oracle",
         action="store_true",
-        help="also cross-check the catalogue across the 6-config "
+        help="also cross-check the catalogue across the 7-config "
         "differential-oracle matrix (slow; used for the committed report)",
     )
     parser.add_argument("--json", default="BENCH_executor.json")
@@ -188,31 +171,6 @@ def measure_modes(
     }
 
 
-def measure_parallel(
-    engine: OBDAEngine,
-    sparql: str,
-    naive_seconds: float,
-    runs: int,
-    workers: int,
-) -> Dict[str, Any]:
-    database = engine.database
-    database.set_optimizer(
-        OptimizerSettings(parallel_workers=workers, parallel_threshold=workers)
-    )
-    parallel_seconds, _ = _timed_runs(engine, sparql, runs)
-    database.set_optimizer(OptimizerSettings())
-    return {
-        "query": PARALLEL_QUERY,
-        "workers": workers,
-        "naive_seconds": naive_seconds,
-        "parallel_seconds": parallel_seconds,
-        "speedup": (
-            naive_seconds / parallel_seconds if parallel_seconds > 0 else None
-        ),
-        "parallel_batches": database.stats.parallel_batches,
-    }
-
-
 def measure_executors(
     benchmark, queries: Dict[str, str], runs: int
 ) -> Dict[str, Any]:
@@ -224,8 +182,7 @@ def measure_executors(
         )
         for name in ("row", "vectorized")
     }
-    # warm the compile pipeline (shared across engines via the database's
-    # plan cache) so only execution is on the clock
+    # warm each engine's compile pipeline so only execution is on the clock
     for engine in engines.values():
         for sparql in queries.values():
             engine.execute(sparql)
@@ -282,7 +239,7 @@ def measure_sweep(seed: int, scales, runs: int) -> Dict[str, Any]:
 
 
 def run_oracle_matrix(benchmark) -> Dict[str, Any]:
-    """All 21 queries x the 6-config engine matrix, optimizer ON."""
+    """All 21 queries x the 7-config engine matrix, optimizer ON."""
     from repro.diffcheck import DEFAULT_MATRIX, DifferentialOracle
 
     oracle = DifferentialOracle(
@@ -335,13 +292,6 @@ def render_txt(report: Dict[str, Any]) -> str:
         f"reduction: {modes['reduction_fraction']:.1%} of total execution time; "
         f"scan sharing fired on {modes['sharing_queries']}/{modes['queries']} "
         "queries"
-    )
-    parallel = report["parallel"]
-    lines.append("")
-    lines.append(
-        f"parallel {parallel['query']} ({parallel['workers']} workers): "
-        f"naive {parallel['naive_seconds']:.6f}s -> "
-        f"{parallel['parallel_seconds']:.6f}s = {parallel['speedup']:.2f}x"
     )
     executors = report["executors"]
     lines.append("")
@@ -407,13 +357,6 @@ def main(argv=None) -> int:
 
     queries = {qid: q.sparql for qid, q in benchmark.queries.items()}
     modes = measure_modes(engine, queries, args.runs)
-    parallel = measure_parallel(
-        engine,
-        queries[PARALLEL_QUERY],
-        modes["per_query"][PARALLEL_QUERY]["naive_seconds"],
-        args.runs,
-        args.workers,
-    )
     executors = measure_executors(benchmark, queries, args.runs)
     sweep = None
     if args.sweep:
@@ -426,14 +369,12 @@ def main(argv=None) -> int:
             "scale": args.scale,
             "seed": args.seed,
             "runs": args.runs,
-            "workers": args.workers,
             "profile": benchmark.database.profile.name,
             "build_seconds": build_seconds,
             "total_rows": benchmark.database.total_rows(),
             "statistics": benchmark.database.statistics.summary(),
         },
         "modes": modes,
-        "parallel": parallel,
         "executors": executors,
         "sweep": sweep,
         "oracle": oracle,
@@ -464,13 +405,6 @@ def main(argv=None) -> int:
         print(
             f"FAIL: scan sharing fired on {modes['sharing_queries']} queries "
             f"< required {args.min_sharing_queries}",
-            file=sys.stderr,
-        )
-        failed = True
-    if (parallel["speedup"] or 0.0) < args.min_parallel_speedup:
-        print(
-            f"FAIL: parallel {PARALLEL_QUERY} speedup {parallel['speedup']:.2f}x "
-            f"< required {args.min_parallel_speedup:.2f}x",
             file=sys.stderr,
         )
         failed = True

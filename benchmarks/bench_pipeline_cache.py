@@ -123,23 +123,17 @@ def measure_cache_layers(engine: OBDAEngine, queries: Dict[str, str]) -> Dict[st
     """Per-layer hit rates, exercising each cache layer explicitly.
 
     The layers nest: a query-cache (artifact) hit short-circuits the
-    rewrite and plan caches entirely, which is why the aggregate counters
-    in BENCH_pipeline.txt used to show plan_cache hits/entries stuck at 0
-    on a warm engine.  So each layer gets its own pass:
+    rewrite cache entirely, so each layer gets its own pass:
 
     * **query layer** -- re-run the warm mix; every query should collapse
       into one artifact-cache lookup;
     * **rewrite layer** -- drop the artifact cache and re-run; the whole
       compile pipeline runs again but the rewriter memo still holds every
-      rewriting;
-    * **plan layer** -- compile each query's unfolded SQL *text* against
-      the database twice; the second compile must come from the per-text
-      plan cache.
+      rewriting.
     """
-    sql_texts: Dict[str, str] = {}
     before = engine.cache_stats()
-    for query_id, sparql in queries.items():
-        sql_texts[query_id] = engine.execute(sparql).sql_text
+    for sparql in queries.values():
+        engine.execute(sparql)
     query_delta = _counter_delta(before, engine.cache_stats())
 
     engine.clear_query_cache()
@@ -147,13 +141,6 @@ def measure_cache_layers(engine: OBDAEngine, queries: Dict[str, str]) -> Dict[st
     for sparql in queries.values():
         engine.execute(sparql)
     rewrite_delta = _counter_delta(before, engine.cache_stats())
-
-    before = engine.cache_stats()
-    for text in sql_texts.values():
-        if text:
-            engine.database.compile(text)
-            engine.database.compile(text)
-    plan_delta = _counter_delta(before, engine.cache_stats())
 
     return {
         "query_layer": {
@@ -171,14 +158,6 @@ def measure_cache_layers(engine: OBDAEngine, queries: Dict[str, str]) -> Dict[st
                 rewrite_delta["rewrite_cache_misses"],
             ),
             "query_layer_misses": rewrite_delta["query_cache_misses"],
-        },
-        "plan_layer": {
-            "hits": plan_delta["plan_cache_hits"],
-            "misses": plan_delta["plan_cache_misses"],
-            "hit_rate": _hit_rate(
-                plan_delta["plan_cache_hits"], plan_delta["plan_cache_misses"]
-            ),
-            "entries": engine.cache_stats().get("plan_cache_entries", 0),
         },
     }
 
@@ -252,7 +231,7 @@ def render_txt(report: Dict[str, Any]) -> str:
     lines.append("")
     lines.append("per-layer cache hit rates (each layer exercised explicitly)")
     lines.append(f"{'layer':10} {'hits':>6} {'misses':>7} {'rate':>7}")
-    for layer in ("query_layer", "rewrite_layer", "plan_layer"):
+    for layer in ("query_layer", "rewrite_layer"):
         data = report["cache_layers"][layer]
         rate = data["hit_rate"]
         rate_text = f"{rate:>6.0%}" if rate is not None else f"{'-':>7}"
@@ -329,7 +308,7 @@ def main(argv=None) -> int:
     ):
         print("FAIL: warm compile path not faster than cold", file=sys.stderr)
         return 1
-    for layer in ("query_layer", "rewrite_layer", "plan_layer"):
+    for layer in ("query_layer", "rewrite_layer"):
         data = cache_layers[layer]
         if data["hits"] == 0 and (data["hits"] + data["misses"]) > 0:
             print(f"FAIL: {layer} never hit when exercised", file=sys.stderr)

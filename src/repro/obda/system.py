@@ -479,7 +479,6 @@ class OBDAEngine:
             }
         stats["rewrite_cache_hits"] = self.rewriter.cache_hits
         stats["rewrite_cache_misses"] = self.rewriter.cache_misses
-        stats.update(self.database.plan_cache_stats())
         return stats
 
     def clear_query_cache(self) -> None:

@@ -241,8 +241,8 @@ class Unfolder:
     def unfold_query(self, query: sp.SelectQuery) -> UnfoldResult:
         started = time.perf_counter()
         # fresh aliases per query: the emitted SQL text is deterministic
-        # for a given query, so the Database's text-keyed plan cache and
-        # the executor's cross-disjunct scan sharing see stable keys
+        # for a given query, so unfolded sizes and EXPLAIN traces repeat
+        # from one unfolding of it to the next
         self._alias_counter = itertools.count()
         self._pruned = 0
         self._merged = 0

@@ -7,6 +7,7 @@ OBDA system executes its unfolded SQL against, and the store VIG populates.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
 
 from ..concurrency import ReadWriteLock
@@ -26,7 +27,7 @@ from .vectorized import VectorizedExecutor
 from .expressions import ExpressionCompiler, RowSchema
 from .optimizer import OptimizerSettings
 from .parser import parse_script, parse_statement
-from .plan import CompiledPlan, PlanCache, compile_select, refresh_plan
+from .plan import CompiledPlan, compile_select, refresh_plan
 from .profiles import EngineProfile, postgresql_profile
 from .stats import CatalogStatistics, collect_statistics
 
@@ -34,13 +35,13 @@ from .stats import CatalogStatistics, collect_statistics
 class Database:
     """An in-memory relational database with a SQL text interface.
 
-    SELECT statements arriving as text are compiled once into a
-    :class:`~repro.sql.plan.CompiledPlan` and cached per SQL text; every
-    mutation event (DML, index/table creation, ``set_profile``) bumps a
-    generation counter and flushes the cache, so cached plans can never
-    serve stale physical assumptions.  A readers-writer lock at this
-    facade lets concurrent Mixer clients run SELECTs in parallel while
-    mutations run exclusively.
+    A SELECT is compiled into a :class:`~repro.sql.plan.CompiledPlan`
+    stamped with the current generation; every mutation event (DML,
+    index/table creation, ``set_profile``) bumps the generation, and
+    :meth:`execute_plan` re-plans a stale plan in place before running
+    it, so a plan object held by a caller can never serve stale physical
+    assumptions.  A readers-writer lock at this facade lets concurrent
+    Mixer clients run SELECTs in parallel while mutations run exclusively.
     """
 
     #: valid values for the ``executor`` constructor/``execute_plan`` arg
@@ -63,7 +64,6 @@ class Database:
         self.optimizer_settings = optimizer or OptimizerSettings()
         self.executor_name = executor
         self._make_executors()
-        self._plan_cache = PlanCache()
         self._plan_generation = 0
         self._lock = ReadWriteLock()
 
@@ -71,8 +71,8 @@ class Database:
         """(Re)build the row and vectorized executors.
 
         Both share one :class:`ExecutionStats` instance, so counters (and
-        the plan-cache counters the facade maintains) are consistent no
-        matter which path executed a query.
+        the ``plan_recompiles`` counter the facade maintains) are
+        consistent no matter which path executed a query.
         """
         self._executor = Executor(
             self.catalog, self.profile, settings=self.optimizer_settings
@@ -97,21 +97,21 @@ class Database:
     def set_profile(self, profile: EngineProfile) -> None:
         """Swap the engine profile (e.g. mysql vs postgresql emulation).
 
-        Profiles change physical operator choices, so every cached plan is
-        invalidated -- the next execution re-plans under the new profile.
+        Profiles change physical operator choices, so every compiled plan
+        goes stale -- its next execution re-plans under the new profile.
         """
         with self._lock.write():
             self.profile = profile
             self._make_executors()
-            self._invalidate_plans("set_profile")
+            self._invalidate_plans()
 
     # -- physical optimizer -------------------------------------------------
 
     def set_optimizer(self, settings: OptimizerSettings) -> None:
-        """Swap the physical-optimizer switches (cost/sharing/parallel).
+        """Swap the physical-optimizer switches (cost/sharing/compiled).
 
         The settings only affect physical execution decisions, never
-        answers, so cached logical plans stay valid.
+        answers, so compiled logical plans stay valid.
         """
         with self._lock.write():
             self.optimizer_settings = settings
@@ -122,7 +122,7 @@ class Database:
         """ANALYZE: collect per-table/per-column statistics in the catalog.
 
         The statistics are stamped with the current plan generation and
-        marked stale by the next mutation event, exactly like cached
+        marked stale by the next mutation event, exactly like compiled
         plans.  Returns a summary dict (tables/columns/rows analyzed).
         """
         with self._lock.write():
@@ -152,15 +152,8 @@ class Database:
         return stats
 
     @property
-    def plan_cache(self) -> PlanCache:
-        return self._plan_cache
-
-    @property
     def plan_generation(self) -> int:
         return self._plan_generation
-
-    def plan_cache_stats(self) -> Dict[str, int]:
-        return self._plan_cache.stats()
 
     # -- statement execution ----------------------------------------------------
 
@@ -168,30 +161,18 @@ class Database:
         """Execute one statement; queries return a :class:`QueryResult`.
 
         DDL/DML return an empty result whose single column ``affected``
-        holds the number of affected rows.  Text-form SELECTs go through
-        the per-SQL-text plan cache; repeated executions of the same text
-        skip both parsing and logical planning.
+        holds the number of affected rows.  A caller that repeats a SELECT
+        keeps the plan from :meth:`compile` and runs it through
+        :meth:`execute_plan`.
         """
-        if isinstance(sql, str) and _looks_like_select(sql):
-            plan = self._plan_cache.get(sql)
-            if plan is not None:
-                self._executor.stats.plan_cache_hits += 1
-                return self.execute_plan(plan)
-            statement = parse_statement(sql)
-            if isinstance(statement, SelectStatement):
-                self._executor.stats.plan_cache_misses += 1
-                plan = self._compile_statement(statement, sql)
-                self._plan_cache.put(sql, plan)
-                return self.execute_plan(plan)
-        else:
-            statement = parse_statement(sql) if isinstance(sql, str) else sql
+        statement = parse_statement(sql) if isinstance(sql, str) else sql
         if isinstance(statement, SelectStatement):
-            return self.execute_plan(self._compile_statement(statement, None))
+            return self.execute_plan(self._compile(statement, "execute()"))
         if isinstance(statement, CreateTableStatement):
             with self._lock.write():
                 table = self.catalog.create_table_from_ast(statement)
                 self._auto_index(table)
-                self._invalidate_plans("create_table")
+                self._invalidate_plans()
             return QueryResult(["affected"], [(0,)])
         if isinstance(statement, CreateIndexStatement):
             with self._lock.write():
@@ -199,49 +180,35 @@ class Database:
                 table.create_hash_index(statement.columns)
                 if len(statement.columns) == 1:
                     table.create_sorted_index(statement.columns[0])
-                self._invalidate_plans("create_index")
+                self._invalidate_plans()
             return QueryResult(["affected"], [(0,)])
         if isinstance(statement, InsertStatement):
             with self._lock.write():
                 count = self._execute_insert(statement)
-                self._invalidate_plans("insert")
+                self._invalidate_plans()
             return QueryResult(["affected"], [(count,)])
         if isinstance(statement, DeleteStatement):
             with self._lock.write():
                 count = self._execute_delete(statement)
-                self._invalidate_plans("delete")
+                self._invalidate_plans()
             return QueryResult(["affected"], [(count,)])
         if isinstance(statement, UpdateStatement):
             with self._lock.write():
                 count = self._execute_update(statement)
-                self._invalidate_plans("update")
+                self._invalidate_plans()
             return QueryResult(["affected"], [(count,)])
         raise ExecutionError(f"cannot execute {statement!r}")
 
     # -- compiled-plan interface --------------------------------------------
 
     def compile(self, sql: Union[str, SelectStatement]) -> CompiledPlan:
-        """Compile a SELECT into a reusable plan (cached for text input).
+        """Compile a SELECT into a reusable plan.
 
         The returned plan can be executed many times via
         :meth:`execute_plan`; if the database mutates in between, the plan
         transparently re-plans itself from its retained AST.
         """
-        if isinstance(sql, str):
-            plan = self._plan_cache.get(sql)
-            if plan is not None:
-                self._executor.stats.plan_cache_hits += 1
-                return plan
-            statement = parse_statement(sql)
-            if not isinstance(statement, SelectStatement):
-                raise ExecutionError("compile() only applies to SELECT statements")
-            self._executor.stats.plan_cache_misses += 1
-            plan = self._compile_statement(statement, sql)
-            self._plan_cache.put(sql, plan)
-            return plan
-        if not isinstance(sql, SelectStatement):
-            raise ExecutionError("compile() only applies to SELECT statements")
-        return self._compile_statement(sql, None)
+        return self._compile(sql, "compile()")
 
     def execute_plan(
         self, plan: CompiledPlan, token=None, executor: Optional[str] = None
@@ -257,12 +224,7 @@ class Database:
         """
         engine = self._select_executor(executor)
         with self._lock.read():
-            if (
-                plan.generation != self._plan_generation
-                or plan.profile_name != self.profile.name
-            ):
-                refresh_plan(plan, self.profile.name, self._plan_generation)
-                self._executor.stats.plan_recompiles += 1
+            self._refresh_if_stale(plan)
             if token is None:
                 return engine.execute_plan(plan)
             engine.set_cancel_token(token)
@@ -271,18 +233,29 @@ class Database:
             finally:
                 engine.set_cancel_token(None)
 
-    def _compile_statement(
-        self, statement: SelectStatement, sql_text: Optional[str]
-    ) -> CompiledPlan:
-        plan = compile_select(statement, sql_text)
+    def _compile(self, sql: Union[str, Statement], caller: str) -> CompiledPlan:
+        """Parse text input, insist on a SELECT, compile and stamp it."""
+        statement = parse_statement(sql) if isinstance(sql, str) else sql
+        if not isinstance(statement, SelectStatement):
+            raise ExecutionError(f"{caller} only applies to SELECT statements")
+        plan = compile_select(statement, sql if isinstance(sql, str) else None)
         plan.profile_name = self.profile.name
         plan.generation = self._plan_generation
         return plan
 
-    def _invalidate_plans(self, reason: str) -> None:
-        """Flush cached plans and bump the generation (caller holds write)."""
+    def _refresh_if_stale(self, plan: CompiledPlan) -> None:
+        """Re-plan *plan* in place if a mutation event outdated it."""
+        if (
+            plan.generation != self._plan_generation
+            or plan.profile_name != self.profile.name
+        ):
+            refresh_plan(plan, self.profile.name, self._plan_generation)
+            self._executor.stats.plan_recompiles += 1
+
+    def _invalidate_plans(self) -> None:
+        """Bump the generation so every compiled plan goes stale (caller
+        holds the write lock)."""
         self._plan_generation += 1
-        self._plan_cache.invalidate(reason)
         # ANALYZE statistics follow the same invalidation discipline; the
         # cost model ignores stale statistics (falls back to live sizes)
         if self.catalog.statistics is not None:
@@ -293,8 +266,7 @@ class Database:
 
     def query(self, sql: Union[str, SelectStatement]) -> QueryResult:
         """Execute a SELECT and fail fast on anything else."""
-        result = self.execute(sql)
-        return result
+        return self.execute_plan(self._compile(sql, "query()"))
 
     def explain(
         self,
@@ -307,9 +279,8 @@ class Database:
         Unlike a cost-only EXPLAIN, this executes the query (the planner
         makes its physical choices from actual cardinalities), so the
         trace reflects exactly what a plain ``execute`` would do.  The
-        first two lines report whether the logical plan was served from
-        the plan cache (``plan: cached``) or freshly compiled
-        (``plan: compiled``), plus the cache-key summary.
+        first line (``plan-key:``) summarizes the plan: text digest, block
+        count, profile and generation.
 
         ``analyze=True`` (EXPLAIN ANALYZE) additionally annotates every
         join with its actual output row count -- and, when ANALYZE
@@ -317,32 +288,14 @@ class Database:
         reports per-disjunct row counts and timings for UNION queries,
         plus optimizer/statistics header lines.
         """
-        plan: Optional[CompiledPlan] = None
-        cached = False
-        if isinstance(sql, str) and _looks_like_select(sql):
-            plan = self._plan_cache.peek(sql)
-            cached = plan is not None
-        if plan is None:
-            statement = parse_statement(sql) if isinstance(sql, str) else sql
-            if not isinstance(statement, SelectStatement):
-                raise ExecutionError("EXPLAIN only applies to SELECT statements")
-            plan = self._compile_statement(
-                statement, sql if isinstance(sql, str) else None
-            )
-            if isinstance(sql, str):
-                self._plan_cache.put(sql, plan)
+        plan = self._compile(sql, "EXPLAIN")
         # exclusive lock: the trace is executor-level mutable state, so a
         # concurrent execute/explain on another thread would interleave
         # its operator lines into (or clear) this trace under a shared
         # read lock.  EXPLAIN is diagnostic, so exclusivity is cheap.
         engine = self._select_executor(executor)
         with self._lock.write():
-            if (
-                plan.generation != self._plan_generation
-                or plan.profile_name != self.profile.name
-            ):
-                refresh_plan(plan, self.profile.name, self._plan_generation)
-                self._executor.stats.plan_recompiles += 1
+            self._refresh_if_stale(plan)
             engine.trace = []
             engine.analyze = analyze
             try:
@@ -352,10 +305,7 @@ class Database:
                 engine.trace = None
                 engine.analyze = False
         trace.append(f"Result: {len(result.rows)} rows")
-        header = [
-            f"plan: {'cached' if cached else 'compiled'}",
-            f"plan-key: {plan.describe_key()}",
-        ]
+        header = [f"plan-key: {plan.describe_key()}"]
         if analyze:
             statistics = self.catalog.statistics
             if statistics is None:
@@ -368,8 +318,8 @@ class Database:
                     f"statistics: fresh (generation {summary['generation']}, "
                     f"{summary['tables']} tables, {summary['rows']} rows)"
                 )
-            header.insert(1, f"optimizer: {self.optimizer_settings.describe()}")
-            header.insert(2, statistics_line)
+            header.append(f"optimizer: {self.optimizer_settings.describe()}")
+            header.append(statistics_line)
         return header + trace
 
     # -- programmatic data loading ------------------------------------------------
@@ -386,7 +336,7 @@ class Database:
             count = self._insert_rows_locked(
                 table_name, rows, columns, check_foreign_keys
             )
-            self._invalidate_plans("insert_rows")
+            self._invalidate_plans()
         return count
 
     def _insert_rows_locked(
@@ -533,7 +483,12 @@ class Database:
 
     def clone_schema(self, profile: Optional[EngineProfile] = None) -> "Database":
         """A new empty database with the same tables and constraints."""
-        clone = Database(profile or self.profile, self.enforce_foreign_keys)
+        clone = Database(
+            profile or self.profile,
+            self.enforce_foreign_keys,
+            optimizer=dataclasses.replace(self.optimizer_settings),
+            executor=self.executor_name,
+        )
         for table in self.catalog.tables():
             clone.catalog.create_table(
                 Table(
@@ -561,13 +516,3 @@ class Database:
     def total_rows(self) -> int:
         return self.catalog.total_rows()
 
-
-def _looks_like_select(sql: str) -> bool:
-    """Cheap sniff used to route text at the plan cache without parsing.
-
-    False negatives are harmless (the statement takes the parse path and
-    executes correctly, just uncached); the parser confirms the statement
-    type before anything is inserted into the cache.
-    """
-    head = sql.lstrip()[:8].lower()
-    return head.startswith("select") or head.startswith("(")

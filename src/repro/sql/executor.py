@@ -27,7 +27,6 @@ import math
 import operator
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -53,7 +52,6 @@ from .ast import (
     SubquerySource,
     TableRef,
     UnaryOp,
-    conjunction,
     expr_columns,
     split_conjuncts,
     walk_expr,
@@ -83,9 +81,7 @@ class ExecutionStats:
     nested_loop_joins: int = 0
     index_nl_joins: int = 0
     union_branches: int = 0
-    # compiled-plan cache counters (maintained by the Database facade)
-    plan_cache_hits: int = 0
-    plan_cache_misses: int = 0
+    # stale plans re-planned in place (maintained by the Database facade)
     plan_recompiles: int = 0
     # sorted-index maintenance counters (aggregated from the catalog)
     index_batch_sorts: int = 0
@@ -96,48 +92,14 @@ class ExecutionStats:
     shared_build_hits: int = 0
     # cost-based physical optimization
     build_side_swaps: int = 0
-    # parallel-UCQ batches (one per fanned-out UNION execution)
-    parallel_batches: int = 0
     # vectorized executor: blocks run on the batch path / fallbacks to
     # the row path (ineligible shape or unsupported operator)
     batch_blocks: int = 0
     batch_fallbacks: int = 0
 
     def reset(self) -> None:
-        self.rows_scanned = 0
-        self.index_lookups = 0
-        self.hash_joins = 0
-        self.nested_loop_joins = 0
-        self.index_nl_joins = 0
-        self.union_branches = 0
-        self.plan_cache_hits = 0
-        self.plan_cache_misses = 0
-        self.plan_recompiles = 0
-        self.index_batch_sorts = 0
-        self.index_merges = 0
-        self.shared_scan_hits = 0
-        self.shared_scan_misses = 0
-        self.shared_build_hits = 0
-        self.build_side_swaps = 0
-        self.parallel_batches = 0
-        self.batch_blocks = 0
-        self.batch_fallbacks = 0
-
-    def merge_worker(self, other: "ExecutionStats") -> None:
-        """Fold a parallel worker's counters into this (main) instance.
-
-        Only the counters the worker itself increments are merged; the
-        cache/index aggregates are owned by the Database facade and the
-        shared-scan context, and would double-count.
-        """
-        self.rows_scanned += other.rows_scanned
-        self.index_lookups += other.index_lookups
-        self.hash_joins += other.hash_joins
-        self.nested_loop_joins += other.nested_loop_joins
-        self.index_nl_joins += other.index_nl_joins
-        self.build_side_swaps += other.build_side_swaps
-        self.batch_blocks += other.batch_blocks
-        self.batch_fallbacks += other.batch_fallbacks
+        for counter in dataclasses.fields(self):
+            setattr(self, counter.name, counter.default)
 
 
 @dataclass
@@ -148,6 +110,14 @@ class Relation:
     rows: List[RowT]
     binding: Optional[str] = None
     base_table: Optional[Table] = None
+
+    @property
+    def size(self) -> int:
+        return len(self.rows)
+
+    def stats_view(self) -> "Relation":
+        """What the cost model reads; the batch relation builds a stand-in."""
+        return self
 
 
 class QueryResult:
@@ -235,8 +205,6 @@ class Executor:
         # here would let one query's teardown null the context out from
         # under another thread's in-flight union
         self._shared_state = threading.local()
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self._pool_size = 0
         # compiled-cache layer (settings.compiled_cache): memoized scan
         # schemas, schema concatenations and compiled expressions, keyed
         # by object identity with the originals pinned in each entry so
@@ -265,9 +233,6 @@ class Executor:
 
     @_shared.setter
     def _shared(self, context: Optional[SharedScanContext]) -> None:
-        # the parallel fan-out assigns this on worker Executors from the
-        # pool threads that execute their batches, so the thread-local
-        # write lands exactly where the batch will read it
         self._shared_state.context = context
 
     # -- cooperative cancellation --------------------------------------
@@ -326,34 +291,25 @@ class Executor:
         return self._execute_union(plan)
 
     def _execute_union(self, plan: CompiledPlan) -> QueryResult:
-        """Multi-disjunct UNION: shared scans, optional parallel fan-out."""
+        """Multi-disjunct UNION: one sequential loop over shared scans."""
         blocks = plan.blocks
         self.stats.union_branches += len(blocks)
         owns_shared = self.settings.scan_sharing and self._shared is None
         if owns_shared:
             self._shared = SharedScanContext()
+        branch_results: List[Tuple[List[str], List[RowT]]] = []
         try:
-            if (
-                self.settings.parallel_enabled
-                and len(blocks) >= self.settings.parallel_threshold
-                and self.trace is None
-            ):
-                branch_results = self._execute_blocks_parallel(blocks)
-            else:
-                branch_results = []
-                for position, block in enumerate(blocks):
-                    self._check_cancel()
-                    started = time.perf_counter()
-                    columns, branch_rows = self._execute_block(
-                        block.statement, block
+            for position, block in enumerate(blocks):
+                self._check_cancel()
+                started = time.perf_counter()
+                columns, branch_rows = self._execute_block(block.statement, block)
+                if self.analyze:
+                    elapsed_ms = (time.perf_counter() - started) * 1000.0
+                    self._trace(
+                        f"Disjunct {position + 1}/{len(blocks)}: "
+                        f"{len(branch_rows)} rows in {elapsed_ms:.2f} ms"
                     )
-                    if self.analyze:
-                        elapsed_ms = (time.perf_counter() - started) * 1000.0
-                        self._trace(
-                            f"Disjunct {position + 1}/{len(blocks)}: "
-                            f"{len(branch_rows)} rows in {elapsed_ms:.2f} ms"
-                        )
-                    branch_results.append((columns, branch_rows))
+                branch_results.append((columns, branch_rows))
         finally:
             if owns_shared:
                 context = self._shared
@@ -382,79 +338,6 @@ class Executor:
             rows = self._order_rows(rows, order_by, schema)
         rows = _apply_limit(rows, head.limit, head.offset)
         return QueryResult(first_columns, rows)
-
-    def _ensure_pool(self, workers: int) -> ThreadPoolExecutor:
-        if self._pool is None or self._pool_size < workers:
-            if self._pool is not None:
-                self._pool.shutdown(wait=False)
-            self._pool = ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="sql-ucq"
-            )
-            self._pool_size = workers
-        return self._pool
-
-    def _execute_blocks_parallel(
-        self, blocks: Sequence[PlannedBlock]
-    ) -> List[Tuple[List[str], List[RowT]]]:
-        """Fan independent UNION disjuncts across the worker pool.
-
-        Blocks are split into one contiguous batch per worker, so each
-        worker is a single private Executor (own stats, parallelism off)
-        sharing the catalog, profile, compiled caches and the per-query
-        scan context.  Batches are concatenated strictly in block order,
-        so the output is identical to serial execution.
-        """
-        workers = min(self.settings.parallel_workers, len(blocks))
-        pool = self._ensure_pool(workers)
-        self.stats.parallel_batches += 1
-        worker_settings = dataclasses.replace(self.settings, parallel_workers=0)
-        shared = self._shared
-        # propagate this request's cancellation token into the pool threads
-        # (the token is thread-local here, so it must travel explicitly)
-        token = self.cancel_token
-
-        def run_batch(
-            batch: Sequence[PlannedBlock],
-        ) -> Tuple[List[Tuple[List[str], List[RowT]]], ExecutionStats]:
-            # type(self), not Executor: the vectorized subclass must fan
-            # out vectorized workers, or parallel UCQs would silently
-            # fall back to the row path
-            worker = type(self)(self.catalog, self.profile, settings=worker_settings)
-            worker._shared = shared
-            worker.set_cancel_token(token)
-            # compiled-cache entries are pure (schema, AST) artifacts, so
-            # sharing the dicts across workers is race-benign: a lost
-            # update just means one redundant compile
-            worker._scan_schemas = self._scan_schemas
-            worker._concat_cache = self._concat_cache
-            worker._compiled_exprs = self._compiled_exprs
-            worker._subquery_plans = self._subquery_plans
-            return [
-                worker._execute_block(block.statement, block) for block in batch
-            ], worker.stats
-
-        base, extra = divmod(len(blocks), workers)
-        batches: List[Sequence[PlannedBlock]] = []
-        start = 0
-        for worker_index in range(workers):
-            end = start + base + (1 if worker_index < extra else 0)
-            batches.append(blocks[start:end])
-            start = end
-        futures = [pool.submit(run_batch, batch) for batch in batches if batch]
-        results: List[Tuple[List[str], List[RowT]]] = []
-        first_error: Optional[Exception] = None
-        for future in futures:
-            try:
-                batch_results, worker_stats = future.result()
-            except Exception as exc:  # drain remaining futures first
-                if first_error is None:
-                    first_error = exc
-                continue
-            self.stats.merge_worker(worker_stats)
-            results.extend(batch_results)
-        if first_error is not None:
-            raise first_error
-        return results
 
     def run_subquery(self, statement: SelectStatement) -> List[RowT]:
         # plans are pure AST artifacts, so memoizing them is safe even
@@ -931,8 +814,17 @@ class Executor:
     # -- join ordering -----------------------------------------------------
 
     def _join_relations(
-        self, relations: List[Relation], conjuncts: List[Expr]
-    ) -> Relation:
+        self, relations: List[Any], conjuncts: List[Expr]
+    ) -> Any:
+        """Order and run the joins of one flattened inner-join block.
+
+        The one join-order search of both executors: it reads only what a
+        row :class:`Relation` and the vectorized ``BatchRelation`` both
+        expose (``schema``, ``size``, ``stats_view()``) and delegates the
+        two physical steps -- the pairwise join (:meth:`_inner_join`) and
+        the residual filter (:meth:`_filter_compiled`) -- which the
+        vectorized executor overrides for its relation type.
+        """
         if not relations:
             return Relation(RowSchema([]), [()])
         if self.settings.cost_based and len(relations) > 1:
@@ -940,7 +832,7 @@ class Executor:
         pending = list(relations)
         pending_conjuncts = list(conjuncts)
         # greedy: start from the smallest relation
-        pending.sort(key=lambda r: len(r.rows))
+        pending.sort(key=lambda r: r.size)
         current = pending.pop(0)
         while pending:
             chosen_index = None
@@ -958,18 +850,12 @@ class Executor:
                 pending_conjuncts.remove(conjunct)
             current = self._inner_join(current, candidate, connecting)
         if pending_conjuncts:
-            predicate = conjunction(pending_conjuncts)
-            assert predicate is not None
-            compiled = self._compiler(current.schema).compile(predicate)
-            current = Relation(
-                current.schema,
-                [row for row in current.rows if compiled(row) is True],
-            )
+            current = self._filter_compiled(current, pending_conjuncts)
         return current
 
     def _join_relations_cost_based(
-        self, relations: List[Relation], conjuncts: List[Expr]
-    ) -> Relation:
+        self, relations: List[Any], conjuncts: List[Expr]
+    ) -> Any:
         """Greedy System-R ordering over a precomputed equi-join graph.
 
         The conjunct->relation incidence is resolved once up front (no
@@ -982,6 +868,7 @@ class Executor:
         matching the naive path.
         """
         cost = CostModel(getattr(self.catalog, "statistics", None))
+        views = [relation.stats_view() for relation in relations]
         edges: List[Tuple[Expr, frozenset]] = []
         residual: List[Expr] = []
         for conjunct in conjuncts:
@@ -990,13 +877,14 @@ class Executor:
                 edges.append((conjunct, owners))
             else:
                 residual.append(conjunct)
-        order = sorted(range(len(relations)), key=lambda i: len(relations[i].rows))
+        order = sorted(range(len(relations)), key=lambda i: relations[i].size)
         start = order[0]
         current = relations[start]
         joined = {start}
         pending = set(order[1:])
         while pending:
             best: Optional[Tuple[float, int, List[Expr]]] = None
+            current_view = current.stats_view()
             for index in pending:
                 connecting = [
                     conjunct
@@ -1012,15 +900,15 @@ class Executor:
                     current, candidate, connecting
                 )
                 estimate = cost.join_estimate(
-                    current, candidate, left_keys, right_keys
+                    current_view, views[index], left_keys, right_keys
                 )
                 if best is None or estimate < best[0]:
                     best = (estimate, index, connecting)
             if best is None:
                 # cross-join fallback: smallest candidate first
-                index = min(pending, key=lambda i: len(relations[i].rows))
+                index = min(pending, key=lambda i: relations[i].size)
                 candidate = relations[index]
-                estimate = float(len(current.rows)) * float(len(candidate.rows))
+                estimate = float(current.size) * float(candidate.size)
                 connecting = []
             else:
                 estimate, index, connecting = best

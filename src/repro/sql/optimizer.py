@@ -6,7 +6,7 @@ used to make by fixed rules:
 
 * :class:`OptimizerSettings` -- the physical-optimizer switches carried by
   a :class:`~repro.sql.engine.Database` (cost-based ordering, cross-
-  disjunct scan sharing, intra-query parallelism);
+  disjunct scan sharing, compiled-artifact memoization);
 * :class:`CostModel` -- cardinality and selectivity estimation backed by
   the ANALYZE statistics of :mod:`repro.sql.stats` (n_distinct, NULL
   fractions, min/max), with graceful fallbacks when statistics are stale
@@ -24,7 +24,6 @@ step, which is a much easier problem than full-query cost prediction.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
@@ -58,10 +57,9 @@ DEFAULT_SELECTIVITY = 0.25
 class OptimizerSettings:
     """Physical-optimizer switches carried by the Database facade.
 
-    The defaults enable everything except parallelism, which is opt-in
-    (``parallel_workers >= 2``); setting every flag False reproduces the
-    pre-optimizer executor exactly, which is what the ``naive`` mode of
-    ``benchmarks/bench_executor.py`` measures against.
+    The defaults enable everything; setting every flag False reproduces
+    the pre-optimizer executor exactly, which is what the ``naive`` mode
+    of ``benchmarks/bench_executor.py`` measures against.
     """
 
     #: statistics-driven join ordering, build-side selection and
@@ -74,14 +72,6 @@ class OptimizerSettings:
     #: repeated executions of a cached plan skip expression compilation
     #: (the physical half of PR 2's compile-once-run-many)
     compiled_cache: bool = True
-    #: >= 2 fans independent UNION disjuncts across a worker pool
-    parallel_workers: int = 0
-    #: minimum number of UNION branches before the pool is engaged
-    parallel_threshold: int = 4
-
-    @property
-    def parallel_enabled(self) -> bool:
-        return self.parallel_workers >= 2
 
     def describe(self) -> str:
         parts = [
@@ -89,10 +79,6 @@ class OptimizerSettings:
             f"scan_sharing={'on' if self.scan_sharing else 'off'}",
             f"compiled_cache={'on' if self.compiled_cache else 'off'}",
         ]
-        if self.parallel_enabled:
-            parts.append(f"parallel_workers={self.parallel_workers}")
-        else:
-            parts.append("parallel=off")
         return " ".join(parts)
 
 
@@ -102,7 +88,6 @@ def naive_settings() -> OptimizerSettings:
         cost_based=False,
         scan_sharing=False,
         compiled_cache=False,
-        parallel_workers=0,
     )
 
 
@@ -336,10 +321,12 @@ class SharedScanContext:
     """Per-query-execution cache of scans and hash-join build tables.
 
     Lives for exactly one ``execute_plan`` call (the multi-disjunct UNION
-    of an unfolded UCQ).  Data cannot mutate mid-query -- the Database
-    facade holds the read lock for the whole execution -- so sharing the
-    materialized (and filtered) row lists across disjuncts is safe: the
-    executor never mutates a row list in place, it only rebinds
+    of an unfolded UCQ) on the thread that runs it -- the executor keeps
+    the active context thread-local, so no two threads ever see the same
+    instance and the dicts need no lock.  Data cannot mutate mid-query --
+    the Database facade holds the read lock for the whole execution -- so
+    sharing the materialized (and filtered) row lists across disjuncts is
+    safe: the executor never mutates a row list in place, it only rebinds
     ``Relation.rows``.
 
     Hash-join build tables are keyed by the *identity* of the shared row
@@ -347,50 +334,40 @@ class SharedScanContext:
     scan on the same columns reuse one bucket dict.  The referenced lists
     are pinned in the cache, so ids stay unambiguous for the context's
     lifetime.
-
-    Thread-safe (a mutex around the dicts): the parallel-UCQ mode shares
-    one context across its workers.  Duplicated computation on a race is
-    possible and harmless (both results are identical); the cache favours
-    simplicity over strict compute-once.
     """
 
     _scans: Dict[Tuple[str, frozenset], List[tuple]] = field(default_factory=dict)
     _builds: Dict[Tuple[int, Tuple[int, ...]], Tuple[Any, Dict]] = field(
         default_factory=dict
     )
-    _lock: threading.Lock = field(default_factory=threading.Lock)
     hits: int = 0
     misses: int = 0
     build_hits: int = 0
     build_misses: int = 0
 
     def lookup_scan(self, key: Tuple[str, frozenset]) -> Optional[List[tuple]]:
-        with self._lock:
-            rows = self._scans.get(key)
-            if rows is None:
-                self.misses += 1
-                return None
-            self.hits += 1
-            return rows
+        rows = self._scans.get(key)
+        if rows is None:
+            self.misses += 1
+            return None
+        self.hits += 1
+        return rows
 
     def store_scan(self, key: Tuple[str, frozenset], rows: List[tuple]) -> None:
-        with self._lock:
-            self._scans.setdefault(key, rows)
+        self._scans.setdefault(key, rows)
 
     def lookup_build(
         self, rows: List[tuple], key_positions: Tuple[int, ...]
     ) -> Optional[Dict]:
-        with self._lock:
-            entry = self._builds.get((id(rows), key_positions))
-            if entry is None:
-                self.build_misses += 1
-                return None
-            self.build_hits += 1
-            return entry[1]
+        entry = self._builds.get((id(rows), key_positions))
+        if entry is None:
+            self.build_misses += 1
+            return None
+        self.build_hits += 1
+        return entry[1]
 
     def store_build(
         self, rows: List[tuple], key_positions: Tuple[int, ...], buckets: Dict
     ) -> None:
-        with self._lock:
-            # keep a reference to *rows* so the id() key cannot be reused
-            self._builds.setdefault((id(rows), key_positions), (rows, buckets))
+        # keep a reference to *rows* so the id() key cannot be reused
+        self._builds.setdefault((id(rows), key_positions), (rows, buckets))

@@ -1,4 +1,4 @@
-"""Compiled logical plans and the per-SQL-text plan cache.
+"""Compiled logical plans and their one lifecycle.
 
 The executor used to redo the whole *logical* planning pass on every
 execution: re-parse the SQL text, split the UNION chain into branches,
@@ -11,12 +11,14 @@ This module splits that pass out into a reusable :class:`CompiledPlan`:
 * :func:`compile_select` performs the logical planning once, producing a
   plan object holding the branch decomposition plus per-branch conjunct
   lists and aggregate flags (all immutable with respect to table *data*);
-* :class:`PlanCache` keys plans by SQL text so repeated text-level
-  queries (the Mixer's warm runs) skip parsing entirely;
 * plans carry the owning database's *generation*; any mutation event
   (DML, index creation, ``set_profile``) bumps the generation, and a
   stale plan is transparently re-planned from its retained AST on next
-  use -- physical operator choices stay fresh without re-parsing.
+  use (:func:`refresh_plan`) -- physical operator choices stay fresh
+  without re-parsing.
+
+Whoever wants to reuse a plan holds on to the object (the OBDA engine's
+query cache does); there is no text-keyed cache in between.
 
 Physical decisions (index scans, join order, hash vs. sort dedup) remain
 execution-time choices made from live cardinalities and the active
@@ -27,9 +29,8 @@ from __future__ import annotations
 
 import hashlib
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .ast import (
     ExistsSubquery,
@@ -140,17 +141,15 @@ class CompiledPlan:
     statement: SelectStatement
     blocks: List[PlannedBlock]
     dedup_needed: bool
-    sql_text: Optional[str] = None
     profile_name: str = ""
     generation: int = -1
     key_digest: str = ""
-    hits: int = 0
     _refresh_lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
 
     def describe_key(self) -> str:
-        """The cache-key summary EXPLAIN prints."""
+        """The plan-identity summary EXPLAIN prints."""
         return (
             f"sha1={self.key_digest or '-'} blocks={len(self.blocks)} "
             f"profile={self.profile_name or '-'} generation={self.generation}"
@@ -191,7 +190,6 @@ def compile_select(
         statement=statement,
         blocks=blocks,
         dedup_needed=dedup_needed,
-        sql_text=sql_text,
         key_digest=digest,
     )
 
@@ -211,62 +209,3 @@ def refresh_plan(plan: CompiledPlan, profile_name: str, generation: int) -> None
         plan.dedup_needed = dedup_needed
         plan.profile_name = profile_name
         plan.generation = generation
-
-
-class PlanCache:
-    """LRU cache of :class:`CompiledPlan` keyed by SQL text.
-
-    Thread-safe; invalidated wholesale on every mutation event.  The
-    counters feed :class:`~repro.sql.executor.ExecutionStats` and the
-    Mixer report so cache effectiveness is observable.
-    """
-
-    def __init__(self, max_entries: int = 256):
-        self.max_entries = max_entries
-        self._entries: "OrderedDict[str, CompiledPlan]" = OrderedDict()
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.invalidations = 0
-        self.last_invalidation_reason: Optional[str] = None
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, sql_text: str) -> Optional[CompiledPlan]:
-        with self._lock:
-            plan = self._entries.get(sql_text)
-            if plan is None:
-                self.misses += 1
-                return None
-            self._entries.move_to_end(sql_text)
-            self.hits += 1
-            plan.hits += 1
-            return plan
-
-    def peek(self, sql_text: str) -> Optional[CompiledPlan]:
-        """Like :meth:`get` but without touching the counters (EXPLAIN)."""
-        with self._lock:
-            return self._entries.get(sql_text)
-
-    def put(self, sql_text: str, plan: CompiledPlan) -> None:
-        with self._lock:
-            self._entries[sql_text] = plan
-            self._entries.move_to_end(sql_text)
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-
-    def invalidate(self, reason: str) -> None:
-        with self._lock:
-            if self._entries:
-                self.invalidations += 1
-            self._entries.clear()
-            self.last_invalidation_reason = reason
-
-    def stats(self) -> Dict[str, int]:
-        return {
-            "plan_cache_hits": self.hits,
-            "plan_cache_misses": self.misses,
-            "plan_cache_invalidations": self.invalidations,
-            "plan_cache_entries": len(self._entries),
-        }

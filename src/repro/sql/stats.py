@@ -63,7 +63,7 @@ class CatalogStatistics:
 
     ``generation`` is the database's plan generation at collection time;
     :meth:`Database._invalidate_plans` marks the object stale on every
-    mutation event, exactly like the plan cache is flushed.  ``stale``
+    mutation event, exactly like compiled plans go stale.  ``stale``
     statistics stay inspectable (EXPLAIN prints them) but the optimizer
     ignores them.
     """

@@ -1,14 +1,15 @@
 """Vectorized batch executor: batch-at-a-time operators over column arrays.
 
 :class:`VectorizedExecutor` subclasses the row-at-a-time
-:class:`~repro.sql.executor.Executor` and overrides exactly one entry
-point, ``_execute_block``.  Blocks whose logical shape the batch path
-covers (``PlannedBlock.batch_eligible``: base tables glued by inner
-joins, no subquery predicates) run on column vectors with late
-materialization; everything else falls through to the inherited row
-operators, which double as the correctness oracle in the differential
-harness (``tests/test_vectorized.py``, the ``vectorized`` diffcheck
-config).
+:class:`~repro.sql.executor.Executor` and overrides one entry point,
+``_execute_block``, plus the two physical steps the inherited join-order
+search delegates (``_inner_join``, ``_filter_compiled``).  Blocks whose
+logical shape the batch path covers (``PlannedBlock.batch_eligible``:
+base tables glued by inner joins, no subquery predicates) run on column
+vectors with late materialization; everything else falls through to the
+inherited row operators, which double as the correctness oracle in the
+differential harness (``tests/test_vectorized.py``, the ``vectorized``
+diffcheck config).
 
 Design points:
 
@@ -20,10 +21,12 @@ Design points:
   agreement with ``sql_compare``; otherwise the conjunct is evaluated by
   the same compiled expressions the row path uses, over gathered rows, so
   the two paths cannot disagree.
-* **Physical-decision mirroring** -- index scans, index-nested-loop
-  gating, build-side swaps and the shared-scan/build caches replicate the
-  row path's decisions one-to-one (including their statistics counters),
-  so EXPLAIN output and optimizer behaviour stay comparable.
+* **One join planner, mirrored operator choice** -- join ordering is the
+  inherited search itself (``Executor._join_relations``); per pair, index
+  scans, index-nested-loop gating, build-side swaps and the
+  shared-scan/build caches replicate the row path's decisions one-to-one
+  (including their statistics counters), so EXPLAIN output and optimizer
+  behaviour stay comparable.
 * **Operator-tail reuse** -- DISTINCT/ORDER BY/LIMIT run through the
   inherited ``_finish_block``, and aggregation feeds the inherited
   ``_aggregate`` with a reduced-schema materialization, keeping
@@ -57,7 +60,7 @@ from .columnar import ColumnStore, select_cmp, select_eq, select_in, select_null
 from .errors import ExecutionError
 from .executor import Executor, Relation, RowT, _hashable, _mirror_op
 from .expressions import ExpressionCompiler, RowSchema
-from .optimizer import CostModel, canonical_predicate, scan_key
+from .optimizer import canonical_predicate, scan_key
 from .plan import PlannedBlock, block_batch_eligible, compile_select
 
 #: shared-scan cache namespace for vectorized position lists (the row path
@@ -288,7 +291,7 @@ class VectorizedExecutor(Executor):
             relations[position] = self._batch_filter_leg(
                 relations[position], local.get(position, [])
             )
-        relation = self._batch_join_relations(relations, join_conjuncts)
+        relation = self._join_relations(relations, join_conjuncts)
         remaining = [
             c for i, c in enumerate(where_conjuncts) if i not in consumed
         ]
@@ -602,107 +605,23 @@ class VectorizedExecutor(Executor):
     # joins
     # ------------------------------------------------------------------
 
-    def _batch_join_relations(
-        self, relations: List[BatchRelation], conjuncts: List[Expr]
-    ) -> BatchRelation:
-        if self.settings.cost_based and len(relations) > 1:
-            return self._batch_join_cost_based(relations, conjuncts)
-        pending = list(relations)
-        pending_conjuncts = list(conjuncts)
-        pending.sort(key=lambda r: r.size)
-        current = pending.pop(0)
-        while pending:
-            chosen_index = None
-            for index, candidate in enumerate(pending):
-                if self._connecting_conjuncts(
-                    current, candidate, pending_conjuncts
-                ):
-                    chosen_index = index
-                    break
-            if chosen_index is None:
-                chosen_index = 0  # cross join fallback
-            candidate = pending.pop(chosen_index)
-            connecting = self._connecting_conjuncts(
-                current, candidate, pending_conjuncts
-            )
-            for conjunct in connecting:
-                pending_conjuncts.remove(conjunct)
-            current = self._batch_inner_join(current, candidate, connecting)
-        if pending_conjuncts:
-            current = self._batch_filter(current, pending_conjuncts)
-        return current
+    def _filter_compiled(self, relation, conjuncts: Sequence[Expr]):
+        """Residual-filter step of the inherited join planner."""
+        if isinstance(relation, BatchRelation):
+            return self._batch_filter(relation, conjuncts)
+        return super()._filter_compiled(relation, conjuncts)
 
-    def _batch_join_cost_based(
-        self, relations: List[BatchRelation], conjuncts: List[Expr]
-    ) -> BatchRelation:
-        """Positional mirror of Executor._join_relations_cost_based."""
-        cost = CostModel(getattr(self.catalog, "statistics", None))
-        views = [relation.stats_view() for relation in relations]
-        edges: List[Tuple[Expr, frozenset]] = []
-        residual: List[Expr] = []
-        for conjunct in conjuncts:
-            owners = self._conjunct_owners(conjunct, views)
-            if owners is not None and len(owners) >= 2:
-                edges.append((conjunct, owners))
-            else:
-                residual.append(conjunct)
-        order = sorted(range(len(relations)), key=lambda i: relations[i].size)
-        start = order[0]
-        current = relations[start]
-        joined = {start}
-        pending = set(order[1:])
-        while pending:
-            best: Optional[Tuple[float, int, List[Expr]]] = None
-            current_view = current.stats_view()
-            for index in pending:
-                connecting = [
-                    conjunct
-                    for conjunct, owners in edges
-                    if index in owners
-                    and owners & joined
-                    and owners <= joined | {index}
-                ]
-                if not connecting:
-                    continue
-                left_keys, right_keys, _, _ = self._equi_keys(
-                    current, relations[index], connecting
-                )
-                estimate = cost.join_estimate(
-                    current_view, views[index], left_keys, right_keys
-                )
-                if best is None or estimate < best[0]:
-                    best = (estimate, index, connecting)
-            if best is None:
-                index = min(pending, key=lambda i: relations[i].size)
-                candidate = relations[index]
-                estimate = float(current.size) * float(candidate.size)
-                connecting = []
-            else:
-                estimate, index, connecting = best
-                candidate = relations[index]
-            pending.discard(index)
-            joined.add(index)
-            if connecting:
-                edges = [
-                    (conjunct, owners)
-                    for conjunct, owners in edges
-                    if not any(conjunct is used for used in connecting)
-                ]
-            current = self._batch_inner_join(
-                current, candidate, connecting, estimate=estimate
-            )
-        residual.extend(conjunct for conjunct, _ in edges)
-        if residual:
-            current = self._batch_filter(current, residual)
-        return current
-
-    def _batch_inner_join(
+    def _inner_join(
         self,
-        left: BatchRelation,
-        right: BatchRelation,
+        left,
+        right,
         conjuncts: Sequence[Expr],
         estimate: Optional[float] = None,
-    ) -> BatchRelation:
+    ):
+        """Pairwise-join step of the inherited join planner."""
+        if not isinstance(left, BatchRelation):
+            # row relations of a fallback block keep the row operators
+            return super()._inner_join(left, right, conjuncts, estimate)
         self._check_cancel()
         schema = self._concat_schema(left.schema, right.schema)
         left_keys, right_keys, _, residual = self._equi_keys(

@@ -114,15 +114,18 @@ class TestConcurrentDml:
             "CREATE TABLE t (id INTEGER PRIMARY KEY, grp VARCHAR(5), v INTEGER)"
         )
         db.insert_rows("t", [(i, "a", i) for i in range(200)])
-        select = "SELECT grp, COUNT(*) FROM t GROUP BY grp ORDER BY grp"
-        db.execute(select)
+        # one compiled plan shared by every reader: each INSERT stales it,
+        # and whichever thread runs it next re-plans it in place
+        plan = db.compile("SELECT grp, COUNT(*) FROM t GROUP BY grp ORDER BY grp")
+        db.execute_plan(plan)
+        generation = db.plan_generation
         failures: List[str] = []
         stop = threading.Event()
 
         def reader():
             while not stop.is_set():
                 try:
-                    result = db.execute(select)
+                    result = db.execute_plan(plan)
                     # counts must always reflect a consistent snapshot:
                     # a torn read mid-insert would surface as an exception
                     # or an impossible negative/None count
@@ -144,9 +147,10 @@ class TestConcurrentDml:
             for thread in readers:
                 thread.join()
         assert failures == []
-        final = db.execute(select)
+        final = db.execute_plan(plan)
         assert dict(final.rows) == {"a": 200, "b": 200}
-        assert db.plan_cache.last_invalidation_reason == "insert"
+        assert db.plan_generation == generation + 200
+        assert plan.generation == db.plan_generation
 
 
 class TestConcurrentSharedScans:

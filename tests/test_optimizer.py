@@ -3,7 +3,7 @@
 Covers the ANALYZE statistics lifecycle, the cost model, join-order
 correctness of the optimized executor against the naive one (identical
 bags over the full catalogue and seeded fuzzer queries), cross-disjunct
-scan sharing, parallel-disjunct determinism, EXPLAIN ANALYZE output and
+scan sharing and its teardown, EXPLAIN ANALYZE output and
 the PERF_NO_ACCESS_PATH lint.
 """
 
@@ -276,63 +276,37 @@ class TestScanSharing:
                 fired += 1
         assert fired >= 5, f"scan sharing fired on only {fired} queries"
 
+    def test_cancelled_union_leaves_no_context_behind(self, two_table_db):
+        """A UNION aborted in a later disjunct tears its context down.
 
-# ---------------------------------------------------------------------------
-# parallel disjuncts
-# ---------------------------------------------------------------------------
+        The context is thread-local and owned by one ``_execute_union``:
+        if it survived the abort, the next UNION on this thread would
+        adopt it and report the dead query's hits as its own.
+        """
+        from repro.concurrency import QueryCancelled
 
-
-class TestParallelDisjuncts:
-    def test_four_worker_determinism(self, two_table_db):
-        two_table_db.set_optimizer(OptimizerSettings())
-        serial = two_table_db.execute(UNION_SQL).rows
-        two_table_db.set_optimizer(
-            OptimizerSettings(parallel_workers=4, parallel_threshold=2)
-        )
-        for _ in range(3):
-            parallel = two_table_db.execute(UNION_SQL).rows
-            assert parallel == serial  # identical rows in identical order
-        assert two_table_db.stats.parallel_batches >= 3
-
-    def test_below_threshold_stays_serial(self, two_table_db):
-        two_table_db.set_optimizer(
-            OptimizerSettings(parallel_workers=4, parallel_threshold=8)
-        )
-        two_table_db.execute(UNION_SQL)  # 3 blocks < threshold 8
-        assert two_table_db.stats.parallel_batches == 0
-
-    def test_worker_stats_merged(self, two_table_db):
-        two_table_db.set_optimizer(
-            OptimizerSettings(parallel_workers=4, parallel_threshold=2)
-        )
-        before = two_table_db.stats.hash_joins
+        executor = two_table_db._executor
         two_table_db.execute(UNION_SQL)
-        assert two_table_db.stats.hash_joins >= before + 3
+        clean_run_hits = two_table_db.stats.shared_scan_hits
 
-    def test_parallel_error_propagates(self, two_table_db):
-        from repro.sql.expressions import ExecutionError
+        class TripsAfterFirstReuse:
+            """Cancels at the first poll after a shared scan was reused,
+            which can only happen from the second disjunct on."""
 
-        two_table_db.set_optimizer(
-            OptimizerSettings(parallel_workers=4, parallel_threshold=2)
-        )
-        bad = (
-            "SELECT a.id FROM a UNION ALL SELECT b.id FROM b "
-            "UNION ALL SELECT CAST(a.kind AS INTEGER) FROM a"
-        )
-        with pytest.raises(ExecutionError):
-            two_table_db.execute(bad)
+            def check(self):
+                context = executor._shared
+                if context is not None and context.hits:
+                    raise QueryCancelled("cancelled mid-union")
 
-    def test_catalogue_parallel_matches_serial(self, small_bench, small_engine):
-        database = small_bench.database
-        sparql = small_bench.queries["q6"].sparql
-        database.set_optimizer(OptimizerSettings())
-        serial = small_engine.execute(sparql).to_python_rows()
-        database.set_optimizer(
-            OptimizerSettings(parallel_workers=4, parallel_threshold=4)
-        )
-        parallel = small_engine.execute(sparql).to_python_rows()
-        database.set_optimizer(OptimizerSettings())
-        assert parallel == serial
+        plan = two_table_db.compile(UNION_SQL)
+        with pytest.raises(QueryCancelled):
+            two_table_db.execute_plan(plan, token=TripsAfterFirstReuse())
+        assert executor._shared is None
+        assert executor.cancel_token is None
+        before = two_table_db.stats.shared_scan_hits
+        assert clean_run_hits < before < 2 * clean_run_hits  # partial run folded in
+        two_table_db.execute(UNION_SQL)
+        assert two_table_db.stats.shared_scan_hits - before == clean_run_hits
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
-"""The multi-level compilation cache: hits, invalidation, correctness.
+"""The compilation caches and the plan lifecycle: hits, staleness, correctness.
 
-Covers the three cache layers (SQL plan cache, rewrite cache, OBDA
-artifact cache) plus the invalidation events the ISSUE demands: DML and
-``set_profile`` after a cached SELECT must produce fresh, correct
-results, and EXPLAIN must say where the plan came from.
+Covers the two cache layers (rewrite cache, OBDA artifact cache) and the
+one lifecycle of a compiled SQL plan: DML, ``CREATE INDEX`` and
+``set_profile`` after ``compile()`` must make the held plan re-plan itself
+inside ``execute_plan`` and produce fresh, correct results.
 """
 
 from __future__ import annotations
@@ -13,8 +13,6 @@ import pytest
 from repro.mixer import Mixer, OBDASystemAdapter
 from repro.obda import OBDAEngine
 from repro.sql import Database, mysql_profile
-from repro.sql.plan import PlanCache, compile_select
-from repro.sql.parser import parse_select
 
 
 SELECT_EMP = "SELECT id, name FROM temployee ORDER BY id"
@@ -24,95 +22,89 @@ def rows(result):
     return list(result.rows)
 
 
-class TestPlanCache:
-    def test_repeated_text_select_hits_cache(self, example_db):
-        first = example_db.execute(SELECT_EMP)
-        second = example_db.execute(SELECT_EMP)
-        assert rows(first) == rows(second)
-        assert example_db.plan_cache.hits == 1
-        assert example_db.stats.plan_cache_hits == 1
-        assert example_db.stats.plan_cache_misses >= 1
+def run_stale(db, plan):
+    """Execute a plan that a mutation event outdated: it must re-plan
+    itself exactly once and carry the new generation afterwards."""
+    assert plan.generation != db.plan_generation or plan.profile_name != db.profile.name
+    recompiles = db.stats.plan_recompiles
+    result = db.execute_plan(plan)
+    assert db.stats.plan_recompiles == recompiles + 1
+    assert plan.generation == db.plan_generation
+    assert plan.profile_name == db.profile.name
+    return rows(result)
 
-    def test_statement_objects_bypass_text_cache(self, example_db):
-        statement = parse_select(SELECT_EMP)
-        example_db.execute(statement)
-        example_db.execute(statement)
-        assert len(example_db.plan_cache) == 0
 
-    def test_insert_invalidates_and_serves_fresh_rows(self, example_db):
-        before = rows(example_db.execute(SELECT_EMP))
+class TestPlanLifecycle:
+    """Compile once, execute many: every mutation event bumps
+    ``plan_generation`` and the held plan heals inside ``execute_plan``."""
+
+    def test_fresh_plan_is_not_recompiled(self, example_db):
+        plan = example_db.compile(SELECT_EMP)
+        first = rows(example_db.execute_plan(plan))
+        second = rows(example_db.execute_plan(plan))
+        assert first == second
+        assert example_db.stats.plan_recompiles == 0
+
+    def test_insert_stales_plan_and_serves_fresh_rows(self, example_db):
+        plan = example_db.compile(SELECT_EMP)
+        before = rows(example_db.execute_plan(plan))
+        generation = example_db.plan_generation
         example_db.execute("INSERT INTO temployee VALUES (3, 'Mia', 'B2')")
-        after = rows(example_db.execute(SELECT_EMP))
+        assert example_db.plan_generation == generation + 1
+        after = run_stale(example_db, plan)
         assert len(after) == len(before) + 1
         assert after[-1][:2] == (3, "Mia")
-        assert example_db.plan_cache.last_invalidation_reason == "insert"
 
-    def test_delete_invalidates_and_serves_fresh_rows(self, example_db):
-        example_db.execute(SELECT_EMP)
+    def test_delete_stales_plan_and_serves_fresh_rows(self, example_db):
+        plan = example_db.compile(SELECT_EMP)
+        example_db.execute_plan(plan)
         example_db.execute("DELETE FROM tsellsproduct WHERE id = 2")
         example_db.execute("DELETE FROM temployee WHERE id = 2")
-        after = rows(example_db.execute(SELECT_EMP))
-        assert after == [(1, "John")]
+        assert run_stale(example_db, plan) == [(1, "John")]
 
-    def test_update_invalidates_and_serves_fresh_rows(self, example_db):
-        example_db.execute(SELECT_EMP)
+    def test_update_stales_plan_and_serves_fresh_rows(self, example_db):
+        plan = example_db.compile(SELECT_EMP)
+        example_db.execute_plan(plan)
         example_db.execute("UPDATE temployee SET name = 'Johnny' WHERE id = 1")
-        after = rows(example_db.execute(SELECT_EMP))
-        assert after[0] == (1, "Johnny")
+        assert run_stale(example_db, plan)[0] == (1, "Johnny")
 
-    def test_insert_rows_invalidates(self, example_db):
-        example_db.execute(SELECT_EMP)
+    def test_insert_rows_stales_plan(self, example_db):
+        plan = example_db.compile(SELECT_EMP)
         generation = example_db.plan_generation
         example_db.insert_rows("temployee", [(7, "Zoe", "B2")])
         assert example_db.plan_generation > generation
-        after = rows(example_db.execute(SELECT_EMP))
+        after = run_stale(example_db, plan)
         assert (7, "Zoe") in [row[:2] for row in after]
 
-    def test_create_index_invalidates(self, example_db):
-        example_db.execute(SELECT_EMP)
+    def test_create_index_stales_plan(self, example_db):
+        plan = example_db.compile(SELECT_EMP)
+        before = rows(example_db.execute_plan(plan))
         generation = example_db.plan_generation
         example_db.execute("CREATE INDEX idx_branch ON temployee (branch)")
         assert example_db.plan_generation > generation
+        assert run_stale(example_db, plan) == before
 
-    def test_set_profile_invalidates_and_recompiles(self, example_db):
-        before = rows(example_db.execute(SELECT_EMP))
-        example_db.set_profile(mysql_profile())
-        after = rows(example_db.execute(SELECT_EMP))
-        assert before == after
-        assert example_db.plan_cache.last_invalidation_reason == "set_profile"
-
-    def test_stale_plan_object_self_heals(self, example_db):
+    def test_set_profile_stales_plan_and_recompiles(self, example_db):
         plan = example_db.compile(SELECT_EMP)
-        example_db.execute("INSERT INTO temployee VALUES (4, 'Ada', 'B1')")
-        result = example_db.execute_plan(plan)
-        assert (4, "Ada") in [row[:2] for row in rows(result)]
-        assert example_db.stats.plan_recompiles >= 1
-        assert plan.generation == example_db.plan_generation
-
-    def test_lru_eviction(self):
-        cache = PlanCache(max_entries=2)
-        for text in ("SELECT 1", "SELECT 2", "SELECT 3"):
-            cache.put(text, compile_select(parse_select(text), text))
-        assert len(cache) == 2
-        assert cache.peek("SELECT 1") is None
-        assert cache.peek("SELECT 3") is not None
+        before = rows(example_db.execute_plan(plan))
+        example_db.set_profile(mysql_profile())
+        assert run_stale(example_db, plan) == before
+        assert plan.profile_name == "mysql"
 
 
 class TestExplainPlanLines:
-    def test_compiled_then_cached(self, example_db):
+    def test_plan_key_header(self, example_db):
         first = example_db.explain(SELECT_EMP)
-        assert first[0] == "plan: compiled"
-        assert first[1].startswith("plan-key: sha1=")
+        assert first[0].startswith("plan-key: sha1=")
         assert first[-1].startswith("Result: ")
-        second = example_db.explain(SELECT_EMP)
-        assert second[0] == "plan: cached"
-        assert second[1:] == first[1:]
+        assert example_db.explain(SELECT_EMP) == first
 
-    def test_mutation_resets_to_compiled(self, example_db):
-        example_db.explain(SELECT_EMP)
+    def test_mutation_shows_in_plan_key(self, example_db):
+        before = example_db.explain(SELECT_EMP)
         example_db.execute("INSERT INTO temployee VALUES (5, 'Kim', 'B2')")
         again = example_db.explain(SELECT_EMP)
-        assert again[0] == "plan: compiled"
+        assert again[0] != before[0]
+        assert again[0].endswith(f"generation={example_db.plan_generation}")
 
 
 class TestSortedIndexBatching:

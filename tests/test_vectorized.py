@@ -93,6 +93,46 @@ class TestCatalogueParity:
 
 
 # ---------------------------------------------------------------------------
+# one join planner for both executors
+# ---------------------------------------------------------------------------
+
+
+def _join_trace(database, statement, executor):
+    """Join operator + sizes per EXPLAIN line, ``Batch`` prefix stripped."""
+    return [
+        line.removeprefix("Batch")
+        for line in database.explain(statement, executor=executor)
+        if line.split(" ", 1)[0].endswith("Join")
+    ]
+
+
+class TestSharedJoinPlanner:
+    def test_vectorized_join_trace_follows_row_trace(self, bench_small, engines_small):
+        """Same join order, same operator per pair, same input sizes.
+
+        The batch path may run *fewer* joins -- it evaluates a derived
+        table repeated across disjuncts once per execution (q14) -- but
+        never different ones or in another order, so its trace is an
+        order-preserving subsequence of the row trace.
+        """
+        row_engine, _ = engines_small
+        database = bench_small.database
+        shorter = []
+        for query_id in sorted(bench_small.queries, key=lambda q: int(q[1:])):
+            statement = row_engine.unfold(bench_small.queries[query_id].sparql).statement
+            row_trace = _join_trace(database, statement, "row")
+            vec_trace = _join_trace(database, statement, "vectorized")
+            assert row_trace, f"{query_id}: no joins traced"
+            remaining = iter(row_trace)
+            assert all(line in remaining for line in vec_trace), (
+                f"{query_id}: vectorized join trace diverges from the row trace"
+            )
+            if len(vec_trace) != len(row_trace):
+                shorter.append(query_id)
+        assert shorter == ["q14"]
+
+
+# ---------------------------------------------------------------------------
 # fuzzed conjunctive queries
 # ---------------------------------------------------------------------------
 
