@@ -327,40 +327,6 @@ class _ExactCandidate:
     proper_generators: Tuple[object, ...] = ()
 
 
-def _bare_table_projection(statement, catalog) -> Optional[Tuple[str, Tuple[str, ...]]]:
-    """(table, output columns) for ``SELECT a, b FROM t`` sources, else None.
-
-    Only plain projections qualify: single branch, no WHERE/joins/renames,
-    every select item a bare column of the base table.  These are the
-    sources whose self-joins the VFD optimization can collapse.
-    """
-    from ..sql.ast import ColumnRef, NamedTable
-
-    if statement.union is not None or statement.where is not None:
-        return None
-    source = statement.source
-    if not isinstance(source, NamedTable):
-        return None
-    table_name = source.name.lower()
-    if not catalog.has_table(table_name):
-        return None
-    table = catalog.table(table_name)
-    outputs: List[str] = []
-    for item in statement.items:
-        expr = item.expr
-        if not isinstance(expr, ColumnRef):
-            return None
-        column = expr.name.lower()
-        if item.alias is not None and item.alias.lower() != column:
-            return None
-        if not table.has_column(column):
-            return None
-        outputs.append(column)
-    if not outputs:
-        return None
-    return table_name, tuple(outputs)
-
-
 def infer_exact_candidates(
     ontology: Ontology, mappings, reasoner: QLReasoner
 ) -> List[_ExactCandidate]:
@@ -434,18 +400,17 @@ def infer_vfd_candidates(database, mappings) -> List[VfdConstraint]:
     catalog = database.catalog
     seen: Dict[Tuple[str, Tuple[str, ...], str], VfdConstraint] = {}
     for assertion in mappings:
-        try:
-            statement = assertion.parsed_source()
-        except Exception:  # noqa: BLE001 - malformed sources are lint findings
+        branch = assertion.source.projection
+        if branch is None or not catalog.has_table(branch.table):
             continue
-        projection = _bare_table_projection(statement, catalog)
-        if projection is None:
+        table_name = branch.table
+        table = catalog.table(table_name)
+        outputs = branch.columns
+        if not all(table.has_column(column) for column in outputs):
             continue
-        table_name, outputs = projection
         subject_cols = tuple(c.lower() for c in assertion.subject.columns)
         if not subject_cols or any(c not in outputs for c in subject_cols):
             continue
-        table = catalog.table(table_name)
         if table.primary_key and set(table.primary_key) <= set(subject_cols):
             continue  # unique subject: merging is already fact-licensed
         determinants = tuple(sorted(set(subject_cols)))

@@ -499,15 +499,8 @@ def _check_redundancy(mappings: MappingCollection) -> List[Finding]:
         for i, first in enumerate(group):
             needed = first.referenced_columns()
             for second in group[i + 1 :]:
-                try:
-                    forward = source_contains(
-                        second.source_sql, first.source_sql, needed
-                    )
-                    backward = source_contains(
-                        first.source_sql, second.source_sql, needed
-                    )
-                except SqlError:  # pragma: no cover - parse already reported
-                    continue
+                forward = source_contains(second.source, first.source, needed)
+                backward = source_contains(first.source, second.source, needed)
                 if forward and backward:
                     findings.append(
                         Finding(

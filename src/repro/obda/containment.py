@@ -7,121 +7,74 @@ the unfiltered mapping of ``Wellbore`` over the same sheet.  Removing such
 redundancy at load time is the optimization the paper credits for keeping
 unfolded SQL small ("the embedding of the inferences into the mappings").
 
-The check implemented here is *sound but incomplete*: an assertion is
-declared contained only when we can prove it syntactically --
+The check compares the profiles of two
+:class:`~repro.obda.mapping.MappingSource` objects; it never looks at SQL
+text.  It is *sound but incomplete*: a source is declared contained only
+when the profiles prove it --
 
-* nesting is transparent (``SELECT * FROM (X) alias`` == ``X``);
-* a UNION is contained if each branch is contained in some container
-  branch;
-* a branch is contained in another when both scan the same base table,
-  define the columns the term maps consume identically, and the
-  container's WHERE conjuncts are a subset of the contained one's.
+* two sources with the same canonical key are equivalent;
+* a source is contained if each of its branches is contained in some
+  container branch (wrappers were already removed when profiling);
+* a branch is contained in another when both scan the same base table
+  with no modifier other than WHERE, define every column the term maps
+  consume identically -- a bare column by its base column, any other
+  expression by its whole canonical text -- and the container's WHERE
+  conjuncts are a subset of the contained one's.
+
+Joins, nested unions and unparseable sources have no base table in their
+profile and are never contained in, nor contain, anything but an
+identical source.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Sequence
 
-from ..sql.ast import NamedTable, SelectStatement, Star, SubquerySource, split_conjuncts
-from ..sql.parser import parse_select
+from .mapping import MappingSource, SourceBranch
 
-
-def unwrap(statement: SelectStatement) -> SelectStatement:
-    """Strip transparent ``SELECT * FROM (X) alias`` wrappers."""
-    while (
-        statement.union is None
-        and statement.where is None
-        and not statement.group_by
-        and not statement.distinct
-        and statement.limit is None
-        and len(statement.items) == 1
-        and isinstance(statement.items[0].expr, Star)
-        and statement.items[0].expr.qualifier is None
-        and isinstance(statement.source, SubquerySource)
-    ):
-        statement = statement.source.query
-    return statement
-
-
-def union_branches(statement: SelectStatement) -> List[SelectStatement]:
-    branches = []
-    node: Optional[SelectStatement] = statement
-    while node is not None:
-        branches.append(unwrap(node.without_union()))
-        node = node.union.query if node.union else None
-    return branches
-
-
-def _branch_profile(
-    branch: SelectStatement, needed_columns: Sequence[str]
-) -> Optional[Tuple[str, Dict[str, str], Set[str]]]:
-    """(table, column definitions, where conjunct texts) of a simple branch."""
-    branch = unwrap(branch)
-    if branch.union is not None or branch.group_by or branch.distinct:
-        return None
-    if branch.limit is not None or branch.having is not None:
-        return None
-    if not isinstance(branch.source, NamedTable):
-        return None
-    table = branch.source.name.lower()
-    definitions: Dict[str, str] = {}
-    for item in branch.items:
-        if isinstance(item.expr, Star):
-            if item.expr.qualifier is not None:
-                return None
-            # star projects base columns under their own names
-            continue
-        definitions[item.output_name] = item.expr.to_sql().lower()
-    for column in needed_columns:
-        if column not in definitions:
-            # either projected via *, or missing; assume the bare column
-            definitions.setdefault(column, column)
-    conjuncts = {c.to_sql().lower() for c in split_conjuncts(branch.where)}
-    return table, definitions, conjuncts
+_FILTER_ONLY = frozenset({"WHERE"})
 
 
 def branch_contains(
-    container: SelectStatement,
-    contained: SelectStatement,
+    container: SourceBranch,
+    contained: SourceBranch,
     needed_columns: Sequence[str],
 ) -> bool:
     """Does *container* return a superset of *contained* (projected on
     the needed columns)?"""
-    container_profile = _branch_profile(container, needed_columns)
-    contained_profile = _branch_profile(contained, needed_columns)
-    if container_profile is None or contained_profile is None:
-        return False
-    container_table, container_defs, container_where = container_profile
-    contained_table, contained_defs, contained_where = contained_profile
-    if container_table != contained_table:
-        return False
-    normalized = [column.lower() for column in needed_columns]
-    for column in normalized:
-        left = container_defs.get(column, column)
-        right = contained_defs.get(column, column)
-        # strip a possible table/alias qualifier for comparison
-        if left.split(".")[-1] != right.split(".")[-1]:
+    for branch in (container, contained):
+        if branch.table is None or not branch.modifiers <= _FILTER_ONLY:
             return False
-    return container_where <= contained_where
+    if container.table != contained.table:
+        return False
+    for column in needed_columns:
+        column = column.lower()
+        if _definition(container, column) != _definition(contained, column):
+            return False
+    return container.conjuncts <= contained.conjuncts
+
+
+def _definition(branch: SourceBranch, column: str) -> str:
+    # a column the branch does not list is star-projected (or missing,
+    # which breaks the term map either way): take it as the bare column.
+    # Canonical expression texts never collide with column names: a bare
+    # identifier would have been profiled as a column reference.
+    return branch.columns.get(column) or branch.expressions.get(column, column)
 
 
 def source_contains(
-    container_sql: str, contained_sql: str, needed_columns: Sequence[str]
+    container: MappingSource,
+    contained: MappingSource,
+    needed_columns: Sequence[str],
 ) -> bool:
     """True when every row the contained source yields (projected on the
     needed columns) is also produced by the container source."""
-    if container_sql.strip().lower() == contained_sql.strip().lower():
+    if container.key == contained.key:
         return True
-    try:
-        container = parse_select(container_sql)
-        contained = parse_select(contained_sql)
-    except Exception:  # noqa: BLE001 - unparseable sources just opt out
-        return False
-    container_branches = union_branches(container)
-    for contained_branch in union_branches(contained):
-        if not any(
+    return all(
+        any(
             branch_contains(container_branch, contained_branch, needed_columns)
-            for container_branch in container_branches
-        ):
-            return False
-    return True
+            for container_branch in container.branches
+        )
+        for contained_branch in contained.branches
+    )

@@ -10,13 +10,31 @@ The paper's NPD mapping counts 1190 such assertions covering 464 ontology
 entities; :mod:`repro.npd.mappings` generates them, and
 :mod:`repro.obda.r2rml` round-trips them through an Ontop-style ``.obda``
 textual syntax.
+
+Each distinct source text is parsed and profiled once into a
+:class:`MappingSource` (base table, output-to-base-column map, WHERE
+conjuncts, modifiers per UNION branch); T-mapping containment, the
+unfolder's semantic optimisations, constraint inference and VIG
+validation all read that one object.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from ..rdf.terms import (
     IRI,
@@ -28,8 +46,21 @@ from ..rdf.terms import (
     XSD_INTEGER,
     XSD_STRING,
 )
-from ..sql.ast import SelectStatement
+from ..sql.ast import (
+    ColumnRef,
+    Expr,
+    Join,
+    NamedTable,
+    SelectStatement,
+    Star,
+    SubquerySource,
+    TableRef,
+    split_conjuncts,
+)
+from ..sql.errors import SqlError
+from ..sql.lexer import TokenType, tokenize
 from ..sql.parser import parse_select
+from ..sql.types import format_value
 
 
 class MappingError(ValueError):
@@ -37,9 +68,6 @@ class MappingError(ValueError):
 
 
 _PLACEHOLDER_RE = re.compile(r"\{([A-Za-z_][A-Za-z0-9_]*)\}")
-
-# parsed-source cache: assertion sources repeat heavily across T-mappings
-_PARSE_CACHE: Dict[str, SelectStatement] = {}
 
 
 @dataclass(frozen=True)
@@ -230,12 +258,17 @@ class MappingAssertion:
             return self.object.term.value
         return self.predicate
 
+    @cached_property
+    def source(self) -> MappingSource:
+        # cached_property writes the instance __dict__ directly, past the
+        # frozen __setattr__; the unfolder reads this once per atom choice
+        return MappingSource.of(self.source_sql)
+
     def parsed_source(self) -> SelectStatement:
-        cached = _PARSE_CACHE.get(self.source_sql)
-        if cached is None:
-            cached = parse_select(self.source_sql)
-            _PARSE_CACHE[self.source_sql] = cached
-        return cached
+        source = self.source
+        if source.statement is None:
+            raise source.error
+        return source.statement
 
     def referenced_columns(self) -> Tuple[str, ...]:
         seen: Dict[str, None] = {}
@@ -250,14 +283,13 @@ class MappingAssertion:
 def assertion_body_key(assertion: MappingAssertion) -> Tuple[str, str, str, str]:
     """Identity of an assertion's *body*, independent of its id.
 
-    T-mapping compilation re-emits raw assertions under fresh ids (and may
-    attribute a shared body to any one of several origins), so consumers
-    that must recognise "the entity's own assertions" — e.g. exact-mapping
-    enforcement — compare bodies, not ids.  Mirrors
-    ``TMappingCompiler._assertion_signature``.
+    T-mapping compilation deduplicates on it and re-emits raw assertions
+    under fresh ids (and may attribute a shared body to any one of several
+    origins), so consumers that must recognise "the entity's own
+    assertions" — e.g. exact-mapping enforcement — compare bodies, not ids.
     """
     return (
-        assertion.source_sql.strip().lower(),
+        assertion.source.key,
         repr(assertion.subject),
         assertion.predicate,
         repr(assertion.object),
@@ -313,27 +345,19 @@ class MappingCollection:
         ``SELECT *`` sources cannot be checked without a catalog and are
         skipped.
         """
-        from ..sql.ast import Star
-
         problems: List[str] = []
         for assertion in self._assertions:
-            try:
-                statement = assertion.parsed_source()
-            except Exception as exc:  # noqa: BLE001 - report, don't raise
-                problems.append(f"{assertion.id}: unparseable source ({exc})")
-                continue
-            outputs: Optional[set] = None
-            skip = False
-            for branch_statement in _branches(statement):
-                if any(isinstance(item.expr, Star) for item in branch_statement.items):
-                    skip = True
-                    break
-                branch_outputs = {item.output_name for item in branch_statement.items}
-                outputs = (
-                    branch_outputs if outputs is None else outputs & branch_outputs
+            source = assertion.source
+            if source.statement is None:
+                problems.append(
+                    f"{assertion.id}: unparseable source ({source.error})"
                 )
-            if skip or outputs is None:
                 continue
+            if any(block.star for block in source.blocks):
+                continue
+            outputs = set.intersection(
+                *(set(block.columns) | set(block.expressions) for block in source.blocks)
+            )
             for column in assertion.referenced_columns():
                 if column not in outputs:
                     problems.append(
@@ -344,15 +368,16 @@ class MappingCollection:
 
     def statistics(self) -> Dict[str, float]:
         """Mapping-complexity statistics as reported in Section 5."""
-        from ..sql.ast import Join
-
         union_counts: List[int] = []
         join_counts: List[int] = []
         for assertion in self._assertions:
-            statement = assertion.parsed_source()
-            branches = _count_union_branches(statement)
-            union_counts.append(branches)
-            join_counts.append(_count_joins(statement))
+            union_counts.append(len(assertion.source.branches))
+            join_counts.append(
+                sum(
+                    isinstance(ref, Join)
+                    for ref in _from_items(assertion.parsed_source())
+                )
+            )
         total = len(self._assertions)
         return {
             "assertions": total,
@@ -364,38 +389,222 @@ class MappingCollection:
         }
 
 
-def _branches(statement: SelectStatement) -> Iterator[SelectStatement]:
-    node: Optional[SelectStatement] = statement
-    while node is not None:
-        yield node.without_union()
-        node = node.union.query if node.union else None
+# ---------------------------------------------------------------------------
+# Mapping sources
+# ---------------------------------------------------------------------------
 
 
-def _count_union_branches(statement: SelectStatement) -> int:
-    count = 1
-    node = statement
-    while node.union is not None:
-        count += 1
-        node = node.union.query
-    return count
+@dataclass(frozen=True)
+class SourceBranch:
+    """What one SELECT block of a mapping source reads and projects.
+
+    Transparent ``SELECT * FROM (X) alias`` wrappers are already removed.
+    ``table`` is set only when the block scans one named base table and
+    every star in it belongs to that table; joins, subqueries and
+    unparseable sources leave it None, and every shape-based optimisation
+    treats such a block as opaque.
+    """
+
+    table: Optional[str] = None
+    #: output column -> base column, for bare column references
+    columns: Mapping[str, str] = field(default_factory=dict)
+    #: the branch projects ``*`` (or ``binding.*``)
+    star: bool = False
+    #: output column -> canonical text, for every other select item
+    expressions: Mapping[str, str] = field(default_factory=dict)
+    #: the WHERE conjuncts, and their canonical texts
+    filters: Tuple[Expr, ...] = ()
+    conjuncts: FrozenSet[str] = frozenset()
+    #: which of WHERE, GROUP BY, HAVING, DISTINCT, LIMIT, OFFSET appear
+    modifiers: FrozenSet[str] = frozenset()
+
+    @property
+    def plain(self) -> bool:
+        """An unfiltered, unmodified scan of one base table."""
+        return self.table is not None and not self.modifiers
+
+    def base_column(self, output: str) -> Optional[str]:
+        """The base column an output column copies, if any."""
+        return self.columns.get(output) or (output if self.star else None)
 
 
-def _count_joins(statement: SelectStatement) -> int:
-    from ..sql.ast import Join, SubquerySource, TableRef
+@dataclass(frozen=True)
+class MappingSource:
+    """One mapping source SQL text, parsed and profiled once.
 
-    def count_in_source(source: Optional[TableRef]) -> int:
+    Every assertion over the same text shares one instance (see
+    :meth:`of`), so T-mapping containment, the unfolder's semantic
+    optimisations, constraint inference and VIG validation all read the
+    same answer to "what does this source look like".
+    """
+
+    #: the parsed statement; None when the text does not parse
+    statement: Optional[SelectStatement]
+    error: Optional[SqlError]
+    #: identity of the text: identifiers and keywords folded to lower
+    #: case, whitespace normalised, string literals exactly as written
+    key: str
+    #: one profile per top-level UNION branch; a UNION nested inside a
+    #: wrapper stays one opaque branch, an unparseable text is one too
+    branches: Tuple[SourceBranch, ...]
+    #: one profile per SELECT block, nested UNIONs flattened
+    blocks: Tuple[SourceBranch, ...]
+    #: every base table the source reads, in FROM-clause order
+    tables: Tuple[str, ...]
+
+    @classmethod
+    def of(cls, sql: str) -> "MappingSource":
+        source = _SOURCES.get(sql)
         if source is None:
-            return 0
-        if isinstance(source, Join):
-            return 1 + count_in_source(source.left) + count_in_source(source.right)
-        if isinstance(source, SubquerySource):
-            return count_in_statement(source.query)
-        return 0
+            source = _SOURCES.setdefault(sql, _build_source(sql))
+        return source
 
-    def count_in_statement(stmt: SelectStatement) -> int:
-        total = count_in_source(stmt.source)
-        if stmt.union is not None:
-            total += count_in_statement(stmt.union.query)
-        return total
+    @property
+    def single(self) -> Optional[SourceBranch]:
+        """The branch of a non-UNION source that scans one base table."""
+        if len(self.branches) == 1 and self.branches[0].table is not None:
+            return self.branches[0]
+        return None
 
-    return count_in_statement(statement)
+    @property
+    def projection(self) -> Optional[SourceBranch]:
+        """The branch of a ``SELECT a, b FROM t`` source: one plain scan
+        whose every item is a bare column under its own name."""
+        branch = self.single
+        if (
+            branch is None
+            or not branch.plain
+            or branch.star
+            or branch.expressions
+            or any(out != base for out, base in branch.columns.items())
+        ):
+            return None
+        return branch
+
+
+# assertion sources repeat heavily across T-mappings: one profile per text
+_SOURCES: Dict[str, MappingSource] = {}
+
+
+def _build_source(sql: str) -> MappingSource:
+    try:
+        statement = parse_select(sql)
+    except SqlError as exc:
+        opaque = (SourceBranch(),)
+        return MappingSource(None, exc, sql.strip(), opaque, opaque, ())
+    branches: List[SourceBranch] = []
+    blocks: List[SourceBranch] = []
+    for top in statement.union_branches():
+        top = _unwrap(top)
+        profiles = _flatten(top)
+        blocks.extend(profiles)
+        branches.append(SourceBranch() if top.union is not None else profiles[0])
+    return MappingSource(
+        statement,
+        None,
+        _canonical(sql),
+        tuple(branches),
+        tuple(blocks),
+        tuple(
+            ref.name.lower()
+            for ref in _from_items(statement)
+            if isinstance(ref, NamedTable)
+        ),
+    )
+
+
+def _flatten(statement: SelectStatement) -> List[SourceBranch]:
+    blocks: List[SourceBranch] = []
+    for block in statement.union_branches():
+        block = _unwrap(block)
+        if block.union is None:
+            blocks.append(_profile_block(block))
+        else:
+            blocks.extend(_flatten(block))
+    return blocks
+
+
+def _canonical(text: str) -> str:
+    """*text* re-spelled from its tokens: identifiers and keywords in
+    lower case, string literals exactly as written."""
+    return " ".join(
+        format_value(token.value)
+        if token.type is TokenType.STRING
+        else token.value.lower()
+        for token in tokenize(text)[:-1]
+    )
+
+
+def _unwrap(statement: SelectStatement) -> SelectStatement:
+    """Strip transparent ``SELECT * FROM (X) alias`` wrappers."""
+    while (
+        statement.union is None
+        and statement.where is None
+        and not statement.group_by
+        and not statement.distinct
+        and statement.having is None
+        and statement.limit is None
+        and statement.offset is None
+        and len(statement.items) == 1
+        and isinstance(statement.items[0].expr, Star)
+        and statement.items[0].expr.qualifier is None
+        and isinstance(statement.source, SubquerySource)
+    ):
+        statement = statement.source.query
+    return statement
+
+
+def _profile_block(block: SelectStatement) -> SourceBranch:
+    source = block.source
+    table = source.name.lower() if isinstance(source, NamedTable) else None
+    columns: Dict[str, str] = {}
+    expressions: Dict[str, str] = {}
+    star = False
+    for item in block.items:
+        expr = item.expr
+        if isinstance(expr, Star):
+            star = True
+            if expr.qualifier is not None and (
+                table is None or expr.qualifier.lower() != source.binding
+            ):
+                table = None
+        elif isinstance(expr, ColumnRef):
+            columns[item.output_name] = expr.name.lower()
+        else:
+            expressions[item.output_name] = _canonical(expr.to_sql())
+    filters = tuple(split_conjuncts(block.where))
+    present = (
+        ("WHERE", block.where is not None),
+        ("GROUP BY", bool(block.group_by)),
+        ("HAVING", block.having is not None),
+        ("DISTINCT", block.distinct),
+        ("LIMIT", block.limit is not None),
+        ("OFFSET", block.offset is not None),
+    )
+    return SourceBranch(
+        table,
+        columns,
+        star,
+        expressions,
+        filters,
+        frozenset(_canonical(conjunct.to_sql()) for conjunct in filters),
+        frozenset(name for name, flag in present if flag),
+    )
+
+
+def _from_items(statement: SelectStatement) -> Iterator[TableRef]:
+    """Every FROM-clause node of every UNION block, depth first, nested
+    subqueries included."""
+    for block in statement.union_branches():
+        yield from _table_ref_items(block.source)
+
+
+def _table_ref_items(ref: Optional[TableRef]) -> Iterator[TableRef]:
+    if ref is None:
+        return
+    yield ref
+    if isinstance(ref, Join):
+        yield from _table_ref_items(ref.left)
+        yield from _table_ref_items(ref.right)
+    elif isinstance(ref, SubquerySource):
+        yield from _from_items(ref.query)

@@ -11,10 +11,9 @@ inferences into the mappings").
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Sequence, Set, Tuple
 
 from ..owl.model import (
     ClassConcept,
@@ -25,14 +24,17 @@ from ..owl.model import (
 )
 from ..owl.reasoner import QLReasoner
 from ..rdf.terms import IRI
+from .containment import source_contains
 from .mapping import (
     ConstantTermMap,
     LiteralTermMap,
     MappingAssertion,
     MappingCollection,
     MappingError,
+    MappingSource,
     RDF_TYPE_IRI,
     TermMap,
+    assertion_body_key,
 )
 
 
@@ -45,13 +47,6 @@ class TMappingResult:
     derived_assertions: int
     duplicate_assertions_removed: int
     contained_assertions_removed: int = 0
-
-
-def _assertion_signature(
-    source_sql: str, subject: TermMap, predicate: str, obj: TermMap
-) -> Tuple:
-    """Value-equality key for duplicate elimination."""
-    return (source_sql.strip().lower(), repr(subject), predicate, repr(obj))
 
 
 class TMappingCompiler:
@@ -72,31 +67,26 @@ class TMappingCompiler:
     def compile(self, mappings: MappingCollection) -> TMappingResult:
         started = time.perf_counter()
         compiled = MappingCollection()
-        seen: Dict[Tuple[str, Tuple], str] = {}
-        counter = itertools.count()
-        derived = 0
+        seen: Set[Tuple[str, str, str, str]] = set()
         duplicates = 0
 
         def emit(
-            entity_kind: str,
-            source_sql: str,
-            subject: TermMap,
-            predicate: str,
-            obj: TermMap,
-            origin: str,
+            origin: MappingAssertion, subject: TermMap, predicate: str, obj: TermMap
         ) -> None:
-            nonlocal derived, duplicates
-            signature = (predicate if predicate != RDF_TYPE_IRI else repr(obj),
-                         _assertion_signature(source_sql, subject, predicate, obj))
-            if signature in seen:
+            nonlocal duplicates
+            assertion = MappingAssertion(
+                f"tm{len(compiled)}_{origin.id}",
+                origin.source_sql,
+                subject,
+                predicate,
+                obj,
+            )
+            key = assertion_body_key(assertion)
+            if key in seen:
                 duplicates += 1
                 return
-            assertion_id = f"tm{next(counter)}_{origin}"
-            seen[signature] = assertion_id
-            compiled.add(
-                MappingAssertion(assertion_id, source_sql, subject, predicate, obj)
-            )
-            derived += 1
+            seen.add(key)
+            compiled.add(assertion)
 
         ontology = self.reasoner.ontology
         # classes: union over all basic subconcepts
@@ -106,14 +96,7 @@ class TMappingCompiler:
                 if isinstance(sub, ClassConcept):
                     for assertion in mappings.for_entity(sub.iri):
                         if assertion.is_class_assertion:
-                            emit(
-                                "class",
-                                assertion.source_sql,
-                                assertion.subject,
-                                RDF_TYPE_IRI,
-                                target,
-                                assertion.id,
-                            )
+                            emit(assertion, assertion.subject, RDF_TYPE_IRI, target)
                 elif isinstance(sub, SomeValues):
                     for assertion in mappings.for_entity(sub.role.iri):
                         if assertion.is_class_assertion:
@@ -125,24 +108,10 @@ class TMappingCompiler:
                             raise MappingError(
                                 f"object property {sub.role.iri} maps to a literal"
                             )
-                        emit(
-                            "class",
-                            assertion.source_sql,
-                            subject,
-                            RDF_TYPE_IRI,
-                            target,
-                            assertion.id,
-                        )
+                        emit(assertion, subject, RDF_TYPE_IRI, target)
                 elif isinstance(sub, DataSomeValues):
                     for assertion in mappings.for_entity(sub.prop.iri):
-                        emit(
-                            "class",
-                            assertion.source_sql,
-                            assertion.subject,
-                            RDF_TYPE_IRI,
-                            target,
-                            assertion.id,
-                        )
+                        emit(assertion, assertion.subject, RDF_TYPE_IRI, target)
         # object properties: union over subroles (inverses swap the maps)
         for prop in sorted(ontology.object_properties):
             for sub_role in self.reasoner.subroles_of(Role(prop)):
@@ -152,51 +121,24 @@ class TMappingCompiler:
                     if sub_role.inverse:
                         if isinstance(assertion.object, LiteralTermMap):
                             continue  # cannot invert a literal-valued map
-                        emit(
-                            "obj",
-                            assertion.source_sql,
-                            assertion.object,
-                            prop,
-                            assertion.subject,
-                            assertion.id,
-                        )
+                        emit(assertion, assertion.object, prop, assertion.subject)
                     else:
-                        emit(
-                            "obj",
-                            assertion.source_sql,
-                            assertion.subject,
-                            prop,
-                            assertion.object,
-                            assertion.id,
-                        )
+                        emit(assertion, assertion.subject, prop, assertion.object)
         # data properties
         for prop in sorted(ontology.data_properties):
             for sub_prop in self.reasoner.sub_data_properties_of(DataPropertyRef(prop)):
                 for assertion in mappings.for_entity(sub_prop.iri):
                     if assertion.is_class_assertion:
                         continue
-                    emit(
-                        "data",
-                        assertion.source_sql,
-                        assertion.subject,
-                        prop,
-                        assertion.object,
-                        assertion.id,
-                    )
+                    emit(assertion, assertion.subject, prop, assertion.object)
         # keep assertions for entities outside the ontology untouched
         known = set(ontology.classes) | set(ontology.object_properties) | set(
             ontology.data_properties
         )
         for assertion in mappings:
             if assertion.entity not in known:
-                emit(
-                    "extra",
-                    assertion.source_sql,
-                    assertion.subject,
-                    assertion.predicate,
-                    assertion.object,
-                    assertion.id,
-                )
+                emit(assertion, assertion.subject, assertion.predicate, assertion.object)
+        derived = len(compiled)
         contained_removed = 0
         if self.optimize:
             compiled, contained_removed = _containment_pass(compiled)
@@ -208,40 +150,41 @@ def _containment_pass(
     mappings: MappingCollection,
 ) -> Tuple[MappingCollection, int]:
     """Drop assertions provably subsumed by a sibling of the same entity."""
-    from .containment import source_contains
-
     optimized = MappingCollection()
     removed = 0
     for entity in mappings.entities():
         assertions = mappings.for_entity(entity)
-        kept: List[MappingAssertion] = []
-        for candidate in assertions:
-            subsumed = False
+        term_maps = [(repr(a.subject), repr(a.object)) for a in assertions]
+        for candidate, candidate_maps in zip(assertions, term_maps):
             needed = candidate.referenced_columns()
-            for other in assertions:
-                if other is candidate:
-                    continue
-                if repr(other.subject) != repr(candidate.subject):
-                    continue
-                if repr(other.object) != repr(candidate.object):
-                    continue
-                if source_contains(other.source_sql, candidate.source_sql, needed):
-                    # break ties between mutually-containing (equivalent)
-                    # assertions: keep the lexicographically smaller id
-                    if (
-                        source_contains(candidate.source_sql, other.source_sql, needed)
-                        and candidate.id < other.id
-                    ):
-                        continue
-                    subsumed = True
-                    break
-            if subsumed:
+            if any(
+                other is not candidate
+                and other_maps == candidate_maps
+                and _makes_redundant(other, candidate, needed)
+                for other, other_maps in zip(assertions, term_maps)
+            ):
                 removed += 1
             else:
-                kept.append(candidate)
-        for assertion in kept:
-            optimized.add(assertion)
+                optimized.add(candidate)
     return optimized, removed
+
+
+def _makes_redundant(
+    other: MappingAssertion, candidate: MappingAssertion, needed: Sequence[str]
+) -> bool:
+    if not source_contains(other.source, candidate.source, needed):
+        return False
+    # break ties between mutually-containing (equivalent) assertions on
+    # the sources themselves, never on emission order: keep the simpler
+    # one.  Equal ranks mean equal keys, which deduplication already merged.
+    return not (
+        source_contains(candidate.source, other.source, needed)
+        and _rank(candidate.source) < _rank(other.source)
+    )
+
+
+def _rank(source: MappingSource) -> Tuple[int, int, str]:
+    return (len(source.branches), len(source.key), source.key)
 
 
 def compile_tmappings(

@@ -44,7 +44,6 @@ from ..sparql.algebra import (
 )
 from ..sql import ast as sql
 from ..sql.catalog import Catalog
-from .containment import union_branches, unwrap
 from .cq import (
     Atom,
     ClassAtom,
@@ -635,11 +634,7 @@ class Unfolder:
             return None
         if self._unique_subject_info(assertion) is None:
             return None
-        return (
-            subject,
-            assertion.source_sql.strip().lower(),
-            assertion.subject.template.pattern,
-        )
+        return (subject, assertion.source.key, assertion.subject.template.pattern)
 
     # -- constraint-licensed pruning and merging ----------------------------
 
@@ -729,29 +724,13 @@ class Unfolder:
         VFDs.  Labels carry the licensing facts/constraints for
         explain().
         """
-        try:
-            statement = assertion.parsed_source()
-        except Exception:  # noqa: BLE001 - malformed sources opt out
-            return None
-        if (
-            statement.union is not None
-            or statement.where is not None
-            or statement.group_by
-            or statement.having is not None
-            or statement.distinct
-            or statement.limit is not None
-        ):
-            return None
-        info = self._branch_base_map(statement)
-        if info is None:
-            return None
-        table, base, star = info
-        if star or any(out != col for out, col in base.items()):
+        branch = assertion.source.projection
+        if branch is None:
             return None
         columns = tuple(
             dict.fromkeys(c.lower() for c in assertion.referenced_columns())
         )
-        if any(column not in base for column in columns):
+        if any(column not in branch.columns for column in columns):
             return None
         determinants = tuple(sorted({c.lower() for c in assertion.subject.columns}))
         if not determinants:
@@ -765,15 +744,15 @@ class Unfolder:
             for column in columns:
                 if column in determinants:
                     continue
-                vfd = self.constraints.vfd_covers(table, determinants, column)
+                vfd = self.constraints.vfd_covers(branch.table, determinants, column)
                 if vfd is None:
                     return None
                 labels.append(("constraint", vfd.label()))
         return (
-            table,
+            branch.table,
             determinants,
             columns,
-            assertion.source_sql.strip().lower(),
+            assertion.source.key,
             tuple(labels),
         )
 
@@ -813,61 +792,20 @@ class Unfolder:
         part of the primary key) in the catalog are dropped; everything
         else conservatively gets an ``IS NOT NULL`` guard.
         """
-        result: Tuple[str, ...] = columns
-        if columns and self.catalog is not None:
-            try:
-                statement = assertion.parsed_source()
-            except Exception:  # noqa: BLE001 - malformed sources opt out
-                statement = None
-            if (
-                statement is not None
-                and statement.union is None
-                and isinstance(statement.source, sql.NamedTable)
-                and self.catalog.has_table(statement.source.name)
-            ):
-                table = self.catalog.table(statement.source.name)
-                not_null = {
-                    column.lname
-                    for column in table.columns
-                    if column.not_null
-                }
-                not_null.update(table.primary_key)
-                # map each projected output back to its base column when
-                # the projection is a bare column reference (or SELECT *)
-                base: Dict[str, str] = {}
-                for item in statement.items:
-                    if isinstance(item.expr, sql.Star):
-                        base.update({name: name for name in not_null})
-                    elif isinstance(item.expr, sql.ColumnRef):
-                        base[item.output_name.lower()] = item.expr.name.lower()
-                result = tuple(
-                    column
-                    for column in columns
-                    if base.get(column, "\0") not in not_null
-                )
-        return result
-
-    @staticmethod
-    def _branch_base_map(
-        branch: sql.SelectStatement,
-    ) -> Optional[Tuple[str, Dict[str, str], bool]]:
-        """(table, output->base column, has star) of a single-table branch."""
-        if not isinstance(branch.source, sql.NamedTable):
-            return None
-        table = branch.source.name.lower()
-        base: Dict[str, str] = {}
-        star = False
-        for item in branch.items:
-            if isinstance(item.expr, sql.Star):
-                if (
-                    item.expr.qualifier is not None
-                    and item.expr.qualifier.lower() != branch.source.binding
-                ):
-                    return None
-                star = True
-            elif isinstance(item.expr, sql.ColumnRef):
-                base[item.output_name.lower()] = item.expr.name.lower()
-        return table, base, star
+        branch = assertion.source.single
+        if (
+            not columns
+            or self.catalog is None
+            or branch is None
+            or not self.catalog.has_table(branch.table)
+        ):
+            return columns
+        table = self.catalog.table(branch.table)
+        not_null = {column.lname for column in table.columns if column.not_null}
+        not_null.update(table.primary_key)
+        return tuple(
+            column for column in columns if branch.base_column(column) not in not_null
+        )
 
     def _facts_nullable(
         self, assertion: MappingAssertion, columns: Tuple[str, ...]
@@ -877,24 +815,17 @@ class Unfolder:
         A column is proven NOT NULL only when in *every* union branch it
         resolves to a base column carrying a NotNullFact.
         """
-        try:
-            statement = assertion.parsed_source()
-        except Exception:  # noqa: BLE001 - malformed sources opt out
+        blocks = assertion.source.blocks
+        if any(block.table is None for block in blocks):
             return set(columns), {}
-        branch_maps = []
-        for branch in union_branches(statement):
-            info = self._branch_base_map(branch)
-            if info is None:
-                return set(columns), {}
-            branch_maps.append(info)
         still: Set[str] = set()
         labels: Dict[str, str] = {}
         for column in columns:
             fact_labels: List[str] = []
-            for table, base, star in branch_maps:
-                base_column = base.get(column) or (column if star else None)
+            for block in blocks:
+                base_column = block.base_column(column)
                 fact = (
-                    self.facts.not_null(table, base_column)
+                    self.facts.not_null(block.table, base_column)
                     if base_column is not None
                     else None
                 )
@@ -929,32 +860,22 @@ class Unfolder:
     ) -> Optional[Tuple[Tuple[str, ...], Optional[str]]]:
         if self.catalog is None and self.facts is None:
             return None
-        try:
-            statement = assertion.parsed_source()
-        except Exception:  # noqa: BLE001 - malformed sources just opt out
+        branch = assertion.source.single
+        if branch is None or branch.modifiers & {"GROUP BY", "DISTINCT"}:
             return None
-        if statement.union is not None or statement.group_by or statement.distinct:
-            return None
-        if not isinstance(statement.source, sql.NamedTable):
-            return None
-        subject_columns = set(assertion.subject.columns)
-        if self.catalog is not None and self.catalog.has_table(
-            statement.source.name
-        ):
-            table = self.catalog.table(statement.source.name)
-            if table.primary_key and set(table.primary_key) <= subject_columns:
+        key_columns = {
+            branch.base_column(column) for column in assertion.subject.columns
+        }
+        if self.catalog is not None and self.catalog.has_table(branch.table):
+            table = self.catalog.table(branch.table)
+            if table.primary_key and set(table.primary_key) <= key_columns:
                 return tuple(table.primary_key), None
         if self.facts is not None:
-            info = self._branch_base_map(statement)
-            if info is not None:
-                table_name, base, star = info
-                base_columns = {
-                    base.get(c) or (c if star else "\0")
-                    for c in subject_columns
-                }
-                fact = self.facts.unique_key_within(table_name, base_columns)
-                if fact is not None:
-                    return fact.columns, fact.label()
+            fact = self.facts.unique_key_within(
+                branch.table, key_columns - {None}
+            )
+            if fact is not None:
+                return fact.columns, fact.label()
         return None
 
     # -- FK join elimination -------------------------------------------------
@@ -979,33 +900,19 @@ class Unfolder:
     ) -> Optional[Tuple[str, Tuple[str, ...], str]]:
         if self.facts is None or not isinstance(assertion.subject, IriTermMap):
             return None
-        try:
-            statement = unwrap(assertion.parsed_source())
-        except Exception:  # noqa: BLE001 - malformed sources just opt out
+        branch = assertion.source.single
+        if branch is None or not branch.plain:
             return None
-        if (
-            statement.union is not None
-            or statement.where is not None
-            or statement.group_by
-            or statement.having is not None
-            or statement.distinct
-            or statement.limit is not None
-        ):
-            return None
-        info = self._branch_base_map(statement)
-        if info is None:
-            return None
-        table, base, star = info
         key: List[str] = []
         for column in assertion.subject.template.columns:
-            base_column = base.get(column) or (column if star else None)
+            base_column = branch.base_column(column)
             if base_column is None:
                 return None
             key.append(base_column)
-        unique = self.facts.unique_key_within(table, key)
+        unique = self.facts.unique_key_within(branch.table, key)
         if unique is None:
             return None
-        return table, tuple(key), unique.label()
+        return branch.table, tuple(key), unique.label()
 
     def _child_fk_labels(
         self,
@@ -1019,24 +926,18 @@ class Unfolder:
         Requires a verified ForeignKeyFact aligned positionally with the
         template columns in *every* union branch of the child source.
         """
-        try:
-            statement = assertion.parsed_source()
-        except Exception:  # noqa: BLE001 - malformed sources just opt out
-            return None
         labels: List[str] = []
-        for branch in union_branches(statement):
-            info = self._branch_base_map(branch)
-            if info is None:
+        for block in assertion.source.blocks:
+            if block.table is None:
                 return None
-            table, base, star = info
             child_columns: List[str] = []
             for column in template_columns:
-                base_column = base.get(column) or (column if star else None)
+                base_column = block.base_column(column)
                 if base_column is None:
                     return None
                 child_columns.append(base_column)
             fact = self.facts.covering_fk(
-                table, child_columns, parent_table, parent_key
+                block.table, child_columns, parent_table, parent_key
             )
             if fact is None:
                 return None

@@ -35,8 +35,13 @@ from .model import (
 
 def _transitive_closure_down(
     edges: Dict[object, Set[object]]
-) -> Dict[object, Set[object]]:
-    """For an 'is-subsumed-by' edge map sup->subs, compute all descendants."""
+) -> Dict[object, Dict[object, None]]:
+    """For an 'is-subsumed-by' edge map sup->subs, compute all descendants.
+
+    Nodes and their descendants come out as dicts sorted by ``repr``, so
+    every consumer iterates them in the same order whatever the hash seed
+    (T-mapping ids, and from them the unfolded SQL, follow this order).
+    """
     closure: Dict[object, Set[object]] = {}
 
     def descend(node: object, stack: Set[object]) -> Set[object]:
@@ -55,11 +60,14 @@ def _transitive_closure_down(
 
     for node in list(edges):
         descend(node, set())
-    return closure
+    return {
+        node: dict.fromkeys(sorted(closure[node], key=repr))
+        for node in sorted(closure, key=repr)
+    }
 
 
 def _invert_descendants(
-    closure: Dict[object, Set[object]]
+    closure: Dict[object, Dict[object, None]]
 ) -> Dict[object, List[object]]:
     """Invert a descendants closure into an ancestors index.
 

@@ -15,9 +15,14 @@ classes, object properties and data properties.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..obda.mapping import LiteralTermMap, MappingAssertion, MappingCollection
+from ..obda.mapping import (
+    LiteralTermMap,
+    MappingAssertion,
+    MappingCollection,
+    SourceBranch,
+)
 from ..obda.materializer import virtual_extension_sizes
 from ..sql.engine import Database
 from .analysis import DatabaseProfile, analyze
@@ -56,35 +61,6 @@ class ValidationSummary:
         return self.err50_absolute / self.elements
 
 
-def _source_tables(assertion: MappingAssertion) -> List[str]:
-    """Base tables scanned by an assertion's source (best effort)."""
-    from ..sql.ast import Join, NamedTable, SelectStatement, SubquerySource, TableRef
-
-    tables: List[str] = []
-
-    def walk_source(source: Optional[TableRef]) -> None:
-        if source is None:
-            return
-        if isinstance(source, NamedTable):
-            tables.append(source.name.lower())
-        elif isinstance(source, Join):
-            walk_source(source.left)
-            walk_source(source.right)
-        elif isinstance(source, SubquerySource):
-            walk_statement(source.query)
-
-    def walk_statement(statement: SelectStatement) -> None:
-        walk_source(statement.source)
-        if statement.union is not None:
-            walk_statement(statement.union.query)
-
-    try:
-        walk_statement(assertion.parsed_source())
-    except Exception:  # noqa: BLE001 - unparseable source -> no tables
-        pass
-    return tables
-
-
 def _columns_constant(
     profile: DatabaseProfile,
     assertion: MappingAssertion,
@@ -96,7 +72,7 @@ def _columns_constant(
     Returns None when the columns cannot be located in any source table
     (e.g. they are aliases of computed expressions).
     """
-    tables = _source_tables(assertion)
+    tables = assertion.source.tables
     verdicts: List[bool] = []
     for column in columns:
         found = False
@@ -141,12 +117,12 @@ def expected_growth_classification(
     return verdict
 
 
-def _branch_equality_columns(branch) -> List[str]:
-    """Columns compared to a constant in a union branch's WHERE clause."""
-    from ..sql.ast import BinaryOp, ColumnRef, LiteralValue, split_conjuncts
+def _equality_columns(block: SourceBranch) -> List[str]:
+    """Columns compared to a constant in a SELECT block's WHERE clause."""
+    from ..sql.ast import BinaryOp, ColumnRef, LiteralValue
 
     columns: List[str] = []
-    for conjunct in split_conjuncts(branch.where):
+    for conjunct in block.filters:
         if isinstance(conjunct, BinaryOp) and conjunct.op in ("=", "LIKE"):
             left, right = conjunct.left, conjunct.right
             if isinstance(right, ColumnRef) and isinstance(left, LiteralValue):
@@ -157,7 +133,7 @@ def _branch_equality_columns(branch) -> List[str]:
 
 
 def _column_duplicate_ratio(
-    profile: DatabaseProfile, tables: List[str], column: str
+    profile: DatabaseProfile, tables: Sequence[str], column: str
 ) -> Optional[float]:
     for table in tables:
         table_profile = profile.tables.get(table)
@@ -184,14 +160,12 @@ def expected_growth_model(
     * multiple equality filters multiply their duplicate ratios;
     * unfiltered assertions over growing tables grow linearly.
     """
-    from ..obda.containment import union_branches
-
     expectations: Dict[str, float] = {}
     for entity in mappings.entities():
         best = 0.0
         for assertion in mappings.for_entity(entity):
             columns = assertion.referenced_columns()
-            tables = _source_tables(assertion)
+            tables = assertion.source.tables
             constant = (
                 _columns_constant(profile, assertion, columns, constant_threshold)
                 if columns
@@ -200,14 +174,9 @@ def expected_growth_model(
             if constant:
                 best = max(best, 1.0)
                 continue
-            try:
-                branches = union_branches(assertion.parsed_source())
-            except Exception:  # noqa: BLE001
-                best = max(best, float(growth_factor))
-                continue
-            for branch in branches:
+            for block in assertion.source.blocks:
                 selectivity = 1.0
-                for column in _branch_equality_columns(branch):
+                for column in _equality_columns(block):
                     ratio = _column_duplicate_ratio(profile, tables, column)
                     if ratio is not None:
                         selectivity *= ratio

@@ -102,10 +102,8 @@ class TestMappings:
     def test_sources_reference_real_tables(self):
         tables = set(table_definitions())
         mappings = build_npd_mappings()
-        from repro.vig.validation import _source_tables
-
         for assertion in mappings:
-            for table in _source_tables(assertion):
+            for table in assertion.source.tables:
                 assert table in tables, f"{assertion.id} scans unknown {table}"
 
     def test_redundancy_flag(self):

@@ -14,7 +14,9 @@ from repro.obda import (
     parse_obda,
     serialize_obda,
 )
+from repro.obda.mapping import MappingSource
 from repro.rdf import IRI, Literal, XSD_INTEGER
+from repro.sql.errors import SqlError
 
 
 class TestTemplate:
@@ -171,6 +173,147 @@ class TestCollection:
         stats = c.statistics()
         assert stats["assertions"] == 1
         assert stats["avg_spj_unions"] == 2.0
+
+
+EX = "http://ex.org/"
+
+
+def _name_assertion(aid, source_sql):
+    return MappingAssertion(
+        aid,
+        source_sql,
+        IriTermMap(Template(EX + "emp/{id}")),
+        EX + "name",
+        LiteralTermMap("name"),
+    )
+
+
+class TestMappingSource:
+    def test_shared_per_text(self):
+        first = _name_assertion("a", "SELECT id, name FROM temployee")
+        second = _name_assertion("b", "SELECT id, name FROM temployee")
+        assert first.source is second.source
+        assert first.parsed_source() is first.source.statement
+
+    def test_wrappers_removed(self):
+        source = MappingSource.of(
+            "SELECT * FROM (SELECT * FROM (SELECT id, a AS b FROM T) s1) s2"
+        )
+        (branch,) = source.branches
+        assert branch.table == "t"
+        assert dict(branch.columns) == {"id": "id", "b": "a"}
+        assert not branch.star and branch.plain
+        assert source.tables == ("t",)
+        assert source.single is branch
+        # a wrapper that drops rows is not transparent
+        kept = MappingSource.of("SELECT * FROM (SELECT id FROM t) s OFFSET 2")
+        assert kept.single is None
+
+    def test_star_of_own_binding_vs_foreign(self):
+        own = MappingSource.of("SELECT w.* FROM t w").single
+        assert own is not None and own.star and own.base_column("x") == "x"
+        foreign = MappingSource.of("SELECT u.* FROM t w")
+        assert foreign.branches[0].table is None
+        assert foreign.single is None
+
+    def test_renamed_column(self):
+        source = MappingSource.of("SELECT id, a AS b, a || 'x' AS c FROM t")
+        branch = source.single
+        assert branch.base_column("b") == "a"
+        assert branch.base_column("c") is None
+        assert branch.expressions == {"c": "( a || 'x' )"}
+        # a rename or a computed item is not a bare projection
+        assert source.projection is None
+        assert MappingSource.of("SELECT id, a FROM t").projection is not None
+
+    def test_modifiers_and_conjuncts(self):
+        branch = MappingSource.of(
+            "SELECT DISTINCT id FROM t WHERE A = 'Xy' AND b > 1 LIMIT 3"
+        ).branches[0]
+        assert branch.modifiers == {"WHERE", "DISTINCT", "LIMIT"}
+        assert not branch.plain
+        assert branch.conjuncts == {"( a = 'Xy' )", "( b > 1 )"}
+
+    def test_union_with_one_non_simple_branch(self):
+        source = MappingSource.of(
+            "SELECT id FROM a UNION SELECT a.id FROM a JOIN b ON a.id = b.id"
+        )
+        assert [branch.table for branch in source.branches] == ["a", None]
+        assert source.single is None
+        assert source.tables == ("a", "a", "b")
+
+    def test_union_nested_in_a_wrapper(self):
+        source = MappingSource.of(
+            "SELECT * FROM (SELECT id FROM a UNION SELECT id FROM b) s"
+        )
+        # one opaque top-level branch; its SELECT blocks stay visible
+        assert [branch.table for branch in source.branches] == [None]
+        assert [block.table for block in source.blocks] == ["a", "b"]
+
+    def test_canonical_key(self):
+        assert (
+            MappingSource.of("select  ID from T where s = 'A'").key
+            == MappingSource.of("SELECT id FROM t WHERE s = 'A'").key
+        )
+        assert (
+            MappingSource.of("SELECT id FROM t WHERE s = 'A'").key
+            != MappingSource.of("SELECT id FROM t WHERE s = 'a'").key
+        )
+
+    def test_unparseable_source_opts_out_everywhere(self, example_db, example_ontology):
+        from repro.analysis.constraints import ConstraintSet, VfdConstraint
+        from repro.analysis.facts import (
+            FactBase,
+            ForeignKeyFact,
+            NotNullFact,
+            UniqueFact,
+        )
+        from repro.obda.containment import source_contains
+        from repro.obda.unfolder import Unfolder
+
+        good = _name_assertion("good", "SELECT id, name FROM temployee")
+        bad = _name_assertion("bad", "SELECT id, name FROM temployee WHERE")
+        source = bad.source
+        assert source.statement is None
+        with pytest.raises(SqlError):
+            bad.parsed_source()
+        assert source.tables == () and source.single is None
+        assert all(block.table is None for block in source.blocks)
+        assert not source_contains(good.source, source, ["id", "name"])
+        assert not source_contains(source, good.source, ["id", "name"])
+        problems = MappingCollection([good, bad]).validate()
+        assert len(problems) == 1 and "unparseable" in problems[0]
+
+        unfolder = Unfolder(
+            MappingCollection([good, bad]),
+            example_ontology,
+            catalog=example_db.catalog,
+            facts=FactBase(
+                not_null=[NotNullFact("temployee", "name", "data")],
+                unique=[UniqueFact("temployee", ("id",), "pk")],
+                foreign_keys=[
+                    ForeignKeyFact(
+                        "temployee", ("id",), "temployee", ("id",), True
+                    )
+                ],
+            ),
+            constraints=ConstraintSet(
+                vfds=[VfdConstraint("temployee", ("id",), "name", "declared")]
+            ),
+        )
+        fk_args = (("id",), "temployee", ("id",))
+        # the parseable twin fires every shape-based check ...
+        assert unfolder._null_guard_info(good)[0] == ()
+        assert unfolder._unique_subject_info(good) is not None
+        assert unfolder._vfd_eligibility(good) is not None
+        assert unfolder._parent_key_info(good) is not None
+        assert unfolder._child_fk_labels(good, *fk_args) is not None
+        # ... the unparseable one none of them
+        assert unfolder._null_guard_info(bad) == (("id", "name"), ())
+        assert unfolder._unique_subject_info(bad) is None
+        assert unfolder._vfd_eligibility(bad) is None
+        assert unfolder._parent_key_info(bad) is None
+        assert unfolder._child_fk_labels(bad, *fk_args) is None
 
 
 OBDA_DOC = """

@@ -1,5 +1,12 @@
 """Tests for T-mapping compilation and containment optimization."""
 
+import json
+import os
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
+
 import pytest
 
 from repro.obda import (
@@ -11,10 +18,11 @@ from repro.obda import (
     Template,
     compile_tmappings,
 )
-from repro.obda.containment import source_contains, union_branches, unwrap
+from repro.obda.containment import source_contains
+from repro.obda.mapping import MappingSource
 from repro.owl import Ontology, QLReasoner
 from repro.rdf import IRI
-from repro.sql.parser import parse_select
+from repro.sql import Database
 
 EX = "http://ex.org/"
 T_W = Template(EX + "w/{id}")
@@ -29,6 +37,12 @@ def class_assertion(aid, cls, source, template=T_W):
 
 def property_assertion(aid, prop, source, subject=T_W, obj=T_C):
     return MappingAssertion(aid, source, IriTermMap(subject), prop, IriTermMap(obj))
+
+
+def contains(container_sql, contained_sql, needed):
+    return source_contains(
+        MappingSource.of(container_sql), MappingSource.of(contained_sql), needed
+    )
 
 
 @pytest.fixture()
@@ -110,57 +124,79 @@ class TestCompilation:
 
 class TestContainment:
     def test_unwrap_nested(self):
-        stmt = parse_select("SELECT * FROM (SELECT id FROM t) sub")
-        assert unwrap(stmt).to_sql() == parse_select("SELECT id FROM t").to_sql()
+        nested = MappingSource.of("SELECT * FROM (SELECT id FROM t) sub")
+        assert nested.branches == MappingSource.of("SELECT id FROM t").branches
 
     def test_union_branches(self):
-        stmt = parse_select("SELECT id FROM a UNION SELECT id FROM b")
-        assert len(union_branches(stmt)) == 2
+        source = MappingSource.of("SELECT id FROM a UNION SELECT id FROM b")
+        assert [branch.table for branch in source.branches] == ["a", "b"]
 
     def test_filter_contained_in_unfiltered(self):
-        assert source_contains(
+        assert contains(
             "SELECT id FROM t",
             "SELECT id FROM t WHERE purpose = 'WILDCAT'",
             ["id"],
         )
-        assert not source_contains(
+        assert not contains(
             "SELECT id FROM t WHERE purpose = 'WILDCAT'",
             "SELECT id FROM t",
             ["id"],
         )
 
     def test_conjunct_subset(self):
-        assert source_contains(
+        assert contains(
             "SELECT id FROM t WHERE a = 1",
             "SELECT id FROM t WHERE a = 1 AND b = 2",
             ["id"],
         )
 
     def test_different_tables_not_contained(self):
-        assert not source_contains("SELECT id FROM t", "SELECT id FROM u", ["id"])
+        assert not contains("SELECT id FROM t", "SELECT id FROM u", ["id"])
 
     def test_union_contained_branchwise(self):
-        assert source_contains(
+        assert contains(
             "SELECT id FROM a UNION SELECT id FROM b",
             "SELECT id FROM a WHERE x = 1 UNION SELECT id FROM b WHERE y = 2",
             ["id"],
         )
-        assert not source_contains(
+        assert not contains(
             "SELECT id FROM a",
             "SELECT id FROM a UNION SELECT id FROM b",
             ["id"],
         )
 
     def test_nested_equivalence(self):
-        assert source_contains(
+        assert contains(
             "SELECT id FROM t", "SELECT * FROM (SELECT id FROM t) s", ["id"]
         )
 
     def test_aliased_column_definitions_checked(self):
-        assert not source_contains(
+        assert not contains(
             "SELECT a AS id FROM t",
             "SELECT b AS id FROM t",
             ["id"],
+        )
+
+    def test_expression_definitions_compared_whole(self):
+        assert not contains(
+            "SELECT t.x + t.z AS k FROM t", "SELECT t.y + t.z AS k FROM t", ["k"]
+        )
+        assert contains(
+            "SELECT t.x + t.z AS k FROM t",
+            "SELECT T.X + T.Z AS k FROM t WHERE a = 1",
+            ["k"],
+        )
+        # a bare column is compared by base column, qualifier or not
+        assert contains("SELECT t.x AS k FROM t", "SELECT x AS k FROM t", ["k"])
+
+    def test_string_literals_keep_their_case(self):
+        assert not contains(
+            "SELECT x FROM t WHERE s = 'A'", "SELECT x FROM t WHERE s = 'a'", ["x"]
+        )
+        assert not contains("SELECT x AS k FROM t", "SELECT 'x' AS k FROM t", ["k"])
+        # identifiers and keywords still fold
+        assert contains(
+            "select X from T where S = 'A'", "SELECT x FROM t WHERE s = 'A'", ["x"]
         )
 
     def test_containment_pass_drops_subsumed(self, reasoner):
@@ -194,11 +230,110 @@ class TestContainment:
     def test_mutual_containment_keeps_one(self, reasoner):
         mappings = MappingCollection(
             [
-                class_assertion("a", EX + "Wellbore", "SELECT id FROM w"),
                 class_assertion(
-                    "b", EX + "Wellbore", "SELECT * FROM (SELECT id FROM w) s"
+                    "a", EX + "Wellbore", "SELECT * FROM (SELECT id FROM w) s"
                 ),
+                class_assertion("b", EX + "Wellbore", "SELECT id FROM w"),
             ]
         )
         result = compile_tmappings(reasoner, mappings, optimize=True)
-        assert len(result.mappings.for_entity(EX + "Wellbore")) == 1
+        (kept,) = result.mappings.for_entity(EX + "Wellbore")
+        # the tie-break looks at the sources, not at emission order
+        assert kept.source_sql == "SELECT id FROM w"
+
+
+class TestSourceParsing:
+    def test_parser_runs_once_per_distinct_source(self, monkeypatch, npd_reasoner):
+        from repro.npd import build_npd_mappings
+        from repro.obda import mapping as mapping_module
+        from repro.sql import parser as parser_module
+
+        parsed = Counter()
+        real_init = parser_module.Parser.__init__
+
+        def counting_init(self, text):
+            parsed[text] += 1
+            real_init(self, text)
+
+        monkeypatch.setattr(parser_module.Parser, "__init__", counting_init)
+        monkeypatch.setattr(mapping_module, "_SOURCES", {})
+        mappings = build_npd_mappings()
+        result = compile_tmappings(npd_reasoner, mappings)
+        assert len(result.mappings) == 1256
+        assert set(parsed.values()) == {1}
+        assert set(parsed) == {a.source_sql for a in mappings}
+
+
+class TestLiteralCase:
+    def test_sources_differing_only_in_literal_case_both_answer(self):
+        from repro.obda import OBDAEngine
+
+        db = Database()
+        db.execute_script(
+            """
+            CREATE TABLE w (id INTEGER PRIMARY KEY, kind VARCHAR(10));
+            INSERT INTO w VALUES (1, 'A'), (2, 'a'), (3, 'b');
+            """
+        )
+        ontology = Ontology()
+        ontology.declare_class(EX + "Wellbore")
+        mappings = MappingCollection(
+            [
+                class_assertion(
+                    "upper", EX + "Wellbore", "SELECT id FROM w WHERE kind = 'A'"
+                ),
+                class_assertion(
+                    "lower", EX + "Wellbore", "SELECT id FROM w WHERE kind = 'a'"
+                ),
+            ]
+        )
+        engine = OBDAEngine(db, ontology, mappings)
+        assert len(engine.mappings.for_entity(EX + "Wellbore")) == 2
+        result = engine.execute(
+            f"PREFIX : <{EX}>\nSELECT ?w WHERE {{ ?w a :Wellbore }}"
+        )
+        assert sorted(row[0].value for row in result.rows) == [
+            EX + "w/1",
+            EX + "w/2",
+        ]
+
+
+_DETERMINISM_PROBE = """
+import json
+from repro.npd import build_benchmark
+from repro.npd.seed import SeedProfile
+from repro.obda import OBDAEngine
+
+bench = build_benchmark(seed=1, profile=SeedProfile().scaled(0.1))
+engine = OBDAEngine(bench.database, bench.ontology, bench.mappings)
+tmappings = [
+    [a.id, a.source_sql, repr(a.subject), a.predicate, repr(a.object)]
+    for a in engine.mappings
+]
+sql = {}
+for name, query in sorted(bench.queries.items()):
+    statement = engine.unfold(query.sparql).statement
+    sql[name] = statement.to_sql() if statement is not None else None
+print(json.dumps({"tmappings": tmappings, "sql": sql}))
+"""
+
+
+class TestHashSeedIndependence:
+    def test_tmappings_and_sql_match_across_hash_seeds(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outputs = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            completed = subprocess.run(
+                [sys.executable, "-c", _DETERMINISM_PROBE],
+                env=env,
+                capture_output=True,
+                text=True,
+                check=True,
+            )
+            outputs.append(json.loads(completed.stdout))
+        first, second = outputs
+        assert len(first["tmappings"]) == 1256
+        assert len(first["sql"]) == 21
+        assert first["tmappings"] == second["tmappings"]
+        assert first["sql"] == second["sql"]
