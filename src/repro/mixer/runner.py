@@ -58,8 +58,6 @@ class MixReport:
     mode: str = "simulated"
     #: wall-clock seconds of the whole measured period (threads mode)
     wall_seconds: float = 0.0
-    #: per-query client pacing used during the measured period
-    think_time: float = 0.0
     #: cache hit/miss counters harvested from the system after the run
     cache: Dict[str, int] = field(default_factory=dict)
     #: obdalint pre-flight ERROR findings that aborted the run before any
@@ -105,7 +103,6 @@ class Mixer:
         query_timeout: Optional[float] = None,
         clients: int = 1,
         mode: str = "simulated",
-        think_time: float = 0.0,
         preflight=None,
     ):
         """In ``mode="simulated"`` (the legacy default) ``clients``
@@ -113,10 +110,7 @@ class Mixer:
         period in a single thread, modelling a one-core server.  In
         ``mode="threads"`` each client is a real thread issuing its own
         mixes concurrently against the shared system and the report's
-        QMpH is wall-clock throughput.  ``think_time`` sleeps that many
-        seconds after every query of a measured mix (per client), the way
-        benchmark testing platforms pace their clients; compute of one
-        client overlaps think time of the others.  ``preflight`` is an
+        QMpH is wall-clock throughput.  ``preflight`` is an
         optional zero-argument callable returning obdalint findings (any
         objects with ``is_error``/``describe()``); when it yields ERROR
         findings the run aborts before warm-up and the report carries the
@@ -125,15 +119,12 @@ class Mixer:
             raise ValueError("clients must be >= 1")
         if mode not in ("simulated", "threads"):
             raise ValueError(f"unknown mixer mode {mode!r}")
-        if think_time < 0:
-            raise ValueError("think_time must be >= 0")
         self.system = system
         self.queries = dict(queries)
         self.warmup_runs = warmup_runs
         self.query_timeout = query_timeout
         self.clients = clients
         self.mode = mode
-        self.think_time = think_time
         self.preflight = preflight
         #: cancellable systems get ``query_timeout`` enforced by a
         #: CancellationToken (the query is *aborted* mid-flight and the
@@ -147,6 +138,17 @@ class Mixer:
             token = CancellationToken.with_timeout(self.query_timeout)
             return self.system.run_query(query_id, sparql, token=token)
         return self.system.run_query(query_id, sparql)
+
+    def _timeout_label(self, exc: QueryCancelled) -> str:
+        """The error label of a cancelled query.
+
+        The Mixer's own budget when it set one; otherwise the system
+        cancelled on its own (an endpoint's server-side deadline, a
+        socket timeout), and the exception's reason says why.
+        """
+        if self.query_timeout is not None:
+            return f"timeout: aborted at {self.query_timeout:.1f}s"
+        return f"timeout: {exc.reason}"
 
     def run(self, runs: int = 3) -> MixReport:
         aborted = self._preflight_report(runs)
@@ -211,10 +213,8 @@ class Mixer:
                         errors[query_id] = (
                             f"timeout: {elapsed:.1f}s > {self.query_timeout:.1f}s"
                         )
-                except QueryCancelled:
-                    errors[query_id] = (
-                        f"timeout: aborted at {self.query_timeout:.1f}s"
-                    )
+                except QueryCancelled as exc:
+                    errors[query_id] = self._timeout_label(exc)
                 except Exception as exc:  # noqa: BLE001 - record and skip
                     errors[query_id] = f"{type(exc).__name__}: {exc}"
         return errors
@@ -270,10 +270,8 @@ class Mixer:
                 for _client in range(self.clients):
                     try:
                         record = self._issue(query_id, sparql)
-                    except QueryCancelled:
-                        errors[query_id] = (
-                            f"timeout: aborted at {self.query_timeout:.1f}s"
-                        )
+                    except QueryCancelled as exc:
+                        errors[query_id] = self._timeout_label(exc)
                         records.pop(query_id, None)
                         aborted = True
                         break
@@ -338,12 +336,9 @@ class Mixer:
                         continue
                     try:
                         record = self._issue(query_id, sparql)
-                    except QueryCancelled:
+                    except QueryCancelled as exc:
                         with errors_lock:
-                            errors.setdefault(
-                                query_id,
-                                f"timeout: aborted at {self.query_timeout:.1f}s",
-                            )
+                            errors.setdefault(query_id, self._timeout_label(exc))
                         local_records.pop(query_id, None)
                         aborted = True
                         break
@@ -357,8 +352,6 @@ class Mixer:
                         break
                     if query_id in local_records:
                         local_records[query_id].append(record)
-                    if self.think_time > 0:
-                        time.sleep(self.think_time)
                 elapsed = time.perf_counter() - mix_started
                 if aborted:
                     local_aborted.append(elapsed)
@@ -398,7 +391,6 @@ class Mixer:
             aborted_mix_seconds=aborted_mix_seconds,
             mode="threads",
             wall_seconds=wall_seconds,
-            think_time=self.think_time,
             cache=self._harvest_cache(),
         )
 

@@ -7,7 +7,6 @@ OBDA system executes its unfolded SQL against, and the store VIG populates.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
 
 from ..concurrency import ReadWriteLock
@@ -25,7 +24,6 @@ from .errors import ExecutionError, IntegrityError
 from .executor import ExecutionStats, Executor, QueryResult
 from .vectorized import VectorizedExecutor
 from .expressions import ExpressionCompiler, RowSchema
-from .optimizer import OptimizerSettings
 from .parser import parse_script, parse_statement
 from .plan import CompiledPlan, compile_select, refresh_plan
 from .profiles import EngineProfile, postgresql_profile
@@ -51,7 +49,6 @@ class Database:
         self,
         profile: Optional[EngineProfile] = None,
         enforce_foreign_keys: bool = True,
-        optimizer: Optional[OptimizerSettings] = None,
         executor: str = "row",
     ):
         if executor not in self.EXECUTORS:
@@ -61,7 +58,6 @@ class Database:
         self.catalog = Catalog()
         self.profile = profile or postgresql_profile()
         self.enforce_foreign_keys = enforce_foreign_keys
-        self.optimizer_settings = optimizer or OptimizerSettings()
         self.executor_name = executor
         self._make_executors()
         self._plan_generation = 0
@@ -74,12 +70,8 @@ class Database:
         the ``plan_recompiles`` counter the facade maintains) are
         consistent no matter which path executed a query.
         """
-        self._executor = Executor(
-            self.catalog, self.profile, settings=self.optimizer_settings
-        )
-        self._vectorized = VectorizedExecutor(
-            self.catalog, self.profile, settings=self.optimizer_settings
-        )
+        self._executor = Executor(self.catalog, self.profile)
+        self._vectorized = VectorizedExecutor(self.catalog, self.profile)
         self._vectorized.stats = self._executor.stats
 
     def _select_executor(self, executor: Optional[str]) -> Executor:
@@ -105,18 +97,7 @@ class Database:
             self._make_executors()
             self._invalidate_plans()
 
-    # -- physical optimizer -------------------------------------------------
-
-    def set_optimizer(self, settings: OptimizerSettings) -> None:
-        """Swap the physical-optimizer switches (cost/sharing/compiled).
-
-        The settings only affect physical execution decisions, never
-        answers, so compiled logical plans stay valid.
-        """
-        with self._lock.write():
-            self.optimizer_settings = settings
-            self._executor.settings = settings
-            self._vectorized.settings = settings
+    # -- statistics ---------------------------------------------------------
 
     def analyze(self) -> Dict[str, Any]:
         """ANALYZE: collect per-table/per-column statistics in the catalog.
@@ -286,7 +267,7 @@ class Database:
         join with its actual output row count -- and, when ANALYZE
         statistics are fresh, the estimated-vs-actual cardinality -- and
         reports per-disjunct row counts and timings for UNION queries,
-        plus optimizer/statistics header lines.
+        plus a statistics header line.
         """
         plan = self._compile(sql, "EXPLAIN")
         # exclusive lock: the trace is executor-level mutable state, so a
@@ -318,7 +299,6 @@ class Database:
                     f"statistics: fresh (generation {summary['generation']}, "
                     f"{summary['tables']} tables, {summary['rows']} rows)"
                 )
-            header.append(f"optimizer: {self.optimizer_settings.describe()}")
             header.append(statistics_line)
         return header + trace
 
@@ -486,7 +466,6 @@ class Database:
         clone = Database(
             profile or self.profile,
             self.enforce_foreign_keys,
-            optimizer=dataclasses.replace(self.optimizer_settings),
             executor=self.executor_name,
         )
         for table in self.catalog.tables():

@@ -59,12 +59,7 @@ from .ast import (
 from .catalog import Catalog, Table
 from .errors import ExecutionError
 from .expressions import ExpressionCompiler, RowSchema, sql_compare
-from .optimizer import (
-    CostModel,
-    OptimizerSettings,
-    SharedScanContext,
-    scan_key,
-)
+from .optimizer import CostModel, SharedScanContext, scan_key
 from .plan import CompiledPlan, PlannedBlock, compile_select
 from .profiles import EngineProfile, postgresql_profile
 
@@ -183,15 +178,9 @@ def _hashable(value: Any) -> Any:
 class Executor:
     """Evaluates statements against a catalog under an engine profile."""
 
-    def __init__(
-        self,
-        catalog: Catalog,
-        profile: Optional[EngineProfile] = None,
-        settings: Optional[OptimizerSettings] = None,
-    ):
+    def __init__(self, catalog: Catalog, profile: Optional[EngineProfile] = None):
         self.catalog = catalog
         self.profile = profile or postgresql_profile()
-        self.settings = settings or OptimizerSettings()
         self.stats = ExecutionStats()
         # when not None, physical-operator decisions are appended here
         # (the Database.explain facility)
@@ -205,10 +194,10 @@ class Executor:
         # here would let one query's teardown null the context out from
         # under another thread's in-flight union
         self._shared_state = threading.local()
-        # compiled-cache layer (settings.compiled_cache): memoized scan
-        # schemas, schema concatenations and compiled expressions, keyed
-        # by object identity with the originals pinned in each entry so
-        # no id can be recycled while its entry lives
+        # compiled-cache layer: memoized scan schemas, schema
+        # concatenations and compiled expressions, keyed by object
+        # identity with the originals pinned in each entry so no id can
+        # be recycled while its entry lives
         self._scan_schemas: Dict[Tuple[str, str], Tuple[Table, RowSchema]] = {}
         self._concat_cache: Dict[
             Tuple[int, int], Tuple[RowSchema, RowSchema, RowSchema]
@@ -294,7 +283,7 @@ class Executor:
         """Multi-disjunct UNION: one sequential loop over shared scans."""
         blocks = plan.blocks
         self.stats.union_branches += len(blocks)
-        owns_shared = self.settings.scan_sharing and self._shared is None
+        owns_shared = self._shared is None
         if owns_shared:
             self._shared = SharedScanContext()
         branch_results: List[Tuple[List[str], List[RowT]]] = []
@@ -342,18 +331,16 @@ class Executor:
     def run_subquery(self, statement: SelectStatement) -> List[RowT]:
         # plans are pure AST artifacts, so memoizing them is safe even
         # though subquery *results* must be recomputed every execution
-        if self.settings.compiled_cache:
-            key = id(statement)
-            entry = self._subquery_plans.get(key)
-            if entry is not None and entry[0] is statement:
-                plan = entry[1]
-            else:
-                plan = compile_select(statement)
-                if len(self._subquery_plans) >= self._COMPILE_CACHE_LIMIT:
-                    self._subquery_plans.clear()
-                self._subquery_plans[key] = (statement, plan)
-            return self.execute_plan(plan).rows
-        return self.execute_select(statement).rows
+        key = id(statement)
+        entry = self._subquery_plans.get(key)
+        if entry is not None and entry[0] is statement:
+            plan = entry[1]
+        else:
+            plan = compile_select(statement)
+            if len(self._subquery_plans) >= self._COMPILE_CACHE_LIMIT:
+                self._subquery_plans.clear()
+            self._subquery_plans[key] = (statement, plan)
+        return self.execute_plan(plan).rows
 
     # ------------------------------------------------------------------
     # one SELECT block
@@ -448,8 +435,6 @@ class Executor:
         executor's subquery runner and, transitively, data-dependent
         state.
         """
-        if not self.settings.compiled_cache:
-            return self._compiler(schema).compile(expr)
         key = (id(schema), id(expr))
         entry = self._compiled_exprs.get(key)
         if entry is not None and entry[0] is schema and entry[1] is expr:
@@ -471,8 +456,6 @@ class Executor:
         Table object, so the pinned-table identity check makes stale
         entries unreachable without any invalidation hook.
         """
-        if not self.settings.compiled_cache:
-            return RowSchema([(binding, c) for c in table.column_names])
         key = (table.name, binding)
         entry = self._scan_schemas.get(key)
         if entry is not None and entry[0] is table:
@@ -483,8 +466,6 @@ class Executor:
 
     def _concat_schema(self, left: RowSchema, right: RowSchema) -> RowSchema:
         """Cached schema concatenation for join outputs."""
-        if not self.settings.compiled_cache:
-            return left.concat(right)
         key = (id(left), id(right))
         entry = self._concat_cache.get(key)
         if entry is not None and entry[0] is left and entry[1] is right:
@@ -687,8 +668,8 @@ class Executor:
         With an active :class:`SharedScanContext`, the (table, canonical
         predicate set) key is probed first: another UNION disjunct that
         already produced this exact filtered scan donates its row list.
-        On a miss the predicates are applied (cost-ordered when enabled)
-        and the result is stored for the remaining disjuncts.
+        On a miss the predicates are applied (cost-ordered) and the
+        result is stored for the remaining disjuncts.
         """
         if not conjuncts:
             return
@@ -721,7 +702,7 @@ class Executor:
         ranked by estimated selectivity; the rest follow most-selective
         first so later passes touch fewer rows.
         """
-        if not self.settings.cost_based or len(conjuncts) < 2:
+        if len(conjuncts) < 2:
             return conjuncts
         cost = CostModel(getattr(self.catalog, "statistics", None))
         ranked = []
@@ -824,49 +805,19 @@ class Executor:
         two physical steps -- the pairwise join (:meth:`_inner_join`) and
         the residual filter (:meth:`_filter_compiled`) -- which the
         vectorized executor overrides for its relation type.
+
+        The search is greedy System-R ordering over a precomputed
+        equi-join graph: the conjunct->relation incidence is resolved
+        once up front, then each round scores only the connected
+        candidates with the cost model's join estimate.  Intermediates
+        are materialized, so the *actual* cardinality feeds the next
+        round (adaptive execution -- misestimates cannot compound).
+        Conjuncts that reference one relation, nothing, or an ambiguous
+        name are applied as a residual filter at the end; a single
+        relation therefore just gets every conjunct as its filter.
         """
         if not relations:
             return Relation(RowSchema([]), [()])
-        if self.settings.cost_based and len(relations) > 1:
-            return self._join_relations_cost_based(relations, conjuncts)
-        pending = list(relations)
-        pending_conjuncts = list(conjuncts)
-        # greedy: start from the smallest relation
-        pending.sort(key=lambda r: r.size)
-        current = pending.pop(0)
-        while pending:
-            chosen_index = None
-            for index, candidate in enumerate(pending):
-                if self._connecting_conjuncts(current, candidate, pending_conjuncts):
-                    chosen_index = index
-                    break
-            if chosen_index is None:
-                chosen_index = 0  # cross join fallback
-            candidate = pending.pop(chosen_index)
-            connecting = self._connecting_conjuncts(
-                current, candidate, pending_conjuncts
-            )
-            for conjunct in connecting:
-                pending_conjuncts.remove(conjunct)
-            current = self._inner_join(current, candidate, connecting)
-        if pending_conjuncts:
-            current = self._filter_compiled(current, pending_conjuncts)
-        return current
-
-    def _join_relations_cost_based(
-        self, relations: List[Any], conjuncts: List[Expr]
-    ) -> Any:
-        """Greedy System-R ordering over a precomputed equi-join graph.
-
-        The conjunct->relation incidence is resolved once up front (no
-        per-candidate schema concatenation), then each round scores only
-        the connected candidates with the cost model's join estimate.
-        Intermediates are materialized, so the *actual* cardinality feeds
-        the next round (adaptive execution -- misestimates cannot
-        compound).  Conjuncts that reference one relation, nothing, or an
-        ambiguous name are applied as a residual filter at the end,
-        matching the naive path.
-        """
         cost = CostModel(getattr(self.catalog, "statistics", None))
         views = [relation.stats_view() for relation in relations]
         edges: List[Tuple[Expr, frozenset]] = []
@@ -957,26 +908,6 @@ class Executor:
             owners.add(owner)
         return frozenset(owners)
 
-    def _connecting_conjuncts(
-        self, left: Relation, right: Relation, conjuncts: List[Expr]
-    ) -> List[Expr]:
-        combined = left.schema.concat(right.schema)
-        connecting = []
-        for conjunct in conjuncts:
-            refs = expr_columns(conjunct)
-            if not refs:
-                continue
-            if all(combined.try_resolve(ref) is not None for ref in refs):
-                touches_left = any(
-                    left.schema.try_resolve(ref) is not None for ref in refs
-                )
-                touches_right = any(
-                    right.schema.try_resolve(ref) is not None for ref in refs
-                )
-                if touches_left and touches_right:
-                    connecting.append(conjunct)
-        return connecting
-
     # -- physical joins ------------------------------------------------------
 
     @staticmethod
@@ -1036,7 +967,7 @@ class Executor:
             if cached is not None:
                 return cached
         buckets: Dict[Any, List[RowT]] = {}
-        if self.settings.compiled_cache and len(key_positions) == 1:
+        if len(key_positions) == 1:
             # single-key joins (the OBDA common case) bucket on the bare
             # value; the probe side uses the same scalar keys
             position = key_positions[0]
@@ -1072,7 +1003,7 @@ class Executor:
         assert table is not None
         output: List[RowT] = []
         rows = table.rows
-        if self.settings.compiled_cache and len(left_keys) == 1:
+        if len(left_keys) == 1:
             position = left_keys[0]
             for left_row in self._cancellable_rows(left.rows):
                 value = left_row[position]
@@ -1130,8 +1061,7 @@ class Executor:
                 # already-indexed full base table beats building a new
                 # hash table over it
                 if (
-                    self.settings.cost_based
-                    and right.base_table is not None
+                    right.base_table is not None
                     and len(right.rows) == right.base_table.row_count
                     and len(left.rows) * 4 <= len(right.rows)
                 ):
@@ -1149,7 +1079,7 @@ class Executor:
                         )
                 self.stats.hash_joins += 1
                 # build-side selection: hash the smaller input
-                swap = self.settings.cost_based and len(left.rows) < len(right.rows)
+                swap = len(left.rows) < len(right.rows)
                 if swap:
                     self.stats.build_side_swaps += 1
                 build, probe = (left, right) if swap else (right, left)
@@ -1157,7 +1087,7 @@ class Executor:
                     (left_keys, right_keys) if swap else (right_keys, left_keys)
                 )
                 buckets = self._hash_build(build, build_keys)
-                if self.settings.compiled_cache and len(probe_keys) == 1:
+                if len(probe_keys) == 1:
                     # scalar probe keys, matching _hash_build's buckets
                     position = probe_keys[0]
                     empty: Tuple[RowT, ...] = ()
@@ -1217,7 +1147,7 @@ class Executor:
             # index NL join rather than a hash join
             self.stats.index_nl_joins += 1
             buckets = self._hash_build(right, right_keys)
-            if self.settings.compiled_cache and len(left_keys) == 1:
+            if len(left_keys) == 1:
                 position = left_keys[0]
                 empty = ()
                 for left_row in self._cancellable_rows(left.rows):
@@ -1373,9 +1303,7 @@ class Executor:
         self._check_cancel()
         items = self._expand_items(statement.items, relation.schema)
         columns = [item.output_name for item in items]
-        if self.settings.compiled_cache and all(
-            isinstance(item.expr, ColumnRef) for item in items
-        ):
+        if all(isinstance(item.expr, ColumnRef) for item in items):
             # pure column projection (the OBDA-unfolding common case):
             # one itemgetter per row instead of one closure call per cell
             positions = [relation.schema.resolve(item.expr) for item in items]
@@ -1503,26 +1431,19 @@ class Executor:
         if self.profile.hash_distinct:
             seen: Set[Tuple[Any, ...]] = set()
             output: List[RowT] = []
-            if self.settings.compiled_cache:
-                # rows are almost always tuples of hashable scalars, so
-                # hash the row itself; _hashable only rewrites lists, and
-                # a list in the row raises TypeError into the fallback
-                for row in rows:
-                    try:
-                        if row not in seen:
-                            seen.add(row)
-                            output.append(row)
-                    except TypeError:
-                        key = tuple(_hashable(value) for value in row)
-                        if key not in seen:
-                            seen.add(key)
-                            output.append(row)
-                return output
+            # rows are almost always tuples of hashable scalars, so hash
+            # the row itself; _hashable only rewrites lists, and a list in
+            # the row raises TypeError into the fallback
             for row in rows:
-                key = tuple(_hashable(value) for value in row)
-                if key not in seen:
-                    seen.add(key)
-                    output.append(row)
+                try:
+                    if row not in seen:
+                        seen.add(row)
+                        output.append(row)
+                except TypeError:
+                    key = tuple(_hashable(value) for value in row)
+                    if key not in seen:
+                        seen.add(key)
+                        output.append(row)
             return output
         # sort-based dedup (MySQL filesort behaviour)
         decorated = sorted(

@@ -4,9 +4,6 @@ This module sits between the logical plan (:mod:`repro.sql.plan`) and the
 executor (:mod:`repro.sql.executor`) and owns the *decisions* the executor
 used to make by fixed rules:
 
-* :class:`OptimizerSettings` -- the physical-optimizer switches carried by
-  a :class:`~repro.sql.engine.Database` (cost-based ordering, cross-
-  disjunct scan sharing, compiled-artifact memoization);
 * :class:`CostModel` -- cardinality and selectivity estimation backed by
   the ANALYZE statistics of :mod:`repro.sql.stats` (n_distinct, NULL
   fractions, min/max), with graceful fallbacks when statistics are stale
@@ -51,44 +48,6 @@ EQUALITY_SELECTIVITY = 0.05
 RANGE_SELECTIVITY = 1.0 / 3.0
 BETWEEN_SELECTIVITY = 0.25
 DEFAULT_SELECTIVITY = 0.25
-
-
-@dataclass
-class OptimizerSettings:
-    """Physical-optimizer switches carried by the Database facade.
-
-    The defaults enable everything; setting every flag False reproduces
-    the pre-optimizer executor exactly, which is what the ``naive`` mode
-    of ``benchmarks/bench_executor.py`` measures against.
-    """
-
-    #: statistics-driven join ordering, build-side selection and
-    #: access-path choice; False restores left-to-right/first-connected
-    cost_based: bool = True
-    #: share identical base-table scans / filtered sub-plans / hash-join
-    #: build tables across the UNION disjuncts of one query execution
-    scan_sharing: bool = True
-    #: memoize compiled predicates/projections and scan/join schemas, so
-    #: repeated executions of a cached plan skip expression compilation
-    #: (the physical half of PR 2's compile-once-run-many)
-    compiled_cache: bool = True
-
-    def describe(self) -> str:
-        parts = [
-            f"cost_based={'on' if self.cost_based else 'off'}",
-            f"scan_sharing={'on' if self.scan_sharing else 'off'}",
-            f"compiled_cache={'on' if self.compiled_cache else 'off'}",
-        ]
-        return " ".join(parts)
-
-
-def naive_settings() -> OptimizerSettings:
-    """The pre-optimizer executor behaviour (benchmark baseline)."""
-    return OptimizerSettings(
-        cost_based=False,
-        scan_sharing=False,
-        compiled_cache=False,
-    )
 
 
 # ---------------------------------------------------------------------------

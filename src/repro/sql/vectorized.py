@@ -562,10 +562,9 @@ class VectorizedExecutor(Executor):
         needed: Optional[List[int]] = None
         compiled: Optional[Callable[[RowT], Any]] = None
         key = (id(schema), id(expr))
-        if self.settings.compiled_cache:
-            entry = self._batch_evals.get(key)
-            if entry is not None and entry[0] is schema and entry[1] is expr:
-                needed, compiled = entry[2], entry[3]
+        entry = self._batch_evals.get(key)
+        if entry is not None and entry[0] is schema and entry[1] is expr:
+            needed, compiled = entry[2], entry[3]
         if compiled is None:
             positions = set()
             for ref in expr_columns(expr):
@@ -577,10 +576,9 @@ class VectorizedExecutor(Executor):
             compiled = ExpressionCompiler(
                 reduced, subquery_executor=self.run_subquery
             ).compile(expr)
-            if self.settings.compiled_cache:
-                if len(self._batch_evals) >= self._COMPILE_CACHE_LIMIT:
-                    self._batch_evals.clear()
-                self._batch_evals[key] = (schema, expr, needed, compiled)
+            if len(self._batch_evals) >= self._COMPILE_CACHE_LIMIT:
+                self._batch_evals.clear()
+            self._batch_evals[key] = (schema, expr, needed, compiled)
         if not needed:
             # no column references: the value is row-independent
             return [compiled(())] * relation.size
@@ -634,11 +632,7 @@ class VectorizedExecutor(Executor):
                 and right.size == right.base_table.row_count
             )
             if self.profile.hash_join:
-                if (
-                    self.settings.cost_based
-                    and right_unfiltered
-                    and left.size * 4 <= right.size
-                ):
+                if right_unfiltered and left.size * 4 <= right.size:
                     columns = [right.schema.fields[p][1] for p in right_keys]
                     index = right.base_table.hash_index_for(columns)
                     if index is not None:
@@ -653,7 +647,6 @@ class VectorizedExecutor(Executor):
                         right_keys,
                         schema,
                         estimate,
-                        swap_allowed=True,
                     )
             else:
                 index = None
@@ -676,7 +669,6 @@ class VectorizedExecutor(Executor):
                         right_keys,
                         schema,
                         estimate,
-                        swap_allowed=False,
                         count_as_index_nl=True,
                     )
         else:
@@ -747,7 +739,6 @@ class VectorizedExecutor(Executor):
         right_keys: Sequence[int],
         schema: RowSchema,
         estimate: Optional[float],
-        swap_allowed: bool,
         count_as_index_nl: bool = False,
     ) -> BatchRelation:
         if count_as_index_nl:
@@ -755,11 +746,8 @@ class VectorizedExecutor(Executor):
             swap = False
         else:
             self.stats.hash_joins += 1
-            swap = (
-                swap_allowed
-                and self.settings.cost_based
-                and left.size < right.size
-            )
+            # build-side selection: hash the smaller input
+            swap = left.size < right.size
             if swap:
                 self.stats.build_side_swaps += 1
         build, probe = (left, right) if swap else (right, left)

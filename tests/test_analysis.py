@@ -164,7 +164,7 @@ class TestFactGatedUnfolding:
     def test_same_answers_smaller_sql(self, engines, queries):
         off, on = engines
         smaller = 0
-        for name in ("q1", "q2", "q4", "q6", "q7"):
+        for name in sorted(queries, key=lambda q: int(q[1:])):
             r_off = off.execute(queries[name])
             r_on = on.execute(queries[name])
             assert sorted(map(str, r_off.rows)) == sorted(map(str, r_on.rows)), name

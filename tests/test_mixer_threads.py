@@ -70,10 +70,6 @@ class TestThreadedMode:
         with pytest.raises(ValueError):
             Mixer(OBDASystemAdapter(npd_engine), mix_queries, mode="fibers")
 
-    def test_negative_think_time_rejected(self, npd_engine, mix_queries):
-        with pytest.raises(ValueError):
-            Mixer(OBDASystemAdapter(npd_engine), mix_queries, think_time=-1)
-
     def test_simulated_mode_unchanged(self, npd_engine, mix_queries):
         report = Mixer(
             OBDASystemAdapter(npd_engine), mix_queries, warmup_runs=0, clients=3

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import time
 
+import pytest
+
+from repro.concurrency import QueryCancelled
 from repro.mixer import Mixer, OBDASystemAdapter, ProbedSystemAdapter
 from repro.mixer.systems import ExecutionRecord, PhaseBreakdown
 
@@ -102,3 +105,36 @@ class TestPostHocTimeout:
         ).run(runs=1)
         assert report.errors == {}
         assert set(report.per_query) == {"fast", "slow"}
+
+
+class SelfCancellingSystem:
+    """Cancels on its own, like an endpoint answering 408."""
+
+    name = "self-cancelling"
+    supports_cancellation = True
+
+    def loading_time(self) -> float:
+        return 0.0
+
+    def run_query(self, query_id, sparql, token=None) -> ExecutionRecord:
+        if query_id == "q1":
+            raise QueryCancelled("deadline")
+        return ExecutionRecord(
+            query_id=query_id, result_size=1, phases=PhaseBreakdown(execution=0.001)
+        )
+
+
+class TestSystemSideCancellation:
+    @pytest.mark.parametrize("warmup_runs", [0, 1])
+    @pytest.mark.parametrize("mode", ["simulated", "threads"])
+    def test_recorded_without_mixer_timeout(self, mode, warmup_runs):
+        mixer = Mixer(
+            SelfCancellingSystem(),
+            {"q1": "q", "q2": "q"},
+            warmup_runs=warmup_runs,
+            mode=mode,
+        )
+        report = mixer.run(runs=2)
+        assert report.errors["q1"].startswith("timeout")
+        assert "q1" not in report.per_query
+        assert report.per_query["q2"].runs >= 1

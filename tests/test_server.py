@@ -3,6 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
+import re
+import signal
+import subprocess
+import sys
 import threading
 import time
 import urllib.error
@@ -11,8 +16,10 @@ import urllib.request
 
 import pytest
 
+import repro
 from repro.concurrency import CancellationToken, QueryCancelled
 from repro.diffcheck.normalize import canonical_bag, compare_bags
+from repro.mixer import Mixer, SparqlEndpointAdapter
 from repro.server import (
     RejectedError,
     ServerConfig,
@@ -386,3 +393,52 @@ class TestOverloadAndDrain:
         assert server.stop() is True  # idle drain is clean
         with pytest.raises(urllib.error.URLError):
             urllib.request.urlopen(address + "/health", timeout=2.0)
+
+
+class TestServerCli:
+    """``python -m repro.server`` as a real process, driven by the Mixer."""
+
+    def test_serves_mixer_and_drains_on_sigterm(self, npd_benchmark, npd_engine):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            part for part in (src, env.get("PYTHONPATH")) if part
+        )
+        # seed 1 at the default scale is the npd_benchmark instance
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro.server", "--port", "0", "--seed", "1",
+             "--workers", "2", "--quiet"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+            text=True,
+            env=env,
+        )
+        try:
+            # the first stdout line is printed once the socket is bound
+            line = process.stdout.readline()
+            match = re.search(r"listening on (http://\S+)", line)
+            assert match, f"server never announced its address: {line!r}"
+            base = match.group(1)
+            status, _, body = http_get(base + "/health")
+            assert status == 200
+            assert json.loads(body)["status"] == "ok"
+
+            queries = {
+                query_id: npd_benchmark.queries[query_id].sparql
+                for query_id in ("q1", "q2", "q3")
+            }
+            report = Mixer(
+                SparqlEndpointAdapter(base), queries, mode="threads", clients=2
+            ).run(runs=1)
+            assert report.errors == {}
+            for query_id, sparql in queries.items():
+                expected = len(npd_engine.execute(sparql))
+                assert report.per_query[query_id].avg_result_size == expected
+
+            process.send_signal(signal.SIGTERM)
+            assert process.wait(timeout=60) == 0
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait(timeout=10)
+            process.stdout.close()

@@ -4,7 +4,6 @@ import pytest
 
 from repro.sql import CatalogError, Database, ExecutionError, IntegrityError
 from repro.sql.executor import ExecutionStats
-from repro.sql.optimizer import naive_settings
 
 
 @pytest.fixture()
@@ -206,14 +205,12 @@ class TestCloning:
         assert db.query("SELECT COUNT(*) FROM t").rows == [(2,)]  # independent
 
     @pytest.mark.parametrize("method", ["clone_schema", "clone_with_data"])
-    def test_clone_keeps_executor_and_optimizer(self, method):
-        db = Database(executor="vectorized", optimizer=naive_settings())
+    def test_clone_keeps_executor(self, method):
+        db = Database(executor="vectorized")
         db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY)")
         db.execute("INSERT INTO t VALUES (1), (2)")
         clone = getattr(db, method)()
         assert clone.executor_name == "vectorized"
-        assert clone.optimizer_settings == naive_settings()
-        assert clone.optimizer_settings is not db.optimizer_settings
         clone.query("SELECT id FROM t")
         assert clone.stats.batch_blocks == 1  # ran on the batch path
 
