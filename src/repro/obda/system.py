@@ -22,7 +22,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from ..owl.model import Ontology
 from ..owl.reasoner import QLReasoner
@@ -544,26 +544,7 @@ class OBDAEngine:
         )
         timings.execution = time.perf_counter() - execution_started
         translation_started = time.perf_counter()
-        column_meta = unfolded.column_meta
-        if token is None:
-            rows = [
-                tuple(
-                    _make_term(value, meta)
-                    for value, meta in zip(row, column_meta)
-                )
-                for row in result.rows
-            ]
-        else:
-            rows = []
-            for position, row in enumerate(result.rows):
-                if position % 4096 == 0:
-                    token.check()
-                rows.append(
-                    tuple(
-                        _make_term(value, meta)
-                        for value, meta in zip(row, column_meta)
-                    )
-                )
+        rows = _translate_rows(result.rows, unfolded.column_meta, token)
         timings.translation = time.perf_counter() - translation_started
         return OBDAResult(unfolded.columns, rows, timings, metrics, unfolded.sql_text)
 
@@ -653,8 +634,100 @@ class OBDAEngine:
         }
 
 
+#: rows translated between two polls of the cancellation token
+TRANSLATE_BATCH = 4096
+#: value types whose equal values translate to equal terms (float zeros aside)
+_MEMO_TYPES = (str, int, bool, float)
+
+
+def _translate_rows(
+    values: List[Tuple[Any, ...]], column_meta: List[Optional[VarMeta]], token=None
+) -> List[Tuple[Optional[Term], ...]]:
+    """Phase 4 for a whole result, column by column, one batch at a time."""
+    translators = [_ColumnTranslator(meta) for meta in column_meta]
+    rows: List[Tuple[Optional[Term], ...]] = []
+    for start in range(0, len(values), TRANSLATE_BATCH):
+        if token is not None:
+            token.check()
+        batch = values[start : start + TRANSLATE_BATCH]
+        if not translators:
+            rows.extend(() for _ in batch)
+            continue
+        columns = [
+            translate(column) for translate, column in zip(translators, zip(*batch))
+        ]
+        rows.extend(zip(*columns))
+    return rows
+
+
+class _ColumnTranslator:
+    """:func:`_make_term` for one result column: the converter is picked
+    once from the column's meta, and each distinct value's term is built
+    once per response."""
+
+    def __init__(self, meta: Optional[VarMeta]):
+        self.convert = _term_converter(meta)
+        # one memo per value type: 1, 1.0 and True are equal keys but
+        # translate to different terms
+        self.memos: Dict[type, Dict[Any, Term]] = {}
+
+    def __call__(self, column: Sequence[Any]) -> List[Optional[Term]]:
+        kinds = set(map(type, column))
+        kinds.discard(type(None))
+        kind = kinds.pop() if len(kinds) == 1 else None
+        # 0.0 == -0.0, but they render "0.0" and "-0.0" under xsd:double
+        if kind not in _MEMO_TYPES or (kind is float and 0.0 in column):
+            convert = self.convert
+            return [None if value is None else convert(value) for value in column]
+        memo = self.memos.setdefault(kind, {})
+        for value in set(column).difference(memo):
+            if value is not None:
+                memo[value] = self.convert(value)
+        return list(map(memo.get, column))
+
+
+def _term_converter(meta: Optional[VarMeta]) -> Callable[[Any], Term]:
+    """The non-NULL branch of :func:`_make_term` specialised to *meta*."""
+    if meta is not None and meta.kind == "iri":
+        return _iri_term
+    datatype = meta.datatype if meta is not None else XSD_STRING
+    if datatype == XSD_STRING:
+        return _refined_literal
+    if datatype in (XSD_INTEGER, XSD_DECIMAL):
+        return lambda value: _integral_literal(value, datatype)
+    return lambda value: _typed_literal(value, datatype)
+
+
+def _iri_term(value: Any) -> Term:
+    return IRI(str(value))
+
+
+def _refined_literal(value: Any) -> Term:
+    # untyped columns (aggregates come back numeric) take the runtime type
+    if isinstance(value, bool):
+        return Literal("true" if value else "false", XSD_BOOLEAN)
+    if isinstance(value, int):
+        return Literal(str(value), XSD_INTEGER)
+    if isinstance(value, float):
+        return Literal(str(value), XSD_DOUBLE)
+    return Literal(str(value), XSD_STRING)
+
+
+def _integral_literal(value: Any, datatype: str) -> Term:
+    if isinstance(value, float) and value.is_integer():
+        return Literal(str(int(value)), datatype)
+    return _typed_literal(value, datatype)
+
+
+def _typed_literal(value: Any, datatype: str) -> Term:
+    if isinstance(value, bool):
+        return Literal("true" if value else "false", datatype)
+    return Literal(str(value), datatype)
+
+
 def _make_term(value: Any, meta: Optional[VarMeta]) -> Optional[Term]:
-    """Phase 4: turn a SQL value back into an RDF term."""
+    """Phase 4 for one SQL value: the definition that the per-column
+    translators of :func:`_translate_rows` specialise."""
     if value is None:
         return None
     if meta is not None and meta.kind == "iri":

@@ -26,6 +26,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..owl.model import Ontology
@@ -146,8 +147,9 @@ class UnfoldResult:
     #: labels of the verified constraints that licensed the above
     fired_constraints: Tuple[str, ...] = ()
 
-    @property
+    @cached_property
     def sql_text(self) -> str:
+        # rendered once: the statement AST is immutable
         return self.statement.to_sql() if self.statement is not None else "-- empty --"
 
 
@@ -551,8 +553,11 @@ class Unfolder:
                     for alias, assertion in aliases
                     if alias not in dropped
                 ]
-        # join constraints between occurrences of the same variable
+        # join constraints between occurrences of the same variable; atoms
+        # merged onto one alias yield reflexive ``A.c = A.c``, which holds
+        # exactly when A.c is not NULL and is settled by the guards below
         join_constraints: List[sql.Expr] = []
+        reflexive: Dict[Tuple[str, str], None] = {}
         for var, occurrences in bindings.items():
             first_map, first_alias = occurrences[0]
             for other_map, other_alias in occurrences[1:]:
@@ -561,16 +566,25 @@ class Unfolder:
                 )
                 if equality is None:
                     return None
-                join_constraints.extend(equality)
+                for conjunct in equality:
+                    key = _reflexive_key(conjunct)
+                    if key is None:
+                        join_constraints.append(conjunct)
+                    else:
+                        reflexive[key] = None
         # NULL guards: a NULL term-map column means the triple does not
         # exist, so the row must not match the atom (shared aliases from
         # self-join merging would otherwise leak NULLs of sibling columns)
         null_guard_keys: set = set()
         elided_keys: set = set()
+        # (alias, column)s whose guard was emitted or proven unnecessary
+        settled: set = set()
         null_guards: List[sql.Expr] = []
         for assertion, alias in zip(combination, atom_alias):
             if alias in dropped:
                 continue
+            if reflexive:
+                settled.update((alias, c) for c in assertion.referenced_columns())
             guarded, fact_elided = self._null_guard_info(assertion)
             for column in guarded:
                 key = (alias, column)
@@ -585,6 +599,12 @@ class Unfolder:
                     elided_keys.add(key)
                     self._elided_guards += 1
                     self._record_fact(label)
+        for alias, column in reflexive:
+            if (alias, column) not in settled:
+                settled.add((alias, column))
+                null_guards.append(
+                    sql.IsNull(sql.ColumnRef(column, alias), negated=True)
+                )
         # assemble FROM; aliases merged across different source texts get
         # a synthesized bare scan projecting every column any member needs
         source: Optional[sql.TableRef] = None
@@ -597,8 +617,9 @@ class Unfolder:
             source = (
                 table_ref if source is None else sql.Join("INNER", source, table_ref)
             )
+        # a variable bound three times repeats the first-vs-other equality
         where = sql.conjunction(
-            constant_constraints + join_constraints + null_guards
+            list(dict.fromkeys(constant_constraints + join_constraints + null_guards))
         )
         # projection: answer variables present in this CQ
         items: List[sql.SelectItem] = []
@@ -1427,6 +1448,19 @@ def _term_map_equality(
     if isinstance(second, ConstantTermMap):
         return _constant_term_constraint(second.term, first, first_alias)
     # IRI vs literal can never be equal
+    return None
+
+
+def _reflexive_key(conjunct: sql.Expr) -> Optional[Tuple[str, str]]:
+    """``(alias, column)`` when *conjunct* is ``A.c = A.c``, else None."""
+    if (
+        isinstance(conjunct, sql.BinaryOp)
+        and conjunct.op == "="
+        and isinstance(conjunct.left, sql.ColumnRef)
+        and isinstance(conjunct.right, sql.ColumnRef)
+        and conjunct.left.key == conjunct.right.key
+    ):
+        return conjunct.left.key
     return None
 
 

@@ -20,7 +20,10 @@ from __future__ import annotations
 import csv
 import io
 import json
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from functools import partial
+from itertools import islice
+from json.encoder import encode_basestring_ascii as _json_string
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 from xml.etree import ElementTree
 from xml.sax.saxutils import escape as xml_escape
 
@@ -109,41 +112,82 @@ def negotiate(accept: Optional[str], format_param: Optional[str] = None) -> str:
 
 # ---------------------------------------------------------------------------
 # writers
+#
+# Every writer encodes a response column by column, CHUNK_ROWS rows at a
+# time, and joins each row from its cells' texts.  All but CSV encode
+# through a _ColumnCodec per variable, once per distinct term.
 
 
-def _json_binding(term: Term) -> Dict[str, str]:
-    if isinstance(term, IRI):
-        return {"type": "uri", "value": term.value}
-    if isinstance(term, BNode):
-        return {"type": "bnode", "value": term.label}
-    binding: Dict[str, str] = {"type": "literal", "value": term.lexical}
-    if term.language:
-        binding["xml:lang"] = term.language
-    elif term.datatype and term.datatype != XSD_STRING:
-        binding["datatype"] = term.datatype
-    return binding
+class _ColumnCodec:
+    """The encoded text of one result column's terms, each built once.
+
+    Cells are looked up by object identity: hashing a term costs about as
+    much as encoding it, and the OBDA translator hands out one object per
+    distinct value of a column.  Every object looked up stays referenced
+    here, so its id is not reused by another term while the codec lives.
+    """
+
+    def __init__(self, encode: Callable[[Optional[Term]], str]):
+        self.encode = encode
+        self.by_id: Dict[int, str] = {}
+        self.objects: List[Optional[Term]] = []
+
+    def __call__(self, column: Sequence[Optional[Term]]) -> List[str]:
+        ids = list(map(id, column))
+        fresh = list(set(ids).difference(self.by_id))
+        if fresh:
+            terms = list(map(dict(zip(ids, column)).__getitem__, fresh))
+            self.by_id.update(zip(fresh, map(self.encode, terms)))
+            self.objects.extend(terms)
+        return list(map(self.by_id.__getitem__, ids))
+
+
+_ColumnEncoder = Callable[[Sequence[Optional[Term]]], Iterable[str]]
+
+
+def _encoded_chunks(
+    rows: Iterable[Tuple[Optional[Term], ...]], encoders: Sequence[_ColumnEncoder]
+) -> Iterator[Iterable[Tuple[str, ...]]]:
+    """Up to CHUNK_ROWS rows at a time, each row as its encoded cells."""
+    remaining = iter(rows)
+    while chunk := list(islice(remaining, CHUNK_ROWS)):
+        if not encoders:
+            yield [()] * len(chunk)
+            continue
+        yield zip(*[encode(column) for encode, column in zip(encoders, zip(*chunk))])
+
+
+def _json_cell(variable: str) -> Callable[[Optional[Term]], str]:
+    """``"variable": {binding}`` exactly as ``json.dumps`` renders it."""
+    key = _json_string(variable) + ": "
+
+    def encode(term: Optional[Term]) -> str:
+        if term is None:
+            return ""
+        if isinstance(term, IRI):
+            return f'{key}{{"type": "uri", "value": {_json_string(term.value)}}}'
+        if isinstance(term, BNode):
+            return f'{key}{{"type": "bnode", "value": {_json_string(term.label)}}}'
+        text = f'{key}{{"type": "literal", "value": {_json_string(term.lexical)}'
+        if term.language:
+            text += f', "xml:lang": {_json_string(term.language)}'
+        elif term.datatype and term.datatype != XSD_STRING:
+            text += f', "datatype": {_json_string(term.datatype)}'
+        return text + "}"
+
+    return encode
 
 
 def write_json(variables: Sequence[str], rows: RowsT) -> Iterator[bytes]:
     """SPARQL 1.1 Query Results JSON Format, streamed binding-by-binding."""
     head = json.dumps({"vars": list(variables)})
     yield f'{{"head": {head}, "results": {{"bindings": ['.encode()
-    buffer: List[str] = []
-    first = True
-    for row in rows:
-        binding = {
-            variable: _json_binding(term)
-            for variable, term in zip(variables, row)
-            if term is not None
-        }
-        text = json.dumps(binding)
-        buffer.append(text if first else "," + text)
-        first = False
-        if len(buffer) >= CHUNK_ROWS:
-            yield "".join(buffer).encode()
-            buffer = []
-    if buffer:
-        yield "".join(buffer).encode()
+    codecs = [_ColumnCodec(_json_cell(variable)) for variable in variables]
+    separator = ""
+    for chunk in _encoded_chunks(rows, codecs):
+        text = ",".join("{" + ", ".join(filter(None, cells)) + "}" for cells in chunk)
+        yield (separator + text).encode()
+        separator = ","
     yield b"]}}"
 
 
@@ -166,14 +210,13 @@ def write_csv(variables: Sequence[str], rows: RowsT) -> Iterator[bytes]:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\r\n")
     writer.writerow(list(variables))
-    count = 0
-    for row in rows:
-        writer.writerow([_csv_value(term) for term in row])
-        count += 1
-        if count % CHUNK_ROWS == 0:
-            yield out.getvalue().encode()
-            out.seek(0)
-            out.truncate()
+    # picking a term's CSV text costs less than looking it up in a codec
+    encoders = [partial(map, _csv_value) for _ in variables]
+    for chunk in _encoded_chunks(rows, encoders):
+        writer.writerows(chunk)
+        yield out.getvalue().encode()
+        out.seek(0)
+        out.truncate()
     if out.tell():
         yield out.getvalue().encode()
 
@@ -187,11 +230,11 @@ def _tsv_value(term: Optional[Term]) -> str:
 def write_tsv(variables: Sequence[str], rows: RowsT) -> Iterator[bytes]:
     """SPARQL 1.1 TSV results: ``?var`` header, N3-serialized terms."""
     lines = ["\t".join(f"?{variable}" for variable in variables)]
-    for row in rows:
-        lines.append("\t".join(_tsv_value(term) for term in row))
-        if len(lines) >= CHUNK_ROWS:
-            yield ("\n".join(lines) + "\n").encode()
-            lines = []
+    codecs = [_ColumnCodec(_tsv_value) for _ in variables]
+    for chunk in _encoded_chunks(rows, codecs):
+        lines.extend(map("\t".join, chunk))
+        yield ("\n".join(lines) + "\n").encode()
+        lines = []
     if lines:
         yield ("\n".join(lines) + "\n").encode()
 
@@ -213,6 +256,10 @@ def _xml_binding(variable: str, term: Term) -> str:
     return f'<binding name="{xml_escape(variable)}">{body}</binding>'
 
 
+def _xml_cell(variable: str) -> Callable[[Optional[Term]], str]:
+    return lambda term: "" if term is None else _xml_binding(variable, term)
+
+
 def write_xml(variables: Sequence[str], rows: RowsT) -> Iterator[bytes]:
     """SPARQL Query Results XML Format."""
     head = "".join(
@@ -223,20 +270,20 @@ def write_xml(variables: Sequence[str], rows: RowsT) -> Iterator[bytes]:
         '<sparql xmlns="http://www.w3.org/2005/sparql-results#">'
         f"<head>{head}</head><results>"
     ).encode()
-    buffer: List[str] = []
-    for row in rows:
-        bindings = "".join(
-            _xml_binding(variable, term)
-            for variable, term in zip(variables, row)
-            if term is not None
-        )
-        buffer.append(f"<result>{bindings}</result>")
-        if len(buffer) >= CHUNK_ROWS:
-            yield "".join(buffer).encode()
-            buffer = []
-    if buffer:
-        yield "".join(buffer).encode()
+    codecs = [_ColumnCodec(_xml_cell(variable)) for variable in variables]
+    for chunk in _encoded_chunks(rows, codecs):
+        yield "".join(
+            "<result>" + "".join(cells) + "</result>" for cells in chunk
+        ).encode()
     yield b"</results></sparql>"
+
+
+def _ntriples_subject(term: Optional[Term]) -> str:
+    return "" if term is None or isinstance(term, Literal) else term.n3()
+
+
+def _ntriples_predicate(term: Optional[Term]) -> str:
+    return term.n3() if isinstance(term, IRI) else ""
 
 
 def write_ntriples(variables: Sequence[str], rows: RowsT) -> Iterator[bytes]:
@@ -250,19 +297,16 @@ def write_ntriples(variables: Sequence[str], rows: RowsT) -> Iterator[bytes]:
         raise ValueError(
             f"n-triples export needs exactly 3 columns, got {len(variables)}"
         )
-    lines: List[str] = []
-    for row in rows:
-        subject, predicate, obj = row
-        if subject is None or predicate is None or obj is None:
-            continue
-        if isinstance(subject, Literal) or not isinstance(predicate, IRI):
-            continue
-        lines.append(f"{subject.n3()} {predicate.n3()} {obj.n3()} .")
-        if len(lines) >= CHUNK_ROWS:
+    # a skipped position encodes as "": no N-Triples term is empty
+    codecs = [
+        _ColumnCodec(_ntriples_subject),
+        _ColumnCodec(_ntriples_predicate),
+        _ColumnCodec(_tsv_value),
+    ]
+    for chunk in _encoded_chunks(rows, codecs):
+        lines = [f"{s} {p} {o} ." for s, p, o in chunk if s and p and o]
+        if lines:
             yield ("\n".join(lines) + "\n").encode()
-            lines = []
-    if lines:
-        yield ("\n".join(lines) + "\n").encode()
 
 
 WRITERS = {

@@ -129,3 +129,24 @@ class TestEngineCancellation:
             thread.join(timeout=30)
         assert outcomes["slow"] == "cancelled"
         assert outcomes["fast"] > 0
+
+
+class TestTranslationCancellation:
+    def test_cancel_after_sql_aborts_term_translation(self, npd_engine, monkeypatch):
+        """A token tripped once the SQL has run is still honoured."""
+        token = CancellationToken()
+        database = npd_engine.database
+        execute_plan = database.execute_plan
+        executed = []
+
+        def execute_then_cancel(*args, **kwargs):
+            result = execute_plan(*args, **kwargs)
+            executed.append(len(result.rows))
+            token.cancel()
+            return result
+
+        monkeypatch.setattr(database, "execute_plan", execute_then_cancel)
+        with pytest.raises(QueryCancelled) as excinfo:
+            npd_engine.execute(FAST_QUERY, token=token)
+        assert excinfo.value.reason == "cancelled"
+        assert executed and executed[0] > 0

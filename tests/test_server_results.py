@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.diffcheck.normalize import canonical_bag
@@ -13,6 +15,7 @@ from repro.rdf.terms import (
     XSD_DECIMAL,
     XSD_DOUBLE,
     XSD_INTEGER,
+    XSD_STRING,
 )
 from repro.server import (
     NotAcceptable,
@@ -28,6 +31,7 @@ from repro.server import (
     write_tsv,
     write_xml,
 )
+from repro.server.results import WRITERS
 
 ROUND_TRIP = [
     ("json", write_json, parse_json_results),
@@ -175,3 +179,194 @@ class TestNegotiation:
     def test_wildcard_families(self):
         assert negotiate("text/*") == "csv"
         assert negotiate("application/*") == "json"
+
+
+# -- byte goldens ----------------------------------------------------------
+#
+# Literal bodies produced by the row-at-a-time writers that preceded the
+# column codecs: repeated terms (one object and equal objects), unbound
+# cells, XML and CSV special characters, non-ASCII text, and terms that
+# differ only by datatype, language or IRI-vs-literal.
+
+_EX = "http://ex.org/"
+_ONE = Literal("1", XSD_INTEGER)
+_SUBJECT = IRI(_EX + "s?a=1&b=2")
+GOLDEN_ROWS = [
+    (_SUBJECT, IRI(_EX + "p"), _ONE),
+    (_SUBJECT, IRI(_EX + "p"), _ONE),
+    (IRI(_EX + "s?a=1&b=2"), IRI(_EX + "p"), Literal("1", XSD_INTEGER)),
+    (BNode("b0"), IRI(_EX + "p"), Literal("1", XSD_DECIMAL)),
+    (BNode("b0"), IRI(_EX + "p"), Literal("1")),
+    (IRI(_EX + "t"), IRI(_EX + "q"), Literal("1", language="en")),
+    (IRI(_EX + "t"), None, Literal('<a href="x">&amp;</a>')),
+    (None, IRI(_EX + "q"), Literal('comma, "quote"\r\nline')),
+    (IRI(_EX + "t"), IRI(_EX + "q"), Literal("\u00c6rfugl \u2013 tab\there", language="no")),
+    (IRI(_EX + "t"), IRI(_EX + "q"), IRI(_EX + "1")),
+    (IRI(_EX + "t"), IRI(_EX + "q"), Literal(_EX + "1")),
+    (None, None, None),
+    (Literal("lit-subject"), IRI(_EX + "q"), Literal("2024-05-17", XSD_DATE)),
+    (IRI(_EX + "t"), IRI(_EX + "q"), Literal("", XSD_STRING)),
+]
+#: a single column, where CSV must quote an unbound cell
+GOLDEN_ONE_COLUMN_ROWS = [(None,), (Literal("a"),), (None,)]
+
+GOLDEN = {
+    "json": (
+        b'{"head": {"vars": ["s", "p", "o"]}, "results": {"bindings": [{"s": {"t'
+        b'ype": "uri", "value": "http://ex.org/s?a=1&b=2"}, "p": {"type": "uri",'
+        b' "value": "http://ex.org/p"}, "o": {"type": "literal", "value": "1", "'
+        b'datatype": "http://www.w3.org/2001/XMLSchema#integer"}},{"s": {"type":'
+        b' "uri", "value": "http://ex.org/s?a=1&b=2"}, "p": {"type": "uri", "val'
+        b'ue": "http://ex.org/p"}, "o": {"type": "literal", "value": "1", "datat'
+        b'ype": "http://www.w3.org/2001/XMLSchema#integer"}},{"s": {"type": "uri'
+        b'", "value": "http://ex.org/s?a=1&b=2"}, "p": {"type": "uri", "value": '
+        b'"http://ex.org/p"}, "o": {"type": "literal", "value": "1", "datatype":'
+        b' "http://www.w3.org/2001/XMLSchema#integer"}},{"s": {"type": "bnode", '
+        b'"value": "b0"}, "p": {"type": "uri", "value": "http://ex.org/p"}, "o":'
+        b' {"type": "literal", "value": "1", "datatype": "http://www.w3.org/2001'
+        b'/XMLSchema#decimal"}},{"s": {"type": "bnode", "value": "b0"}, "p": {"t'
+        b'ype": "uri", "value": "http://ex.org/p"}, "o": {"type": "literal", "va'
+        b'lue": "1"}},{"s": {"type": "uri", "value": "http://ex.org/t"}, "p": {"'
+        b'type": "uri", "value": "http://ex.org/q"}, "o": {"type": "literal", "v'
+        b'alue": "1", "xml:lang": "en"}},{"s": {"type": "uri", "value": "http://'
+        b'ex.org/t"}, "o": {"type": "literal", "value": "<a href=\\"x\\">&amp;</'
+        b'a>"}},{"p": {"type": "uri", "value": "http://ex.org/q"}, "o": {"type":'
+        b' "literal", "value": "comma, \\"quote\\"\\r\\nline"}},{"s": {"type": "'
+        b'uri", "value": "http://ex.org/t"}, "p": {"type": "uri", "value": "http'
+        b'://ex.org/q"}, "o": {"type": "literal", "value": "\\u00c6rfugl \\u2013'
+        b' tab\\there", "xml:lang": "no"}},{"s": {"type": "uri", "value": "http:'
+        b'//ex.org/t"}, "p": {"type": "uri", "value": "http://ex.org/q"}, "o": {'
+        b'"type": "uri", "value": "http://ex.org/1"}},{"s": {"type": "uri", "val'
+        b'ue": "http://ex.org/t"}, "p": {"type": "uri", "value": "http://ex.org/'
+        b'q"}, "o": {"type": "literal", "value": "http://ex.org/1"}},{},{"s": {"'
+        b'type": "literal", "value": "lit-subject"}, "p": {"type": "uri", "value'
+        b'": "http://ex.org/q"}, "o": {"type": "literal", "value": "2024-05-17",'
+        b' "datatype": "http://www.w3.org/2001/XMLSchema#date"}},{"s": {"type": '
+        b'"uri", "value": "http://ex.org/t"}, "p": {"type": "uri", "value": "htt'
+        b'p://ex.org/q"}, "o": {"type": "literal", "value": ""}}]}}'
+    ),
+    "xml": (
+        b'<?xml version="1.0"?><sparql xmlns="http://www.w3.org/2005/sparql-resu'
+        b'lts#"><head><variable name="s"/><variable name="p"/><variable name="o"'
+        b'/></head><results><result><binding name="s"><uri>http://ex.org/s?a=1&a'
+        b'mp;b=2</uri></binding><binding name="p"><uri>http://ex.org/p</uri></bi'
+        b'nding><binding name="o"><literal datatype="http://www.w3.org/2001/XMLS'
+        b'chema#integer">1</literal></binding></result><result><binding name="s"'
+        b'><uri>http://ex.org/s?a=1&amp;b=2</uri></binding><binding name="p"><ur'
+        b'i>http://ex.org/p</uri></binding><binding name="o"><literal datatype="'
+        b'http://www.w3.org/2001/XMLSchema#integer">1</literal></binding></resul'
+        b't><result><binding name="s"><uri>http://ex.org/s?a=1&amp;b=2</uri></bi'
+        b'nding><binding name="p"><uri>http://ex.org/p</uri></binding><binding n'
+        b'ame="o"><literal datatype="http://www.w3.org/2001/XMLSchema#integer">1'
+        b'</literal></binding></result><result><binding name="s"><bnode>b0</bnod'
+        b'e></binding><binding name="p"><uri>http://ex.org/p</uri></binding><bin'
+        b'ding name="o"><literal datatype="http://www.w3.org/2001/XMLSchema#deci'
+        b'mal">1</literal></binding></result><result><binding name="s"><bnode>b0'
+        b'</bnode></binding><binding name="p"><uri>http://ex.org/p</uri></bindin'
+        b'g><binding name="o"><literal>1</literal></binding></result><result><bi'
+        b'nding name="s"><uri>http://ex.org/t</uri></binding><binding name="p"><'
+        b'uri>http://ex.org/q</uri></binding><binding name="o"><literal xml:lang'
+        b'="en">1</literal></binding></result><result><binding name="s"><uri>htt'
+        b'p://ex.org/t</uri></binding><binding name="o"><literal>&lt;a href="x"&'
+        b"gt;&amp;amp;&lt;/a&gt;</literal></binding></result><result><binding na"
+        b'me="p"><uri>http://ex.org/q</uri></binding><binding name="o"><literal>'
+        b'comma, "quote"\r\nline</literal></binding></result><result><binding na'
+        b'me="s"><uri>http://ex.org/t</uri></binding><binding name="p"><uri>http'
+        b'://ex.org/q</uri></binding><binding name="o"><literal xml:lang="no">'
+        b"\xc3\x86rfugl \xe2\x80\x93 tab\there</literal></binding></result><resu"
+        b'lt><binding name="s"><uri>http://ex.org/t</uri></binding><binding name'
+        b'="p"><uri>http://ex.org/q</uri></binding><binding name="o"><uri>http:/'
+        b'/ex.org/1</uri></binding></result><result><binding name="s"><uri>http:'
+        b'//ex.org/t</uri></binding><binding name="p"><uri>http://ex.org/q</uri>'
+        b'</binding><binding name="o"><literal>http://ex.org/1</literal></bindin'
+        b'g></result><result></result><result><binding name="s"><literal>lit-sub'
+        b'ject</literal></binding><binding name="p"><uri>http://ex.org/q</uri></'
+        b'binding><binding name="o"><literal datatype="http://www.w3.org/2001/XM'
+        b'LSchema#date">2024-05-17</literal></binding></result><result><binding '
+        b'name="s"><uri>http://ex.org/t</uri></binding><binding name="p"><uri>ht'
+        b'tp://ex.org/q</uri></binding><binding name="o"><literal></literal></bi'
+        b"nding></result></results></sparql>"
+    ),
+    "csv": (
+        b"s,p,o\r\nhttp://ex.org/s?a=1&b=2,http://ex.org/p,1\r\nhttp://ex.org/s?"
+        b"a=1&b=2,http://ex.org/p,1\r\nhttp://ex.org/s?a=1&b=2,http://ex.org/p,1"
+        b"\r\n_:b0,http://ex.org/p,1\r\n_:b0,http://ex.org/p,1\r\nhttp://ex.org/"
+        b't,http://ex.org/q,1\r\nhttp://ex.org/t,,"<a href=""x"">&amp;</a>"\r\n,'
+        b'http://ex.org/q,"comma, ""quote""\r\nline"\r\nhttp://ex.org/t,http://e'
+        b"x.org/q,\xc3\x86rfugl \xe2\x80\x93 tab\there\r\nhttp://ex.org/t,http:/"
+        b"/ex.org/q,http://ex.org/1\r\nhttp://ex.org/t,http://ex.org/q,http://ex"
+        b".org/1\r\n,,\r\nlit-subject,http://ex.org/q,2024-05-17\r\nhttp://ex.or"
+        b"g/t,http://ex.org/q,\r\n"
+    ),
+    "tsv": (
+        b'?s\t?p\t?o\n<http://ex.org/s?a=1&b=2>\t<http://ex.org/p>\t"1"^^<http:/'
+        b"/www.w3.org/2001/XMLSchema#integer>\n<http://ex.org/s?a=1&b=2>\t<http:"
+        b'//ex.org/p>\t"1"^^<http://www.w3.org/2001/XMLSchema#integer>\n<http://'
+        b'ex.org/s?a=1&b=2>\t<http://ex.org/p>\t"1"^^<http://www.w3.org/2001/XML'
+        b'Schema#integer>\n_:b0\t<http://ex.org/p>\t"1"^^<http://www.w3.org/2001'
+        b'/XMLSchema#decimal>\n_:b0\t<http://ex.org/p>\t"1"\n<http://ex.org/t>\t'
+        b'<http://ex.org/q>\t"1"@en\n<http://ex.org/t>\t\t"<a href=\\"x\\">&amp;'
+        b'</a>"\n\t<http://ex.org/q>\t"comma, \\"quote\\"\\r\\nline"\n<http://ex'
+        b'.org/t>\t<http://ex.org/q>\t"\xc3\x86rfugl \xe2\x80\x93 tab\\there"@no'
+        b"\n<http://ex.org/t>\t<http://ex.org/q>\t<http://ex.org/1>\n<http://ex."
+        b'org/t>\t<http://ex.org/q>\t"http://ex.org/1"\n\t\t\n"lit-subject"\t<ht'
+        b'tp://ex.org/q>\t"2024-05-17"^^<http://www.w3.org/2001/XMLSchema#date>'
+        b'\n<http://ex.org/t>\t<http://ex.org/q>\t""\n'
+    ),
+    "ntriples": (
+        b'<http://ex.org/s?a=1&b=2> <http://ex.org/p> "1"^^<http://www.w3.org/20'
+        b'01/XMLSchema#integer> .\n<http://ex.org/s?a=1&b=2> <http://ex.org/p> "'
+        b'1"^^<http://www.w3.org/2001/XMLSchema#integer> .\n<http://ex.org/s?a=1'
+        b'&b=2> <http://ex.org/p> "1"^^<http://www.w3.org/2001/XMLSchema#integer'
+        b'> .\n_:b0 <http://ex.org/p> "1"^^<http://www.w3.org/2001/XMLSchema#dec'
+        b'imal> .\n_:b0 <http://ex.org/p> "1" .\n<http://ex.org/t> <http://ex.or'
+        b'g/q> "1"@en .\n<http://ex.org/t> <http://ex.org/q> "\xc3\x86rfugl \xe2'
+        b'\x80\x93 tab\\there"@no .\n<http://ex.org/t> <http://ex.org/q> <http:/'
+        b'/ex.org/1> .\n<http://ex.org/t> <http://ex.org/q> "http://ex.org/1" .'
+        b'\n<http://ex.org/t> <http://ex.org/q> "" .\n'
+    ),
+}
+GOLDEN_ONE_COLUMN = {
+    "json": (
+        b'{"head": {"vars": ["x"]}, "results": {"bindings": [{},{"x": {"type": "'
+        b'literal", "value": "a"}},{}]}}'
+    ),
+    "xml": (
+        b'<?xml version="1.0"?><sparql xmlns="http://www.w3.org/2005/sparql-resu'
+        b'lts#"><head><variable name="x"/></head><results><result></result><resu'
+        b'lt><binding name="x"><literal>a</literal></binding></result><result></'
+        b"result></results></sparql>"
+    ),
+    "csv": (
+        b'x\r\n""\r\na\r\n""\r\n'
+    ),
+    "tsv": (
+        b'?x\n\n"a"\n\n'
+    ),
+}
+GOLDEN_X300_SHA1 = {
+    "json": "65c71e9ef81e6bc2a65ec067ccf8cc1c457fbd61",
+    "xml": "1b369536ca436c1366bed3910d98743c2eb21992",
+    "csv": "0138afe57154e83bea413dd683bff3241cf9c23e",
+    "tsv": "bd532dbfbdc7d64430e84bd28dfc154e4aa74635",
+    "ntriples": "4131913bc5ef3536ce42ef8dd04eeef156cbda88",
+}
+
+
+
+class TestByteGolden:
+    @pytest.mark.parametrize("format_key", sorted(WRITERS))
+    def test_three_columns(self, format_key):
+        body = render(WRITERS[format_key], ["s", "p", "o"], GOLDEN_ROWS)
+        assert body == GOLDEN[format_key]
+
+    @pytest.mark.parametrize("format_key", sorted(GOLDEN_ONE_COLUMN))
+    def test_one_column(self, format_key):
+        body = render(WRITERS[format_key], ["x"], GOLDEN_ONE_COLUMN_ROWS)
+        assert body == GOLDEN_ONE_COLUMN[format_key]
+
+    @pytest.mark.parametrize("format_key", sorted(WRITERS))
+    def test_many_chunks(self, format_key):
+        # 4 200 rows: terms recur across chunk boundaries
+        body = render(WRITERS[format_key], ["s", "p", "o"], GOLDEN_ROWS * 300)
+        assert hashlib.sha1(body).hexdigest() == GOLDEN_X300_SHA1[format_key]
