@@ -75,15 +75,17 @@ class Template:
     """An IRI (or literal) template with ``{column}`` placeholders."""
 
     pattern: str
+    #: placeholder column names, lower-cased, in pattern order
+    columns: Tuple[str, ...] = field(init=False, repr=False, compare=False)
+    #: literal text between placeholders (len == len(columns) + 1)
+    fragments: Tuple[str, ...] = field(init=False, repr=False, compare=False)
 
-    @property
-    def columns(self) -> Tuple[str, ...]:
-        return tuple(m.group(1).lower() for m in _PLACEHOLDER_RE.finditer(self.pattern))
-
-    @property
-    def fragments(self) -> Tuple[str, ...]:
-        """Literal text between placeholders (len == len(columns) + 1)."""
-        return tuple(_PLACEHOLDER_RE.split(self.pattern)[::2])
+    def __post_init__(self) -> None:
+        # parsed once: every render() and every unfolder shape check reads
+        # both; excluded from repr/eq/hash so fingerprints stay the pattern's
+        parts = _PLACEHOLDER_RE.split(self.pattern)
+        object.__setattr__(self, "columns", tuple(p.lower() for p in parts[1::2]))
+        object.__setattr__(self, "fragments", tuple(parts[::2]))
 
     def render(self, values: Sequence[object]) -> Optional[str]:
         """Instantiate the template; None when any argument is NULL."""

@@ -3,15 +3,20 @@
 This is Phase 3 of the paper's OBDA workflow.  Each BGP is first rewritten
 into a UCQ (Phase 2, :mod:`repro.obda.rewriter`); every CQ in the union is
 then *unfolded* by picking, for every atom, one mapping assertion whose
-source SQL supplies the atom's triples; the cartesian product of choices
-becomes a union of select-project-join blocks.
+source SQL supplies the atom's triples; every combination of choices that
+can join becomes one select-project-join block of a union.
 
-Two semantic optimizations are applied when enabled (the paper calls this
-"semantic query optimisation in the SPARQL-to-SQL translation phase"):
+A combination cannot join when two term maps bound to one variable could
+never produce the same term (IRI templates with different literal
+fragments, an IRI against a literal), or when an atom's constant is one
+its term map cannot produce.  Choices are enumerated atom by atom and a
+choice that cannot join the ones before it is skipped together with every
+combination extending it, so the work follows the blocks emitted, not the
+cartesian product.
 
-* **template compatibility pruning** -- a join between two term maps whose
-  IRI templates can never produce the same IRI is dropped *statically*,
-  together with constant/template mismatches;
+With ``enable_sqo`` the paper's "semantic query optimisation in the
+SPARQL-to-SQL translation phase" is applied as well:
+
 * **self-join elimination** -- two atoms reading from the same source with
   the same subject template share one table alias when the subject columns
   are a unique key of the source, turning the q1-style "many data
@@ -24,10 +29,11 @@ RDF terms from SQL values (Phase 4, result translation).
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..owl.model import Ontology
 from ..rdf.terms import IRI, Literal, Term, XSD_DECIMAL, XSD_INTEGER, XSD_STRING
@@ -432,6 +438,22 @@ class Unfolder:
     def _unfold_cq(
         self, cq: ConjunctiveQuery, answer_vars: Sequence[sp.Var]
     ) -> List[Tuple[sql.SelectStatement, Dict[sp.Var, VarMeta]]]:
+        candidate_lists = self._candidate_lists(cq)
+        if candidate_lists is None:
+            return []
+        branches = []
+        for combination in _viable_combinations(cq.atoms, candidate_lists):
+            built = self._compose_spj(cq, combination, answer_vars)
+            if built is not None:
+                branches.append(built)
+        self._pruned += math.prod(map(len, candidate_lists)) - len(branches)
+        return branches
+
+    def _candidate_lists(
+        self, cq: ConjunctiveQuery
+    ) -> Optional[List[List[MappingAssertion]]]:
+        """Per atom, the assertions that may supply it; None when one has
+        none (the CQ is empty and no combination is counted as pruned)."""
         candidate_lists: List[List[MappingAssertion]] = []
         for atom in cq.atoms:
             entity = _atom_entity(atom)
@@ -442,16 +464,9 @@ class Unfolder:
             ]
             candidates = self._exact_filter(entity, candidates)
             if not candidates:
-                return []
+                return None
             candidate_lists.append(candidates)
-        branches = []
-        for combination in itertools.product(*candidate_lists):
-            built = self._compose_spj(cq, combination, answer_vars)
-            if built is None:
-                self._pruned += 1
-                continue
-            branches.append(built)
-        return branches
+        return candidate_lists
 
     def _compose_spj(
         self,
@@ -463,6 +478,10 @@ class Unfolder:
         alias_by_merge_key: Dict[Tuple, str] = {}
         atom_alias: List[str] = []
         shared_scans: Dict[str, _SharedScan] = {}
+        # counters and licensing labels are committed only when the branch
+        # is emitted, so EXPLAIN reports what reaches the SQL
+        merged = vfd_merged = elided = 0
+        fired: List[Tuple[str, str]] = []  # ("fact" | "constraint", label)
         for atom, assertion in zip(cq.atoms, combination):
             merge_key = None
             eligibility = None
@@ -491,20 +510,17 @@ class Unfolder:
                     group.columns.update(columns)
                     group.sources.add(source_norm)
                     if cross_source:
-                        self._vfd_merged += 1
+                        vfd_merged += 1
                     else:
-                        self._merged += 1
-                    for kind, label in list(labels) + group.labels:
-                        if kind == "constraint":
-                            self._record_constraint(label)
-                        else:
-                            self._record_fact(label)
+                        merged += 1
+                    fired.extend(labels)
+                    fired.extend(group.labels)
                     group.labels.extend(labels)
                 else:
-                    self._merged += 1
+                    merged += 1
                     unique_info = self._unique_subject_info(assertion)
                     if unique_info is not None and unique_info[1] is not None:
-                        self._record_fact(unique_info[1])
+                        fired.append(("fact", unique_info[1]))
                 continue
             alias = f"m{next(self._alias_counter)}"
             aliases.append((alias, assertion))
@@ -531,21 +547,15 @@ class Unfolder:
             return True
 
         for atom, assertion, alias in zip(cq.atoms, combination, atom_alias):
-            if isinstance(atom, ClassAtom):
-                if not bind(atom.term, assertion.subject, alias):
-                    return None
-            else:
-                subject, obj = atom.terms()
-                if not bind(subject, assertion.subject, alias):
-                    return None
-                if not bind(obj, assertion.object, alias):
+            for term, term_map in _atom_bindings(atom, assertion):
+                if not bind(term, term_map, alias):
                     return None
         # FK join elimination: drop parent class-atom scans proven no-op
         # by verified FK + uniqueness facts (Hovland et al.-style)
         dropped: Set[str] = set()
         if self.enable_sqo and self.facts is not None:
             dropped = self._eliminate_fk_joins(
-                cq, combination, atom_alias, bindings
+                cq, combination, atom_alias, bindings, fired
             )
             if dropped:
                 aliases = [
@@ -597,8 +607,8 @@ class Unfolder:
                 key = (alias, column)
                 if key not in elided_keys:
                     elided_keys.add(key)
-                    self._elided_guards += 1
-                    self._record_fact(label)
+                    elided += 1
+                    fired.append(("fact", label))
         for alias, column in reflexive:
             if (alias, column) not in settled:
                 settled.add((alias, column))
@@ -638,6 +648,15 @@ class Unfolder:
         statement = sql.SelectStatement(
             items=tuple(items), source=source, where=where
         )
+        self._merged += merged
+        self._vfd_merged += vfd_merged
+        self._eliminated_joins += len(dropped)
+        self._elided_guards += elided
+        for kind, label in fired:
+            if kind == "constraint":
+                self._record_constraint(label)
+            else:
+                self._record_fact(label)
         return statement, meta
 
     def _self_join_key(
@@ -971,6 +990,7 @@ class Unfolder:
         combination: Sequence[MappingAssertion],
         atom_alias: List[str],
         bindings: Dict[sp.Var, List[Tuple[TermMap, str]]],
+        fired: List[Tuple[str, str]],
     ) -> Set[str]:
         """Drop class-atom parent scans proven redundant by FK facts.
 
@@ -980,8 +1000,8 @@ class Unfolder:
         FK to that key: every child row finds exactly one parent row, so
         the join neither filters nor duplicates.  The parent alias is
         removed from *bindings* (its FROM entry and guards are skipped by
-        the caller); the licensing facts are recorded once the branch is
-        actually emitted.
+        the caller); the licensing facts are appended to *fired*, which
+        the caller records once the branch is actually emitted.
         """
         counts: Dict[str, int] = {}
         for alias in atom_alias:
@@ -1032,10 +1052,8 @@ class Unfolder:
                 for term_map, other_alias in occurrences
                 if other_alias != alias
             ]
-            self._eliminated_joins += 1
-            self._record_fact(unique_label)
-            for label in fk_labels:
-                self._record_fact(label)
+            fired.append(("fact", unique_label))
+            fired.extend(("fact", label) for label in fk_labels)
         return dropped
 
     def _source_ref(self, assertion: MappingAssertion, alias: str) -> sql.TableRef:
@@ -1414,6 +1432,114 @@ def _term_map_meta(term_map: TermMap) -> VarMeta:
         return VarMeta("iri")
     assert isinstance(term, Literal)
     return VarMeta("literal", term.datatype)
+
+
+def _atom_bindings(
+    atom: Atom, assertion: MappingAssertion
+) -> Tuple[Tuple[CqTerm, TermMap], ...]:
+    """The (CQ term, term map) pairs choosing *assertion* binds, in order."""
+    if isinstance(atom, ClassAtom):
+        return ((atom.term, assertion.subject),)
+    subject, obj = atom.terms()
+    return ((subject, assertion.subject), (obj, assertion.object))
+
+
+def _shape_key(term_map: TermMap) -> Optional[Tuple[str, ...]]:
+    """Equivalence class of a term map under :func:`_term_map_equality`.
+
+    Two IRI or literal term maps can produce the same RDF term exactly
+    when their keys are equal: IRI templates by their literal fragments
+    (``Template.compatible_with``; never empty), literals all alike
+    (``()``).  Constant term maps get None -- matching a constant against
+    a template is not transitive, so they have no class.
+    """
+    if isinstance(term_map, IriTermMap):
+        return term_map.template.fragments
+    if isinstance(term_map, LiteralTermMap):
+        return ()
+    return None
+
+
+#: per atom: each surviving candidate with the (variable, shape key)
+#: checks it must pass against the variables bound before it
+_Level = List[Tuple[MappingAssertion, List[Tuple[sp.Var, Tuple[str, ...]]]]]
+
+
+def _viable_combinations(
+    atoms: Sequence[Atom], candidate_lists: Sequence[Sequence[MappingAssertion]]
+) -> Iterator[Tuple[MappingAssertion, ...]]:
+    """The combinations of ``itertools.product(*candidate_lists)`` that can
+    join, in product order.
+
+    A candidate survives for its atom only if every constant of the atom
+    matches its term map (the ``_constant_constraint`` check) and every
+    variable it binds has the shape key of that variable's first
+    occurrence (the ``_term_map_equality`` check).  A variable that some
+    candidate binds through a constant term map is left to
+    ``_compose_spj``'s exact check: with a constant in its class, FK join
+    elimination (which drops a first occurrence) could make a pair that
+    fails here pass there.
+    """
+    bound: List[List[Tuple[MappingAssertion, List[Tuple[sp.Var, TermMap]]]]] = []
+    unchecked: Set[sp.Var] = set()
+    for atom, candidates in zip(atoms, candidate_lists):
+        level = []
+        for assertion in candidates:
+            variables = []
+            for term, term_map in _atom_bindings(atom, assertion):
+                if not isinstance(term, sp.Var):
+                    # only whether a constraint exists matters, not its alias
+                    if _constant_constraint(term, term_map, "") is None:
+                        break
+                    continue
+                if _shape_key(term_map) is None:
+                    unchecked.add(term)
+                variables.append((term, term_map))
+            else:
+                level.append((assertion, variables))
+        bound.append(level)
+    levels: List[_Level] = [
+        [
+            (
+                assertion,
+                [
+                    (var, _shape_key(term_map))
+                    for var, term_map in variables
+                    if var not in unchecked
+                ],
+            )
+            for assertion, variables in level
+        ]
+        for level in bound
+    ]
+    return _extend_combination(levels, 0, {}, ())
+
+
+def _extend_combination(
+    levels: Sequence[_Level],
+    depth: int,
+    shapes: Dict[sp.Var, Tuple[str, ...]],
+    prefix: Tuple[MappingAssertion, ...],
+) -> Iterator[Tuple[MappingAssertion, ...]]:
+    """Depth-first walk of *levels*; *shapes* maps each variable bound so
+    far to its first occurrence's shape key."""
+    if depth == len(levels):
+        yield prefix
+        return
+    for assertion, checks in levels[depth]:
+        extended = shapes
+        for var, key in checks:
+            shape = extended.get(var)
+            if shape is None:
+                if extended is shapes:
+                    extended = dict(shapes)
+                extended[var] = key
+            elif shape != key:
+                break
+        else:
+            yield from _extend_combination(
+                levels, depth + 1, extended, prefix + (assertion,)
+            )
 
 
 def _term_map_equality(

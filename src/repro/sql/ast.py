@@ -254,43 +254,7 @@ def walk_expr(expr: Expr) -> Iterator[Expr]:
 
 def expr_columns(expr: Expr) -> List[ColumnRef]:
     """All column references appearing in *expr* (depth first)."""
-    found: List[ColumnRef] = []
-
-    def walk(node: Expr) -> None:
-        if isinstance(node, ColumnRef):
-            found.append(node)
-        elif isinstance(node, UnaryOp):
-            walk(node.operand)
-        elif isinstance(node, BinaryOp):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, IsNull):
-            walk(node.operand)
-        elif isinstance(node, InList):
-            walk(node.operand)
-            for item in node.items:
-                walk(item)
-        elif isinstance(node, (InSubquery, ExistsSubquery)):
-            if isinstance(node, InSubquery):
-                walk(node.operand)
-        elif isinstance(node, Between):
-            walk(node.operand)
-            walk(node.low)
-            walk(node.high)
-        elif isinstance(node, FunctionCall):
-            for arg in node.args:
-                walk(arg)
-        elif isinstance(node, Cast):
-            walk(node.operand)
-        elif isinstance(node, CaseWhen):
-            for condition, result in node.branches:
-                walk(condition)
-                walk(result)
-            if node.default is not None:
-                walk(node.default)
-
-    walk(expr)
-    return found
+    return [node for node in walk_expr(expr) if isinstance(node, ColumnRef)]
 
 
 # ---------------------------------------------------------------------------

@@ -557,31 +557,36 @@ class Executor:
         """
         relations: List[Relation] = []
         conjuncts: List[Expr] = []
-        saw_left = False
-
-        def walk(node: TableRef) -> None:
-            nonlocal saw_left
-            if isinstance(node, Join):
-                if node.kind == "LEFT":
-                    saw_left = True
-                    return
-                if node.kind == "NATURAL":
-                    # handled structurally too (needs schema knowledge)
-                    left_rel = self._plan_tree(node.left)
-                    right_rel = self._plan_tree(node.right)
-                    relations.append(self._natural_join(left_rel, right_rel))
-                    return
-                walk(node.left)
-                if saw_left:
-                    return
-                walk(node.right)
-                if node.condition is not None:
-                    conjuncts.extend(split_conjuncts(node.condition))
-                return
-            relations.append(self._scan(node))
-
-        walk(source)
+        saw_left = self._flatten_into(source, relations, conjuncts)
         return relations, conjuncts, saw_left
+
+    def _flatten_into(
+        self, node: TableRef, relations: List[Relation], conjuncts: List[Expr]
+    ) -> bool:
+        """Recursive step of :meth:`_flatten`; True once a LEFT join is seen.
+
+        A method, not a nested closure: a self-recursive closure is a
+        reference cycle that would hold the scanned rows until the next
+        full collection.
+        """
+        if not isinstance(node, Join):
+            relations.append(self._scan(node))
+            return False
+        if node.kind == "LEFT":
+            return True
+        if node.kind == "NATURAL":
+            # handled structurally too (needs schema knowledge)
+            left_rel = self._plan_tree(node.left)
+            right_rel = self._plan_tree(node.right)
+            relations.append(self._natural_join(left_rel, right_rel))
+            return False
+        if self._flatten_into(node.left, relations, conjuncts):
+            return True
+        if self._flatten_into(node.right, relations, conjuncts):
+            return True
+        if node.condition is not None:
+            conjuncts.extend(split_conjuncts(node.condition))
+        return False
 
     def _plan_tree(self, node: TableRef) -> Relation:
         """Structural (no reordering) evaluation of a FROM subtree."""

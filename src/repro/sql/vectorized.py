@@ -257,21 +257,8 @@ class VectorizedExecutor(Executor):
         )
         relations: List[BatchRelation] = []
         join_conjuncts: List[Expr] = []
-
-        def walk(node: TableRef) -> None:
-            if isinstance(node, Join):
-                walk(node.left)
-                walk(node.right)
-                if node.condition is not None:
-                    join_conjuncts.extend(split_conjuncts(node.condition))
-            elif isinstance(node, NamedTable):
-                relations.append(self._batch_scan(node))
-            else:
-                assert isinstance(node, SubquerySource)
-                relations.append(self._batch_subquery_scan(node))
-
         assert statement.source is not None
-        walk(statement.source)
+        self._batch_legs(statement.source, relations, join_conjuncts)
         # pushdown classification, mirroring Executor._plan_source
         consumed = set()
         local: Dict[int, List[Expr]] = {}
@@ -322,6 +309,27 @@ class VectorizedExecutor(Executor):
         return self._finish_block(
             statement, columns, rows, source_schema, source_rows
         )
+
+    def _batch_legs(
+        self,
+        node: TableRef,
+        relations: List[BatchRelation],
+        join_conjuncts: List[Expr],
+    ) -> None:
+        """Append the scanned legs of an INNER-join tree and its ON
+        conjuncts.  A method, not a nested closure: a self-recursive
+        closure is a reference cycle that would hold the scanned rows
+        until the next full collection."""
+        if isinstance(node, Join):
+            self._batch_legs(node.left, relations, join_conjuncts)
+            self._batch_legs(node.right, relations, join_conjuncts)
+            if node.condition is not None:
+                join_conjuncts.extend(split_conjuncts(node.condition))
+        elif isinstance(node, NamedTable):
+            relations.append(self._batch_scan(node))
+        else:
+            assert isinstance(node, SubquerySource)
+            relations.append(self._batch_subquery_scan(node))
 
     # ------------------------------------------------------------------
     # scan + leg-local filters

@@ -10,6 +10,7 @@ override, EXPLAIN) and the fallback accounting are covered here too.
 
 from __future__ import annotations
 
+import gc
 from collections import Counter
 
 import pytest
@@ -130,6 +131,32 @@ class TestSharedJoinPlanner:
             if len(vec_trace) != len(row_trace):
                 shorter.append(query_id)
         assert shorter == ["q14"]
+
+
+_BULK_QUERY = (
+    "PREFIX npdv: <http://sws.ifi.uio.no/vocab/npd-v2#>\n"
+    "SELECT ?year ?month ?oil ?gas WHERE { ?volume npdv:productionMonth ?month ; "
+    "npdv:productionYear ?year ; npdv:producedOil ?oil ; npdv:producedGas ?gas }"
+)
+
+
+class TestNoReferenceCycles:
+    @pytest.mark.parametrize("index", [0, 1], ids=["row", "vectorized"])
+    def test_execution_leaves_no_cyclic_garbage(self, bench_small, engines_small, index):
+        """Scanned and joined rows are freed by reference counting alone,
+        not held in reference cycles until a full collection."""
+        engine = engines_small[index]
+        texts = [_BULK_QUERY, bench_small.queries["q6"].sparql]
+        for text in texts:  # compile and fill the caches first
+            engine.execute(text)
+        gc.collect()
+        gc.disable()
+        try:
+            for text in texts:
+                engine.execute(text)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 # ---------------------------------------------------------------------------
