@@ -214,13 +214,7 @@ def run_perf_pass(
     threshold: float = DEFAULT_CARDINALITY_THRESHOLD,
 ) -> List[Finding]:
     """PERF_NO_ACCESS_PATH findings over one benchmark's query catalogue."""
-    engine = OBDAEngine(
-        database,
-        ontology,
-        mappings,
-        factbase=factbase,
-        enable_query_cache=False,
-    )
+    engine = OBDAEngine(database, ontology, mappings, factbase=factbase)
     findings: List[Finding] = []
     for name, sparql in queries.items():
         try:

@@ -132,7 +132,6 @@ class QueryAnalyzer:
             self.reasoner,
             expand_hierarchy=False,
             enable_existential=True,
-            fingerprint=f"obdalint;fb={factbase.fingerprint()}",
             factbase=factbase,
         )
 

@@ -82,7 +82,7 @@ class Template:
 
     def __post_init__(self) -> None:
         # parsed once: every render() and every unfolder shape check reads
-        # both; excluded from repr/eq/hash so fingerprints stay the pattern's
+        # both; excluded from repr/eq/hash, which stay the pattern's
         parts = _PLACEHOLDER_RE.split(self.pattern)
         object.__setattr__(self, "columns", tuple(p.lower() for p in parts[1::2]))
         object.__setattr__(self, "fragments", tuple(parts[::2]))

@@ -30,8 +30,8 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, replace
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..owl.model import (
     BasicConcept,
@@ -61,12 +61,9 @@ class RewritingResult:
     cqs: List[ConjunctiveQuery]
     tree_witnesses: int
     elapsed_seconds: float
-    expanded_hierarchy: bool
     #: the max_ucq safety valve fired: the UCQ is a sound but possibly
     #: incomplete prefix of the full rewriting
     truncated: bool = False
-    #: served from the rewrite cache (elapsed_seconds is the lookup time)
-    cached: bool = False
     #: disjuncts dropped because a FactBase proves one of their atoms can
     #: never produce an answer (empty-entity facts)
     empty_disjuncts_skipped: int = 0
@@ -79,6 +76,30 @@ class RewritingResult:
     @property
     def ucq_size(self) -> int:
         return len(self.cqs)
+
+
+def merge_rewritings(
+    rewritings: Sequence[RewritingResult],
+) -> Optional[RewritingResult]:
+    """The rewriting of a whole query from the rewritings of its BGPs.
+
+    CQs, tree witnesses, skipped disjuncts and seconds are summed over
+    every BGP, and the result is truncated if any BGP's rewriting was.
+    None when the query rewrote no BGP.
+    """
+    if not rewritings:
+        return None
+    if len(rewritings) == 1:
+        return rewritings[0]
+    return RewritingResult(
+        [cq for r in rewritings for cq in r.cqs],
+        sum(r.tree_witnesses for r in rewritings),
+        sum(r.elapsed_seconds for r in rewritings),
+        truncated=any(r.truncated for r in rewritings),
+        empty_disjuncts_skipped=sum(r.empty_disjuncts_skipped for r in rewritings),
+        skipped_entities=tuple(sorted({e for r in rewritings for e in r.skipped_entities})),
+        exact_pruned=tuple(sorted({c for r in rewritings for c in r.exact_pruned})),
+    )
 
 
 class TreeWitnessRewriter:
@@ -99,12 +120,6 @@ class TreeWitnessRewriter:
     max_ucq:
         safety valve against exponential blow-ups (the paper discusses
         q6-like queries exploding); rewriting stops growing beyond this.
-    fingerprint:
-        an opaque digest of everything outside the CQ that influences the
-        rewriting (ontology axioms, T-mappings, ablation flags).  Baked
-        into every cache key so two engines sharing a rewriter -- or the
-        diffcheck matrix rebuilding engines with different configs --
-        can never serve each other's rewritings.
     factbase:
         optional :class:`repro.analysis.facts.FactBase`.  A produced CQ
         containing an atom over a provably-empty entity is excluded from
@@ -121,17 +136,12 @@ class TreeWitnessRewriter:
         unions (dropping disjuncts changes UNION ALL multiplicities).
     """
 
-    #: bound on the per-rewriter result cache (a mix has 21 queries, so
-    #: this is generous; canonicalized CQs are small)
-    CACHE_LIMIT = 1024
-
     def __init__(
         self,
         reasoner: QLReasoner,
         expand_hierarchy: bool = True,
         enable_existential: bool = True,
         max_ucq: int = 2048,
-        fingerprint: str = "",
         factbase=None,
         constraints=None,
     ):
@@ -139,50 +149,14 @@ class TreeWitnessRewriter:
         self.expand_hierarchy = expand_hierarchy
         self.enable_existential = enable_existential
         self.max_ucq = max_ucq
-        self.fingerprint = fingerprint
         self.factbase = factbase
         self.constraints = constraints
-        self._fb_digest = factbase.fingerprint() if factbase is not None else ""
-        self._con_digest = (
-            constraints.fingerprint() if constraints is not None else ""
-        )
         self._fresh_counter = itertools.count()
-        self._cache: Dict[Tuple, RewritingResult] = {}
-        self.cache_hits = 0
-        self.cache_misses = 0
 
     # ------------------------------------------------------------------
 
-    def _cache_key(self, query: ConjunctiveQuery) -> Tuple:
-        return (
-            query.canonical(),
-            self.expand_hierarchy,
-            self.enable_existential,
-            self.max_ucq,
-            self.fingerprint,
-            self._fb_digest,
-            self._con_digest,
-        )
-
     def rewrite(self, query: ConjunctiveQuery) -> RewritingResult:
         started = time.perf_counter()
-        key = self._cache_key(query)
-        hit = self._cache.get(key)
-        if hit is not None:
-            self.cache_hits += 1
-            return replace(
-                hit, elapsed_seconds=time.perf_counter() - started, cached=True
-            )
-        self.cache_misses += 1
-        result = self._rewrite_uncached(query, started)
-        if len(self._cache) >= self.CACHE_LIMIT:
-            self._cache.clear()
-        self._cache[key] = result
-        return result
-
-    def _rewrite_uncached(
-        self, query: ConjunctiveQuery, started: float
-    ) -> RewritingResult:
         tree_witnesses = (
             self._count_tree_witnesses(query) if self.enable_existential else 0
         )
@@ -219,7 +193,6 @@ class TreeWitnessRewriter:
             results,
             tree_witnesses,
             elapsed,
-            self.expand_hierarchy,
             truncated=bool(frontier),
             empty_disjuncts_skipped=skipped,
             skipped_entities=tuple(sorted(skipped_entities)),

@@ -17,7 +17,6 @@ measure table (Table 1) of the paper.
 
 from __future__ import annotations
 
-import hashlib
 import threading
 import time
 from collections import OrderedDict
@@ -142,10 +141,11 @@ class CompiledQuery:
 
     Holds the unfold result (SQL text, column metadata, quality metrics)
     plus the database-compiled logical plan.  Data mutations never make
-    the artifact wrong: the SPARQL->SQL translation depends only on
-    ontology + mappings (covered by the rewriter fingerprint), and the
-    attached plan self-heals against the database's generation counter
-    inside :meth:`Database.execute_plan`.
+    the artifact wrong: the SPARQL->SQL translation depends only on the
+    engine's ontology, mappings and verified artifacts (demotion rebuilds
+    the pipeline and empties the cache), and the attached plan self-heals
+    against the database's generation counter inside
+    :meth:`Database.execute_plan`.
     """
 
     unfolded: UnfoldResult
@@ -153,7 +153,6 @@ class CompiledQuery:
     rewriting_seconds: float
     unfolding_seconds: float
     planning_seconds: float
-    hits: int = 0
 
 
 class OBDAEngine:
@@ -170,42 +169,32 @@ class OBDAEngine:
         enable_tmappings: bool = True,
         enable_existential: bool = True,
         enable_sqo: bool = True,
-        distinct_unions: bool = True,
         max_ucq: int = 2048,
-        enable_query_cache: bool = True,
         factbase=None,
         constraints=None,
-        validate_on_load: bool = False,
         executor: Optional[str] = None,
     ):
         started = time.perf_counter()
         self.database = database
         #: execution path override for unfolded SQL ("row"/"vectorized");
-        #: None uses the database's default executor
+        #: None runs the row executor
         self.executor = executor
         self.ontology = ontology
         self.raw_mappings = mappings
         self.enable_tmappings = enable_tmappings
         self.enable_existential = enable_existential
         self.enable_sqo = enable_sqo
-        self.distinct_unions = distinct_unions
         self.max_ucq = max_ucq
-        self.enable_query_cache = enable_query_cache
         #: optional :class:`repro.analysis.facts.FactBase` licensing the
         #: constraint-driven unfolding optimizations (duck-typed; the obda
         #: package never imports repro.analysis at runtime)
         self.factbase = factbase
         #: optional :class:`repro.analysis.constraints.ConstraintSet` of
-        #: verified exact-mapping/VFD constraints.  Only enforced under
-        #: deduplicating unions -- dropping duplicate disjuncts is a bag
-        #: change under UNION ALL -- so the rewriter sees it gated
+        #: verified exact-mapping/VFD constraints; sound because UCQ unions
+        #: deduplicate (dropping a duplicate disjunct changes no answer set)
         self.constraints = constraints
-        #: findings of the validate-on-load pre-flight (empty when skipped)
-        self.load_findings: List[Any] = []
         #: FACT_STALE findings recorded when DML outran verified artifacts
         self.stale_findings: List[Any] = []
-        if validate_on_load:
-            self.load_findings = self._validate_mappings()
         self.reasoner = QLReasoner(ontology)
         self.tmapping_result: Optional[TMappingResult] = None
         if enable_tmappings:
@@ -217,7 +206,6 @@ class OBDAEngine:
         else:
             active_mappings = mappings
         self.mappings = active_mappings
-        self.fingerprint = self._compute_fingerprint(max_ucq, distinct_unions)
         self._build_pipeline()
         # verified-against generation of the attached artifacts: facts and
         # constraints remember the data generation they were verified at;
@@ -241,9 +229,8 @@ class OBDAEngine:
             expand_hierarchy=not self.enable_tmappings,
             enable_existential=self.enable_existential,
             max_ucq=self.max_ucq,
-            fingerprint=self.fingerprint,
             factbase=self.factbase,
-            constraints=self.constraints if self.distinct_unions else None,
+            constraints=self.constraints,
         )
         self.unfolder = Unfolder(
             self.mappings,
@@ -251,7 +238,6 @@ class OBDAEngine:
             rewriter=self.rewriter,
             catalog=self.database.catalog,
             enable_sqo=self.enable_sqo,
-            distinct_unions=self.distinct_unions,
             facts=self.factbase,
             constraints=self.constraints,
             raw_mappings=self.raw_mappings,
@@ -276,59 +262,6 @@ class OBDAEngine:
             known.append(self.database.plan_generation)
         return min(known)
 
-    def _compute_fingerprint(self, max_ucq: int, distinct_unions: bool) -> str:
-        """Digest of everything outside the query that shapes compilation.
-
-        Covers ontology axioms, the *active* (post-T-mapping) mapping set
-        and the ablation-config tuple, so the diffcheck engine matrix --
-        which builds one engine per config over shared inputs -- can never
-        cross-contaminate cached rewritings or artifacts.
-        """
-        digest = hashlib.sha1()
-        digest.update(self.ontology.iri.encode("utf-8"))
-        for axiom in sorted(str(axiom) for axiom in self.ontology.axioms):
-            digest.update(axiom.encode("utf-8"))
-            digest.update(b"\n")
-        for assertion in self.mappings:
-            # the full dataclass repr covers source SQL and term maps, so
-            # two configs whose assertions share ids/entities but differ
-            # in bodies can never collide
-            digest.update(repr(assertion).encode("utf-8"))
-            digest.update(b"\n")
-        fb = self.factbase.fingerprint() if self.factbase is not None else "none"
-        con = (
-            self.constraints.fingerprint()
-            if self.constraints is not None
-            else "none"
-        )
-        digest.update(
-            f"tm={self.enable_tmappings};ex={self.enable_existential};"
-            f"sqo={self.enable_sqo};ucq={max_ucq};du={distinct_unions};"
-            f"fb={fb};con={con}".encode("utf-8")
-        )
-        return digest.hexdigest()[:16]
-
-    def _validate_mappings(self) -> List[Any]:
-        """obdalint pre-flight: run the mapping pass at engine start.
-
-        Imported lazily so the obda package stays importable without the
-        analysis subsystem; raises :class:`MappingError` when any finding
-        is an error (unknown table/column, type clash, broken FK...).
-        """
-        from ..analysis.mapping_pass import run_mapping_pass
-        from .mapping import MappingError
-
-        findings = run_mapping_pass(self.database.catalog, self.raw_mappings)
-        errors = [f for f in findings if f.is_error]
-        if errors:
-            head = "; ".join(f.describe() for f in errors[:3])
-            more = f" (+{len(errors) - 3} more)" if len(errors) > 3 else ""
-            raise MappingError(
-                f"validate-on-load found {len(errors)} mapping error(s): "
-                f"{head}{more}"
-            )
-        return findings
-
     # -- artifact staleness -----------------------------------------------------
 
     def check_freshness(self) -> None:
@@ -339,7 +272,7 @@ class OBDAEngine:
         silently invalidates them.  Runs on *every* execute -- including
         the compile-cache-hit path, since cached SQL artifacts were shaped
         by the stale facts too.  Demotion drops the artifacts, rebuilds
-        the pipeline without them, clears every compile cache and records
+        the pipeline without them, empties the query cache and records
         a ``FACT_STALE`` warning finding; answers stay correct, only the
         fact/constraint-licensed optimizations are lost.
         """
@@ -382,9 +315,6 @@ class OBDAEngine:
         self.factbase = None
         self.constraints = None
         self._artifact_generation = None
-        self.fingerprint = self._compute_fingerprint(
-            self.max_ucq, self.distinct_unions
-        )
         self._build_pipeline()
         with self._cache_lock:
             self._compiled.clear()
@@ -419,7 +349,7 @@ class OBDAEngine:
         self, sparql: str | SelectQuery
     ) -> Tuple[CompiledQuery, bool]:
         """Compile (or fetch) the end-to-end artifact for one query."""
-        key = self._cache_key(sparql) if self.enable_query_cache else None
+        key = self._cache_key(sparql)
         if key is not None:
             artifact = self._cache_lookup(key)
             if artifact is not None:
@@ -465,25 +395,21 @@ class OBDAEngine:
             if artifact is None:
                 return None
             self.query_cache_hits += 1
-            artifact.hits += 1
             self._compiled.move_to_end(key)
             return artifact
 
     def cache_stats(self) -> Dict[str, int]:
-        """Hit/miss counters of every cache layer, for reports."""
+        """Hit/miss counters of the query cache, for reports."""
         with self._cache_lock:
-            stats: Dict[str, int] = {
+            return {
                 "query_cache_hits": self.query_cache_hits,
                 "query_cache_misses": self.query_cache_misses,
                 "query_cache_entries": len(self._compiled),
+                # there is no rewrite cache; the e2e benchmark harness
+                # still reads these two keys over its control API
+                "rewrite_cache_hits": 0,
+                "rewrite_cache_misses": 0,
             }
-        stats["rewrite_cache_hits"] = self.rewriter.cache_hits
-        stats["rewrite_cache_misses"] = self.rewriter.cache_misses
-        return stats
-
-    def clear_query_cache(self) -> None:
-        with self._cache_lock:
-            self._compiled.clear()
 
     # ------------------------------------------------------------------
 
@@ -571,10 +497,7 @@ class OBDAEngine:
         self.check_freshness()
         artifact, cache_hit = self._compile_query(sparql)
         unfolded = artifact.unfolded
-        lines = [
-            f"compile: {'cached' if cache_hit else 'fresh'}"
-            f" (fingerprint {self.fingerprint})",
-        ]
+        lines = [f"compile: {'cached' if cache_hit else 'fresh'}"]
         if unfolded.rewriting is not None:
             lines.append(
                 f"rewriting: ucq_size={unfolded.rewriting.ucq_size}"
@@ -624,8 +547,6 @@ class OBDAEngine:
             "sqo": self.enable_sqo,
             "profile": self.database.profile.name,
             "loading_seconds": self.loading_seconds,
-            "query_cache": self.enable_query_cache,
-            "fingerprint": self.fingerprint,
             "facts": len(self.factbase) if self.factbase is not None else 0,
             "constraints": (
                 self.constraints.counts() if self.constraints is not None else {}

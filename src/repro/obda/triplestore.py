@@ -50,7 +50,7 @@ from ..sparql.evaluator import (
 )
 from ..sparql.parser import parse_query
 from .cq import ClassAtom, ConjunctiveQuery, DataAtom, RoleAtom, Vocabulary, bgp_to_cq
-from .rewriter import RewritingResult, TreeWitnessRewriter
+from .rewriter import RewritingResult, TreeWitnessRewriter, merge_rewritings
 
 
 def cq_to_triples(cq: ConjunctiveQuery) -> List[TriplePattern]:
@@ -95,7 +95,7 @@ class _RewritingEvaluator(SparqlEvaluator):
         self._rewriter = rewriter
         self._reasoner = reasoner
         self._needed_vars = needed_vars
-        self.last_rewriting: Optional[RewritingResult] = None
+        #: one rewriting per evaluated BGP
         self.rewritings: List[RewritingResult] = []
 
     def evaluate_algebra(self, node: AlgebraNode) -> List[Solution]:
@@ -111,7 +111,6 @@ class _RewritingEvaluator(SparqlEvaluator):
                         answer_vars.append(var)
             cq = bgp_to_cq(node.triples, answer_vars, self._vocabulary)
             rewriting = self._rewriter.rewrite(cq)
-            self.last_rewriting = rewriting
             self.rewritings.append(rewriting)
             solutions: List[Solution] = []
             seen_keys = set()
@@ -324,10 +323,10 @@ def _needed_variables(query: SelectQuery) -> set:
 @dataclass
 class TripleStoreAnswer:
     result: SparqlResult
+    #: the rewritings of every BGP the query evaluated, merged
     rewriting: Optional[RewritingResult]
     rewriting_seconds: float
     execution_seconds: float
-    rewritings: Tuple[RewritingResult, ...] = ()
 
     @property
     def overall_seconds(self) -> float:
@@ -335,19 +334,12 @@ class TripleStoreAnswer:
 
     @property
     def tree_witness_count(self) -> int:
-        """Tree witnesses across *every* BGP the query evaluated.
-
-        ``rewriting`` only records the last BGP; a query whose OPTIONAL
-        part triggered existential reasoning must still be flagged."""
-        if self.rewritings:
-            return max(r.tree_witnesses for r in self.rewritings)
+        """Tree witnesses across every BGP the query evaluated."""
         return self.rewriting.tree_witnesses if self.rewriting else 0
 
     @property
     def truncated(self) -> bool:
         """Some BGP's rewriting hit the UCQ cap (answers may be missing)."""
-        if self.rewritings:
-            return any(r.truncated for r in self.rewritings)
         return self.rewriting.truncated if self.rewriting else False
 
 
@@ -404,12 +396,11 @@ class RewritingTripleStore:
         started = time.perf_counter()
         result = evaluator.execute(query)
         elapsed = time.perf_counter() - started
-        rewriting = evaluator.last_rewriting
+        rewriting = merge_rewritings(evaluator.rewritings)
         rewriting_seconds = rewriting.elapsed_seconds if rewriting else 0.0
         return TripleStoreAnswer(
             result=result,
             rewriting=rewriting,
             rewriting_seconds=rewriting_seconds,
             execution_seconds=max(0.0, elapsed - rewriting_seconds),
-            rewritings=tuple(evaluator.rewritings),
         )

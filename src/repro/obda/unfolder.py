@@ -70,7 +70,7 @@ from .mapping import (
     TermMap,
     assertion_body_key,
 )
-from .rewriter import RewritingResult, TreeWitnessRewriter
+from .rewriter import RewritingResult, TreeWitnessRewriter, merge_rewritings
 
 
 class UnfoldingError(ValueError):
@@ -193,7 +193,6 @@ class Unfolder:
         rewriter: Optional[TreeWitnessRewriter] = None,
         catalog: Optional[Catalog] = None,
         enable_sqo: bool = True,
-        distinct_unions: bool = True,
         facts=None,
         constraints=None,
         raw_mappings: Optional[MappingCollection] = None,
@@ -203,7 +202,6 @@ class Unfolder:
         self.rewriter = rewriter
         self.catalog = catalog
         self.enable_sqo = enable_sqo
-        self.distinct_unions = distinct_unions
         #: optional repro.analysis.facts.FactBase; every fact-licensed
         #: optimization records the licensing fact's label in fired_facts
         self.facts = facts
@@ -215,18 +213,6 @@ class Unfolder:
         #: entity's *own* disjuncts among the compiled T-mapping ones
         #: (by body, not id: the compiler re-keys shared bodies)
         self.raw_mappings = raw_mappings
-        self._alias_counter = itertools.count()
-        self._pruned = 0
-        self._merged = 0
-        self._union_blocks = 0
-        self._any_truncated = False
-        self._elided_guards = 0
-        self._eliminated_joins = 0
-        self._empty_skipped = 0
-        self._vfd_merged = 0
-        self._constraint_pruned = 0
-        self._fired_facts: Dict[str, None] = {}
-        self._fired_constraints: Dict[str, None] = {}
         # per entity: body keys of its own raw assertions (exact pruning),
         # or None when it has no raw assertions of its own
         self._own_body_cache: Dict[str, Optional[frozenset]] = {}
@@ -254,33 +240,35 @@ class Unfolder:
         self._pruned = 0
         self._merged = 0
         self._union_blocks = 0
-        self._last_rewriting: Optional[RewritingResult] = None
-        self._any_truncated = False
+        # one rewriting per BGP; the query reports their merge
+        self._rewritings: List[RewritingResult] = []
         self._elided_guards = 0
         self._eliminated_joins = 0
-        self._empty_skipped = 0
         self._vfd_merged = 0
         self._constraint_pruned = 0
-        self._fired_facts = {}
-        self._fired_constraints = {}
+        self._fired_facts: Dict[str, None] = {}
+        self._fired_constraints: Dict[str, None] = {}
         algebra = simplify(translate(query.where))
         needed = self._query_level_variables(query, algebra)
         fragment = self._unfold_node(algebra, needed)
         statement, columns, metas = self._apply_query_level(query, fragment)
         elapsed = time.perf_counter() - started
+        rewriting = merge_rewritings(self._rewritings)
         return UnfoldResult(
             statement=statement,
             columns=columns,
             column_meta=metas,
-            rewriting=self._last_rewriting,
+            rewriting=rewriting,
             elapsed_seconds=elapsed,
             union_blocks=self._union_blocks,
             pruned_combinations=self._pruned,
             merged_self_joins=self._merged,
-            rewriting_truncated=self._any_truncated,
+            rewriting_truncated=rewriting is not None and rewriting.truncated,
             elided_null_guards=self._elided_guards,
             eliminated_joins=self._eliminated_joins,
-            empty_disjuncts_skipped=self._empty_skipped,
+            empty_disjuncts_skipped=(
+                rewriting.empty_disjuncts_skipped if rewriting is not None else 0
+            ),
             fired_facts=tuple(self._fired_facts),
             merged_vfd_joins=self._vfd_merged,
             constraint_pruned_disjuncts=self._constraint_pruned,
@@ -405,9 +393,7 @@ class Unfolder:
         cq = bgp_to_cq(node.triples, answer_vars, self.vocabulary)
         if self.rewriter is not None:
             rewriting = self.rewriter.rewrite(cq)
-            self._last_rewriting = rewriting
-            self._any_truncated = self._any_truncated or rewriting.truncated
-            self._empty_skipped += rewriting.empty_disjuncts_skipped
+            self._rewritings.append(rewriting)
             for entity in rewriting.skipped_entities:
                 self._record_fact(f"empty:{entity}")
             for label in rewriting.exact_pruned:
@@ -430,9 +416,7 @@ class Unfolder:
                 merged_meta[var] = (
                     merged_meta[var].merge(var_meta) if var in merged_meta else var_meta
                 )
-        statement = _chain_union(
-            [stmt for stmt, _ in branches], dedup=self.distinct_unions
-        )
+        statement = _chain_union([stmt for stmt, _ in branches], dedup=True)
         return Fragment(statement, merged_meta)
 
     def _unfold_cq(
@@ -686,14 +670,11 @@ class Unfolder:
         A verified exact-mapping constraint proves the entity's own raw
         assertions already produce its full extension, so compiled
         T-mapping disjuncts inherited from proper sub-entities are
-        duplicate-producing and can be dropped.  Sound only under
-        deduplicating unions: dropping a disjunct changes multiplicities
-        of a UNION ALL.
+        duplicate-producing and can be dropped: UCQ unions deduplicate.
         """
         if (
             self.constraints is None
             or self.raw_mappings is None
-            or not self.distinct_unions
             or not self.enable_sqo
             or len(candidates) < 2
         ):
@@ -733,7 +714,7 @@ class Unfolder:
     def _vfd_eligibility_for_atom(
         self, atom: Atom, assertion: MappingAssertion
     ) -> Optional[Tuple]:
-        if self.constraints is None or not self.distinct_unions:
+        if self.constraints is None:
             return None
         subject = atom.terms()[0]
         if not isinstance(subject, sp.Var):

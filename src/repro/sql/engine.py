@@ -42,23 +42,17 @@ class Database:
     Mixer clients run SELECTs in parallel while mutations run exclusively.
     """
 
-    #: valid values for the ``executor`` constructor/``execute_plan`` arg
+    #: valid values for the ``execute_plan``/``explain`` executor arg
     EXECUTORS = ("row", "vectorized")
 
     def __init__(
         self,
         profile: Optional[EngineProfile] = None,
         enforce_foreign_keys: bool = True,
-        executor: str = "row",
     ):
-        if executor not in self.EXECUTORS:
-            raise ExecutionError(
-                f"unknown executor {executor!r} (expected one of {self.EXECUTORS})"
-            )
         self.catalog = Catalog()
         self.profile = profile or postgresql_profile()
         self.enforce_foreign_keys = enforce_foreign_keys
-        self.executor_name = executor
         self._make_executors()
         self._plan_generation = 0
         self._lock = ReadWriteLock()
@@ -75,13 +69,13 @@ class Database:
         self._vectorized.stats = self._executor.stats
 
     def _select_executor(self, executor: Optional[str]) -> Executor:
-        name = executor or self.executor_name
-        if name == "row":
+        """The named executor; None means the row executor."""
+        if executor is None or executor == "row":
             return self._executor
-        if name == "vectorized":
+        if executor == "vectorized":
             return self._vectorized
         raise ExecutionError(
-            f"unknown executor {name!r} (expected one of {self.EXECUTORS})"
+            f"unknown executor {executor!r} (expected one of {self.EXECUTORS})"
         )
 
     # -- profile management -------------------------------------------------
@@ -199,9 +193,9 @@ class Database:
         ``token`` (a :class:`repro.concurrency.CancellationToken`) arms
         cooperative cancellation for this call only: the executor stores it
         thread-locally, so concurrent readers sharing this Database are
-        unaffected, and it is always cleared on exit.  ``executor``
-        overrides the database's default execution path for this call
-        (``"row"`` or ``"vectorized"``).
+        unaffected, and it is always cleared on exit.  ``executor`` picks
+        the execution path for this call (``"row"``, the default, or
+        ``"vectorized"``).
         """
         engine = self._select_executor(executor)
         with self._lock.read():
@@ -463,11 +457,7 @@ class Database:
 
     def clone_schema(self, profile: Optional[EngineProfile] = None) -> "Database":
         """A new empty database with the same tables and constraints."""
-        clone = Database(
-            profile or self.profile,
-            self.enforce_foreign_keys,
-            executor=self.executor_name,
-        )
+        clone = Database(profile or self.profile, self.enforce_foreign_keys)
         for table in self.catalog.tables():
             clone.catalog.create_table(
                 Table(

@@ -22,7 +22,7 @@ from repro.mixer import Mixer, OBDASystemAdapter
 from repro.npd import build_benchmark
 from repro.npd.queries import build_query_set
 from repro.npd.seed import SeedProfile
-from repro.obda import MappingError, OBDAEngine
+from repro.obda import OBDAEngine
 from repro.owl import QLReasoner
 
 SCALE = 0.1
@@ -189,27 +189,6 @@ class TestFactGatedUnfolding:
         assert any(line.startswith("facts:") for line in lines)
         assert any(line.startswith("fact fired:") for line in lines)
 
-    def test_fingerprints_differ(self, engines):
-        off, on = engines
-        assert off.fingerprint != on.fingerprint
-
-
-class TestEngineValidateOnLoad:
-    def test_pristine_loads_clean(self, bench):
-        engine = OBDAEngine(
-            bench.database, bench.ontology, bench.mappings, validate_on_load=True
-        )
-        assert not any(
-            getattr(f, "is_error", False) for f in engine.load_findings
-        )
-
-    def test_mutant_rejected_at_load(self):
-        fresh = _fresh_benchmark()
-        db, onto, mappings = apply_mutant(
-            "drop-column", fresh.database, fresh.ontology, fresh.mappings
-        )
-        with pytest.raises(MappingError):
-            OBDAEngine(db, onto, mappings, validate_on_load=True)
 
 
 class TestMixerPreflight:

@@ -25,6 +25,16 @@ from repro.sql.types import (
     ObjectColumn,
 )
 
+
+def batch_query(db: Database, sql: str):
+    """Run a SELECT on the vectorized executor and check it took the
+    batch path."""
+    before = db.stats.batch_blocks
+    result = db.execute_plan(db.compile(sql), executor="vectorized")
+    assert db.stats.batch_blocks > before
+    return result
+
+
 # -- strategies -------------------------------------------------------------
 
 int_values = st.lists(
@@ -107,27 +117,27 @@ class TestCodecRoundTrip:
 
 class TestDegradation:
     def test_int_overflow_value_degrades_but_keeps_data(self):
-        db = Database(executor="vectorized")
+        db = Database()
         db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v BIGINT)")
         db.insert_rows("t", [(1, 5), (2, 2**70), (3, None)])
         table = db.catalog.table("t")
         codec = table.column_store().columns[1]
         assert isinstance(codec, ObjectColumn)
-        rows = db.execute("SELECT v FROM t ORDER BY id").rows
+        rows = batch_query(db, "SELECT v FROM t ORDER BY id").rows
         assert [r[0] for r in rows] == [5, 2**70, None]
 
     def test_high_ndv_text_degrades_to_object(self):
-        db = Database(executor="vectorized")
+        db = Database()
         db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, s TEXT)")
         db.insert_rows("t", [(i, f"unique-{i}") for i in range(400)])
         codec = db.catalog.table("t").column_store().columns[1]
         assert isinstance(codec, ObjectColumn) and codec.textual
-        assert db.execute(
-            "SELECT id FROM t WHERE s = 'unique-37'"
+        assert batch_query(
+            db, "SELECT id FROM t WHERE s = 'unique-37'"
         ).rows == [(37,)]
 
     def test_low_ndv_text_stays_dictionary(self):
-        db = Database(executor="vectorized")
+        db = Database()
         db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, s TEXT)")
         db.insert_rows("t", [(i, "ab"[i % 2]) for i in range(400)])
         codec = db.catalog.table("t").column_store().columns[1]
@@ -232,10 +242,11 @@ class TestKernelsAgainstReference:
 
 
 def _pair_dbs(rows):
-    """One row-executor and one vectorized Database over identical data."""
+    """Two Databases over identical data: the first answers on the row
+    executor, the second through :func:`batch_query`."""
     dbs = []
-    for executor in ("row", "vectorized"):
-        db = Database(executor=executor)
+    for _ in range(2):
+        db = Database()
         db.execute(
             "CREATE TABLE m (id INTEGER PRIMARY KEY, g TEXT, x DOUBLE)"
         )
@@ -271,7 +282,7 @@ class TestSqlLevelProperties:
             "ORDER BY a.id, b.id",
         ]
         for sql in probes:
-            assert row_db.execute(sql).rows == vec_db.execute(sql).rows, sql
+            assert row_db.execute(sql).rows == batch_query(vec_db, sql).rows, sql
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -294,7 +305,7 @@ class TestSqlLevelProperties:
         for ordering in (xs, shuffled):
             rows = [(i, "g", x) for i, x in enumerate(ordering)]
             _, vec_db = _pair_dbs(rows)
-            total = vec_db.execute("SELECT SUM(x) FROM m").rows[0][0]
+            total = batch_query(vec_db, "SELECT SUM(x) FROM m").rows[0][0]
             assert total == expected
 
     def test_empty_batch(self):
@@ -306,7 +317,7 @@ class TestSqlLevelProperties:
             "SELECT a.id FROM m a, m b WHERE a.id = b.id",
         ]
         for sql in probes:
-            assert row_db.execute(sql).rows == vec_db.execute(sql).rows, sql
+            assert row_db.execute(sql).rows == batch_query(vec_db, sql).rows, sql
 
     def test_single_row_batch(self):
         row_db, vec_db = _pair_dbs([(0, "g1", 1.5)])
@@ -317,7 +328,7 @@ class TestSqlLevelProperties:
             "SELECT a.id, b.id FROM m a, m b WHERE a.g = b.g",
         ]
         for sql in probes:
-            assert row_db.execute(sql).rows == vec_db.execute(sql).rows, sql
+            assert row_db.execute(sql).rows == batch_query(vec_db, sql).rows, sql
 
     def test_is_not_null_guard_elision_parity(self):
         """obdalint's IS NOT NULL elision rests on filters never matching
@@ -330,6 +341,6 @@ class TestSqlLevelProperties:
             "SELECT id FROM m WHERE x IS NOT NULL AND x > 1",
             "SELECT id FROM m WHERE x > 1",
         ):
-            assert row_db.execute(sql).rows == vec_db.execute(sql).rows == [
+            assert row_db.execute(sql).rows == batch_query(vec_db, sql).rows == [
                 (1,)
             ], sql

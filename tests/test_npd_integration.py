@@ -10,6 +10,7 @@ import pytest
 
 from repro.mixer import Mixer, OBDASystemAdapter
 from repro.obda import OBDAEngine, RewritingTripleStore, materialize
+from repro.obda.rewriter import TreeWitnessRewriter
 from repro.sql import mysql_profile
 from repro.vig import VIG
 
@@ -99,6 +100,49 @@ class TestAgainstTripleStore:
         obda_rows = sorted(set(npd_engine.execute(query).to_python_rows()))
         store_rows = sorted(set(store.execute(query).result.to_python_rows()))
         assert obda_rows == store_rows
+
+
+class TestMultiBgpRewritingMetrics:
+    """q5 has three BGPs (the main pattern and two OPTIONALs): its
+    rewriting metrics are totals over all three, not the last one's."""
+
+    @pytest.fixture()
+    def rewrites(self, monkeypatch):
+        calls = []
+        rewrite = TreeWitnessRewriter.rewrite
+
+        def spy(rewriter, cq):
+            result = rewrite(rewriter, cq)
+            calls.append(result)
+            return result
+
+        monkeypatch.setattr(TreeWitnessRewriter, "rewrite", spy)
+        return calls
+
+    def test_engine_totals_every_bgp(self, npd_benchmark, rewrites):
+        engine = OBDAEngine(
+            npd_benchmark.database, npd_benchmark.ontology, npd_benchmark.mappings
+        )
+        result = engine.execute(npd_benchmark.queries["q5"].sparql)
+        assert len(rewrites) == 3
+        # the witness is in the first OPTIONAL, not in the last BGP
+        assert [r.tree_witnesses for r in rewrites] == [0, 1, 0]
+        assert result.metrics.tree_witnesses == 1
+        assert result.metrics.ucq_size == sum(r.ucq_size for r in rewrites)
+        assert result.timings.rewriting == sum(r.elapsed_seconds for r in rewrites)
+        lines = engine.explain(npd_benchmark.queries["q5"].sparql)
+        assert lines[1] == "rewriting: ucq_size=3 tree_witnesses=1 truncated=False"
+
+    def test_store_totals_every_bgp(self, npd_benchmark, rewrites):
+        store = RewritingTripleStore(npd_benchmark.ontology)
+        store.load_graph(
+            materialize(npd_benchmark.database, npd_benchmark.mappings).graph
+        )
+        answer = store.execute(npd_benchmark.queries["q5"].sparql)
+        assert len(rewrites) == 3
+        assert answer.rewriting.ucq_size == sum(r.ucq_size for r in rewrites)
+        assert answer.tree_witness_count == sum(r.tree_witnesses for r in rewrites)
+        assert answer.rewriting_seconds == sum(r.elapsed_seconds for r in rewrites)
 
 
 class TestProfilesOnNpd:

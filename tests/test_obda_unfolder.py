@@ -3,7 +3,7 @@ expression translation and variable metadata."""
 
 import pytest
 
-from repro.obda import OBDAEngine, UnfoldingError, VarMeta, translate_expression
+from repro.obda import UnfoldingError, VarMeta, translate_expression
 from repro.obda.unfolder import var_column
 from repro.rdf import IRI, Literal, XSD_INTEGER
 from repro.sparql import BinaryExpr, CallExpr, TermExpr, Var, VarExpr
@@ -106,21 +106,6 @@ class TestUnfoldOutput:
         )
         assert unfolded.statement is None
         assert unfolded.pruned_combinations > 0
-
-    def test_distinct_unions_flag(
-        self, example_db, example_ontology, example_mappings
-    ):
-        dedup = OBDAEngine(example_db, example_ontology, example_mappings)
-        keep = OBDAEngine(
-            example_db,
-            example_ontology,
-            example_mappings,
-            distinct_unions=False,
-        )
-        q = PRE + "SELECT ?b WHERE { ?b a :Branch }"
-        # branch B1 comes from both tassignment (2 tasks) and temployee (2
-        # rows); dedup collapses them
-        assert len(keep.execute(q)) >= len(dedup.execute(q))
 
     def test_self_join_elimination_counts(self, example_engine):
         q = (

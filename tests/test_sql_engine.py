@@ -204,16 +204,6 @@ class TestCloning:
         clone.execute("INSERT INTO t VALUES (3)")
         assert db.query("SELECT COUNT(*) FROM t").rows == [(2,)]  # independent
 
-    @pytest.mark.parametrize("method", ["clone_schema", "clone_with_data"])
-    def test_clone_keeps_executor(self, method):
-        db = Database(executor="vectorized")
-        db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY)")
-        db.execute("INSERT INTO t VALUES (1), (2)")
-        clone = getattr(db, method)()
-        assert clone.executor_name == "vectorized"
-        clone.query("SELECT id FROM t")
-        assert clone.stats.batch_blocks == 1  # ran on the batch path
-
     def test_table_sizes(self, db):
         db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY)")
         db.execute("INSERT INTO t VALUES (1)")

@@ -4,8 +4,8 @@ The vectorized batch path ships gated by this suite: the row-at-a-time
 executor is the correctness oracle, and every catalogue query (at two
 scales), a pool of seeded fuzzed CQs, and DML-then-query sequences must
 produce identical answer *bags* across the two executors before the
-batch path counts as usable.  Executor selection (constructor, per-call
-override, EXPLAIN) and the fallback accounting are covered here too.
+batch path counts as usable.  Executor selection (per-call override,
+EXPLAIN) and the fallback accounting are covered here too.
 """
 
 from __future__ import annotations
@@ -181,9 +181,18 @@ class TestFuzzedParity:
 # ---------------------------------------------------------------------------
 
 
+def batch_query(db: Database, sql: str):
+    """Run a SELECT on the vectorized executor and check it took the
+    batch path."""
+    before = db.stats.batch_blocks
+    result = db.execute_plan(db.compile(sql), executor="vectorized")
+    assert db.stats.batch_blocks > before
+    return result
+
+
 @pytest.fixture()
 def vec_db() -> Database:
-    db = Database(executor="vectorized")
+    db = Database()
     db.execute(
         "CREATE TABLE wells "
         "(id INTEGER PRIMARY KEY, name TEXT, depth REAL, active INTEGER)"
@@ -199,24 +208,24 @@ class TestDMLVisibility:
     QUERY = "SELECT id, name FROM wells WHERE depth > 120 ORDER BY id"
 
     def test_insert_visible(self, vec_db):
-        before = vec_db.execute(self.QUERY).rows
+        before = batch_query(vec_db, self.QUERY).rows
         vec_db.execute(
             "INSERT INTO wells (id, name, depth, active) "
             "VALUES (99, 'fresh', 500.0, 1)"
         )
-        after = vec_db.execute(self.QUERY).rows
+        after = batch_query(vec_db, self.QUERY).rows
         assert (99, "fresh") in after
         assert len(after) == len(before) + 1
 
     def test_delete_visible(self, vec_db):
         vec_db.execute("DELETE FROM wells WHERE id >= 40")
-        rows = vec_db.execute("SELECT id FROM wells ORDER BY id").rows
+        rows = batch_query(vec_db, "SELECT id FROM wells ORDER BY id").rows
         assert [r[0] for r in rows] == list(range(40))
 
     def test_update_visible(self, vec_db):
         vec_db.execute("UPDATE wells SET depth = 999.0 WHERE id = 3")
-        rows = vec_db.execute(
-            "SELECT id FROM wells WHERE depth = 999.0"
+        rows = batch_query(
+            vec_db, "SELECT id FROM wells WHERE depth = 999.0"
         ).rows
         assert rows == [(3,)]
 
@@ -234,7 +243,7 @@ class TestDMLVisibility:
         )
         for statement in script:
             vec_db.execute(statement)
-            vec_rows = vec_db.execute(probe).rows
+            vec_rows = batch_query(vec_db, probe).rows
             plan = vec_db.compile(probe)
             row_rows = vec_db.execute_plan(plan, executor="row").rows
             assert vec_rows == row_rows
@@ -242,12 +251,12 @@ class TestDMLVisibility:
     def test_index_backed_lookup_sees_dml(self, vec_db):
         # PK equality goes through the hash index inside the batch path;
         # a stale index would resurrect the deleted row
-        assert vec_db.execute(
-            "SELECT name FROM wells WHERE id = 7"
+        assert batch_query(
+            vec_db, "SELECT name FROM wells WHERE id = 7"
         ).rows == [("w7",)]
         vec_db.execute("DELETE FROM wells WHERE id = 7")
-        assert vec_db.execute(
-            "SELECT name FROM wells WHERE id = 7"
+        assert batch_query(
+            vec_db, "SELECT name FROM wells WHERE id = 7"
         ).rows == []
 
 
@@ -257,10 +266,6 @@ class TestDMLVisibility:
 
 
 class TestExecutorSelection:
-    def test_unknown_executor_rejected(self):
-        with pytest.raises(ExecutionError):
-            Database(executor="columnar")
-
     def test_per_call_override(self, vec_db):
         plan = vec_db.compile("SELECT COUNT(*) FROM wells")
         stats = vec_db.stats
@@ -290,13 +295,10 @@ class TestExecutorSelection:
         vec_db.insert_rows("ops", [(i, "co") for i in range(0, 50, 5)])
         stats = vec_db.stats
         before = stats.batch_fallbacks
-        result = vec_db.execute(
-            "SELECT w.id, o.op FROM wells w "
-            "LEFT JOIN ops o ON w.id = o.well_id WHERE w.id < 12 ORDER BY w.id"
-        )
-        assert stats.batch_fallbacks > before
         plan = vec_db.compile(
             "SELECT w.id, o.op FROM wells w "
             "LEFT JOIN ops o ON w.id = o.well_id WHERE w.id < 12 ORDER BY w.id"
         )
+        result = vec_db.execute_plan(plan, executor="vectorized")
+        assert stats.batch_fallbacks > before
         assert result.rows == vec_db.execute_plan(plan, executor="row").rows
