@@ -31,7 +31,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -51,6 +51,7 @@ from ..sparql.algebra import (
 )
 from ..sql import ast as sql
 from ..sql.catalog import Catalog
+from ..sql.plan import statement_has_aggregates
 from .cq import (
     Atom,
     ClassAtom,
@@ -1212,6 +1213,9 @@ class Unfolder:
             var: sql.ColumnRef(var_column(var), alias) for var in fragment.var_meta
         }
         predicate = self._translate_expression(condition, var_exprs)
+        pushed = _push_filter(fragment.statement, predicate)
+        if pushed is not None:
+            return Fragment(pushed, dict(fragment.var_meta))
         items = [
             sql.SelectItem(sql.ColumnRef(var_column(var), alias), var_column(var))
             for var in fragment.var_meta
@@ -1362,6 +1366,68 @@ def _chain_union(
                 union=sql.UnionTail(result, all=not dedup),
             )
     assert result is not None
+    return result
+
+
+def _push_filter(
+    statement: sql.SelectStatement, predicate: sql.Expr
+) -> Optional[sql.SelectStatement]:
+    """AND *predicate* into the WHERE of every block of a UNION chain.
+
+    *predicate* reads the chain's output columns (``fq.v_x``); in each
+    block they are replaced with the block's select expression for
+    ``v_x``.  A filter commutes with UNION [ALL] and DISTINCT, and a
+    block's WHERE sees its joined rows (above any LEFT JOIN), so the
+    chain answers as the ``fq`` wrapper would, but the executors can
+    apply the conjunct to one relation before it is joined.  None --
+    keep the wrapper -- when a block groups, aggregates, orders or
+    limits (the filter must see their output) or the predicate holds a
+    subquery.
+    """
+    if any(
+        isinstance(node, (sql.InSubquery, sql.ExistsSubquery))
+        for node in sql.walk_expr(predicate)
+    ):
+        return None
+    refs = sql.expr_columns(predicate)
+    blocks: List[Tuple[sql.SelectStatement, sql.Expr, Optional[bool]]] = []
+    node: Optional[sql.SelectStatement] = statement
+    while node is not None:
+        if (
+            node.group_by
+            or node.having is not None
+            or node.order_by
+            or node.limit is not None
+            or node.offset is not None
+            or statement_has_aggregates(node)
+        ):
+            return None
+        outputs = {item.output_name: item.expr for item in node.items}
+        mapping: Dict[sql.Expr, sql.Expr] = {}
+        for ref in refs:
+            expression = outputs.get(ref.name)
+            if expression is None:
+                return None
+            mapping[ref] = expression
+        conjuncts = sql.split_conjuncts(node.where) + sql.split_conjuncts(
+            sql.replace_expr(predicate, mapping)
+        )
+        tail = node.union
+        blocks.append(
+            (
+                node,
+                sql.conjunction(list(dict.fromkeys(conjuncts))),
+                tail.all if tail is not None else None,
+            )
+        )
+        node = tail.query if tail is not None else None
+    result: Optional[sql.SelectStatement] = None
+    for block, where, union_all in reversed(blocks):
+        result = replace(
+            block,
+            where=where,
+            union=None if result is None else sql.UnionTail(result, union_all),
+        )
     return result
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .types import SqlType, format_value
 
@@ -255,6 +255,56 @@ def walk_expr(expr: Expr) -> Iterator[Expr]:
 def expr_columns(expr: Expr) -> List[ColumnRef]:
     """All column references appearing in *expr* (depth first)."""
     return [node for node in walk_expr(expr) if isinstance(node, ColumnRef)]
+
+
+def replace_expr(expr: Expr, mapping: Mapping[Expr, Expr]) -> Expr:
+    """Structurally replace subtrees listed in *mapping* (by equality).
+
+    Subquery expressions are not entered: only a listed subquery node
+    itself is replaced.
+    """
+    if expr in mapping:
+        return mapping[expr]
+    if isinstance(expr, UnaryOp):
+        return UnaryOp(expr.op, replace_expr(expr.operand, mapping))
+    if isinstance(expr, BinaryOp):
+        return BinaryOp(
+            expr.op,
+            replace_expr(expr.left, mapping),
+            replace_expr(expr.right, mapping),
+        )
+    if isinstance(expr, IsNull):
+        return IsNull(replace_expr(expr.operand, mapping), expr.negated)
+    if isinstance(expr, InList):
+        return InList(
+            replace_expr(expr.operand, mapping),
+            tuple(replace_expr(item, mapping) for item in expr.items),
+            expr.negated,
+        )
+    if isinstance(expr, Between):
+        return Between(
+            replace_expr(expr.operand, mapping),
+            replace_expr(expr.low, mapping),
+            replace_expr(expr.high, mapping),
+            expr.negated,
+        )
+    if isinstance(expr, FunctionCall):
+        return FunctionCall(
+            expr.name,
+            tuple(replace_expr(arg, mapping) for arg in expr.args),
+            expr.distinct,
+        )
+    if isinstance(expr, Cast):
+        return Cast(replace_expr(expr.operand, mapping), expr.target)
+    if isinstance(expr, CaseWhen):
+        return CaseWhen(
+            tuple(
+                (replace_expr(c, mapping), replace_expr(r, mapping))
+                for c, r in expr.branches
+            ),
+            replace_expr(expr.default, mapping) if expr.default else None,
+        )
+    return expr
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,7 @@ from .ast import (
     TableRef,
     UnaryOp,
     expr_columns,
+    replace_expr,
     split_conjuncts,
     walk_expr,
 )
@@ -75,6 +76,9 @@ class ExecutionStats:
     hash_joins: int = 0
     nested_loop_joins: int = 0
     index_nl_joins: int = 0
+    # rows emitted by join operators (hash, index-NL, NL, LEFT, NATURAL):
+    # host-independent work, equal on both executors for one join order
+    join_rows: int = 0
     union_branches: int = 0
     # stale plans re-planned in place (maintained by the Database facade)
     plan_recompiles: int = 0
@@ -576,9 +580,7 @@ class Executor:
             return True
         if node.kind == "NATURAL":
             # handled structurally too (needs schema knowledge)
-            left_rel = self._plan_tree(node.left)
-            right_rel = self._plan_tree(node.right)
-            relations.append(self._natural_join(left_rel, right_rel))
+            relations.append(self._plan_tree(node))
             return False
         if self._flatten_into(node.left, relations, conjuncts):
             return True
@@ -596,10 +598,13 @@ class Executor:
         left = self._plan_tree(node.left)
         right = self._plan_tree(node.right)
         if node.kind == "NATURAL":
-            return self._natural_join(left, right)
-        if node.kind == "LEFT":
-            return self._left_join(left, right, node.condition)
-        return self._inner_join(left, right, split_conjuncts(node.condition))
+            joined = self._natural_join(left, right)
+        elif node.kind == "LEFT":
+            joined = self._left_join(left, right, node.condition)
+        else:
+            joined = self._inner_join(left, right, split_conjuncts(node.condition))
+        self.stats.join_rows += joined.size
+        return joined
 
     def _scan(self, node: TableRef) -> Relation:
         if isinstance(node, NamedTable):
@@ -880,6 +885,7 @@ class Executor:
             current = self._inner_join(
                 current, candidate, connecting, estimate=estimate
             )
+            self.stats.join_rows += current.size
         # every >=2-owner edge is consumed the round its last owner joins;
         # `edges` can only hold leftovers if a cross join raced one in
         residual.extend(conjunct for conjunct, _ in edges)
@@ -1414,13 +1420,13 @@ class Executor:
                 item.output_name: item.expr for item in items if item.alias
             }
             having = _substitute_aliases(statement.having, alias_map)
-            having = _replace_expr(having, replacement)
+            having = replace_expr(having, replacement)
             compiled_having = synthetic_compiler.compile(having)
             group_rows = [row for row in group_rows if compiled_having(row) is True]
         columns = [item.output_name for item in items]
         projected: List[RowT] = []
         compiled_items = [
-            synthetic_compiler.compile(_replace_expr(item.expr, replacement))
+            synthetic_compiler.compile(replace_expr(item.expr, replacement))
             for item in items
         ]
         for row in group_rows:
@@ -1629,52 +1635,6 @@ def _substitute_aliases(expr: Expr, aliases: Dict[str, Expr]) -> Expr:
                 for c, r in expr.branches
             ),
             _substitute_aliases(expr.default, aliases) if expr.default else None,
-        )
-    return expr
-
-
-def _replace_expr(expr: Expr, mapping: Dict[Expr, ColumnRef]) -> Expr:
-    """Structurally replace subtrees listed in *mapping* (by equality)."""
-    if expr in mapping:
-        return mapping[expr]
-    if isinstance(expr, UnaryOp):
-        return UnaryOp(expr.op, _replace_expr(expr.operand, mapping))
-    if isinstance(expr, BinaryOp):
-        return BinaryOp(
-            expr.op,
-            _replace_expr(expr.left, mapping),
-            _replace_expr(expr.right, mapping),
-        )
-    if isinstance(expr, IsNull):
-        return IsNull(_replace_expr(expr.operand, mapping), expr.negated)
-    if isinstance(expr, InList):
-        return InList(
-            _replace_expr(expr.operand, mapping),
-            tuple(_replace_expr(item, mapping) for item in expr.items),
-            expr.negated,
-        )
-    if isinstance(expr, Between):
-        return Between(
-            _replace_expr(expr.operand, mapping),
-            _replace_expr(expr.low, mapping),
-            _replace_expr(expr.high, mapping),
-            expr.negated,
-        )
-    if isinstance(expr, FunctionCall):
-        return FunctionCall(
-            expr.name,
-            tuple(_replace_expr(arg, mapping) for arg in expr.args),
-            expr.distinct,
-        )
-    if isinstance(expr, Cast):
-        return Cast(_replace_expr(expr.operand, mapping), expr.target)
-    if isinstance(expr, CaseWhen):
-        return CaseWhen(
-            tuple(
-                (_replace_expr(c, mapping), _replace_expr(r, mapping))
-                for c, r in expr.branches
-            ),
-            _replace_expr(expr.default, mapping) if expr.default else None,
         )
     return expr
 

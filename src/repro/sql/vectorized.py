@@ -36,12 +36,14 @@ Design points:
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .ast import (
     BinaryOp,
     ColumnRef,
     Expr,
+    FunctionCall,
     InList,
     IsNull,
     Join,
@@ -564,8 +566,13 @@ class VectorizedExecutor(Executor):
         Only the referenced columns are gathered; the expression is
         compiled against the *reduced* schema of those columns (kept in
         full-schema order, so bare-name disambiguation matches the row
-        path exactly).
+        path exactly).  A template ``CONCAT`` of columns and literals runs
+        as a column kernel instead (:meth:`_batch_concat`).
         """
+        if isinstance(expr, FunctionCall) and expr.name.upper() == "CONCAT":
+            values = self._batch_concat(relation, expr)
+            if values is not None:
+                return values
         schema = relation.schema
         needed: Optional[List[int]] = None
         compiled: Optional[Callable[[RowT], Any]] = None
@@ -594,6 +601,40 @@ class VectorizedExecutor(Executor):
         if len(columns) == 1:
             return [compiled((value,)) for value in columns[0]]
         return [compiled(row) for row in zip(*columns)]
+
+    def _batch_concat(
+        self, relation: BatchRelation, expr: FunctionCall
+    ) -> Optional[list]:
+        """``CONCAT`` of columns and non-NULL literals -- the unfolder's
+        IRI templates -- a column at a time.  Row by row the value equals
+        ``_fn_concat``'s: ``str()`` of each part, NULL when a part is NULL.
+        None for any other shape (compiled path)."""
+        args = expr.args
+        if not any(isinstance(arg, ColumnRef) for arg in args) or not all(
+            isinstance(arg, ColumnRef)
+            or (isinstance(arg, LiteralValue) and arg.value is not None)
+            for arg in args
+        ):
+            return None
+        parts: list = []
+        nullable: List[list] = []
+        for arg in args:
+            if isinstance(arg, LiteralValue):
+                parts.append(repeat(str(arg.value)))
+                continue
+            position = relation.schema.try_resolve(arg)
+            if position is None:
+                return None
+            column = relation.gather_column(position)
+            parts.append(map(str, column))
+            if None in column:
+                nullable.append(column)
+        values = list(map("".join, zip(*parts)))
+        for column in nullable:
+            for index, value in enumerate(column):
+                if value is None:
+                    values[index] = None
+        return values
 
     def _batch_filter(
         self, relation: BatchRelation, conjuncts: Sequence[Expr]

@@ -73,11 +73,12 @@ FUZZ_SEED = 0
 FUZZ_COUNT = 100
 #: SHA-1 over ``"{query}:{sql sha1}:{pruned}:{union blocks}\n"`` in query
 #: order for the catalogue, bulk and fuzzer queries, where ``sql sha1`` is
-#: over the alias-normalised SQL text; captured from the cross-product
-#: unfolder before the enumeration replaced it
+#: over the alias-normalised SQL text; captured once each FILTER was ANDed
+#: into every UCQ block it filters (``_push_filter``); the enumeration and
+#: the cross-product loop emit the same SQL
 SQL_GOLDEN_SHA1 = {
-    "best": "c9e490ad542bd886cdfc609ce7aa1b9cdb714f1d",
-    "default": "7982062f80d4ba67a9a68ce4f6d9ff41ade847bb",
+    "best": "dcb3e1f1bb6e634377ff1e3c75fa8f730626e222",
+    "default": "06ee70a38877beca7e74d2e5428cb83de4dbc577",
 }
 
 
