@@ -1822,46 +1822,55 @@ def cq_homomorphism(general: ConjunctiveQuery, specific: ConjunctiveQuery) -> bo
     if general.answer_vars != specific.answer_vars:
         return False
 
-    atoms = list(general.atoms)
+    return _extend_homomorphism(general, specific, 0, {})
 
-    def extend(index: int, mapping: Dict[sp.Var, CqTerm]) -> bool:
-        if index == len(atoms):
-            return True
-        atom = atoms[index]
-        for candidate in specific.atoms:
-            if type(candidate) is not type(atom):
+
+def _extend_homomorphism(
+    general: ConjunctiveQuery,
+    specific: ConjunctiveQuery,
+    index: int,
+    mapping: Dict[sp.Var, CqTerm],
+) -> bool:
+    """Map ``general.atoms[index:]`` into *specific*, extending *mapping*.
+
+    Module-level rather than a self-recursive closure, which would be a
+    reference cycle left for the collector on every compile.
+    """
+    if index == len(general.atoms):
+        return True
+    atom = general.atoms[index]
+    for candidate in specific.atoms:
+        if type(candidate) is not type(atom):
+            continue
+        if isinstance(atom, ClassAtom):
+            if atom.cls != candidate.cls:  # type: ignore[union-attr]
                 continue
-            if isinstance(atom, ClassAtom):
-                if atom.cls != candidate.cls:  # type: ignore[union-attr]
-                    continue
-            elif isinstance(atom, RoleAtom):
-                if atom.role != candidate.role:  # type: ignore[union-attr]
-                    continue
-            elif isinstance(atom, DataAtom):
-                if atom.prop != candidate.prop:  # type: ignore[union-attr]
-                    continue
-            new_mapping = dict(mapping)
-            success = True
-            for general_term, specific_term in zip(atom.terms(), candidate.terms()):
-                if isinstance(general_term, sp.Var):
-                    if general_term in general.answer_vars:
-                        if general_term != specific_term:
-                            success = False
-                            break
-                    elif general_term in new_mapping:
-                        if new_mapping[general_term] != specific_term:
-                            success = False
-                            break
-                    else:
-                        new_mapping[general_term] = specific_term
-                elif general_term != specific_term:
-                    success = False
-                    break
-            if success and extend(index + 1, new_mapping):
-                return True
-        return False
-
-    return extend(0, {})
+        elif isinstance(atom, RoleAtom):
+            if atom.role != candidate.role:  # type: ignore[union-attr]
+                continue
+        elif isinstance(atom, DataAtom):
+            if atom.prop != candidate.prop:  # type: ignore[union-attr]
+                continue
+        new_mapping = dict(mapping)
+        success = True
+        for general_term, specific_term in zip(atom.terms(), candidate.terms()):
+            if isinstance(general_term, sp.Var):
+                if general_term in general.answer_vars:
+                    if general_term != specific_term:
+                        success = False
+                        break
+                elif general_term in new_mapping:
+                    if new_mapping[general_term] != specific_term:
+                        success = False
+                        break
+                else:
+                    new_mapping[general_term] = specific_term
+            elif general_term != specific_term:
+                success = False
+                break
+        if success and _extend_homomorphism(general, specific, index + 1, new_mapping):
+            return True
+    return False
 
 
 def prune_redundant_cqs(cqs: List[ConjunctiveQuery]) -> List[ConjunctiveQuery]:

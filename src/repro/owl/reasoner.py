@@ -43,27 +43,34 @@ def _transitive_closure_down(
     (T-mapping ids, and from them the unfolded SQL, follow this order).
     """
     closure: Dict[object, Set[object]] = {}
-
-    def descend(node: object, stack: Set[object]) -> Set[object]:
-        if node in closure:
-            return closure[node]
-        result: Set[object] = set()
-        stack.add(node)
-        for child in edges.get(node, ()):
-            result.add(child)
-            if child in stack:
-                continue  # cycle (equivalent concepts)
-            result |= descend(child, stack)
-        stack.discard(node)
-        closure[node] = result
-        return result
-
     for node in list(edges):
-        descend(node, set())
+        _descend(node, edges, closure, set())
     return {
         node: dict.fromkeys(sorted(closure[node], key=repr))
         for node in sorted(closure, key=repr)
     }
+
+
+def _descend(
+    node: object,
+    edges: Dict[object, Set[object]],
+    closure: Dict[object, Set[object]],
+    stack: Set[object],
+) -> Set[object]:
+    # module-level, not a self-recursive closure, so classification
+    # leaves no reference cycle for the collector
+    if node in closure:
+        return closure[node]
+    result: Set[object] = set()
+    stack.add(node)
+    for child in edges.get(node, ()):
+        result.add(child)
+        if child in stack:
+            continue  # cycle (equivalent concepts)
+        result |= _descend(child, edges, closure, stack)
+    stack.discard(node)
+    closure[node] = result
+    return result
 
 
 def _invert_descendants(

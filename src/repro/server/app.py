@@ -10,6 +10,7 @@ arithmetic, admission) unit-testable without opening sockets.
 
 from __future__ import annotations
 
+import gc
 import json
 import time
 from dataclasses import dataclass, field
@@ -253,6 +254,12 @@ class SparqlEndpoint:
             "workers": self.pool.workers,
         }
         payload["engine_caches"] = self.engine.cache_stats()
+        # the collector policy SparqlServer.start() sets: a live server
+        # shows a non-zero frozen count and rarely a collection
+        payload["gc"] = {
+            "frozen": gc.get_freeze_count(),
+            "collections": [stats["collections"] for stats in gc.get_stats()],
+        }
         return Response(200, [("Content-Type", "application/json")], _json_chunks(payload))
 
     def shutdown(self) -> bool:

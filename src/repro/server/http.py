@@ -12,6 +12,7 @@ stdlib client understands and which needs no chunked-encoding state.
 
 from __future__ import annotations
 
+import gc
 import json
 import logging
 import threading
@@ -24,6 +25,15 @@ from ..obda.system import OBDAEngine
 from .app import ProtocolError, Response, ServerConfig, SparqlEndpoint, _error_response
 
 logger = logging.getLogger("repro.server")
+
+# Young-generation collection threshold while serving.  One bulk
+# response keeps about 30 k container objects alive (5 760 rows, each a
+# row tuple plus its terms), so the default of 700 runs hundreds of
+# young collections per response, and their promotions trigger full
+# collections.  The serving path leaves no cyclic garbage
+# (tests/test_server.py::TestCollectorPolicy), so collecting less often
+# frees nothing later than reference counting already does.
+YOUNG_THRESHOLD = 50_000
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -197,23 +207,33 @@ class SparqlServer:
         return self.httpd.server_address[1]
 
     def start(self) -> None:
-        """Serve in a background thread (used by tests and benchmarks)."""
+        """Set the serving collector policy, then serve in a background thread.
+
+        Everything alive now (database, ontology, T-mappings, compiled
+        caches) is loaded state: ``gc.freeze()`` moves it out of the
+        collector's reach, so no later collection walks it.  There is
+        no ``gc.collect()`` first: the loaded heap holds no cyclic
+        garbage, and collecting would only lengthen start-up.
+        """
+        self._saved_threshold = gc.get_threshold()
+        gc.freeze()
+        gc.set_threshold(YOUNG_THRESHOLD, *self._saved_threshold[1:])
         self._serve_thread = threading.Thread(
             target=self.httpd.serve_forever, name="sparql-accept", daemon=True
         )
         self._serve_thread.start()
 
-    def serve_forever(self) -> None:
-        self.httpd.serve_forever()
-
     def stop(self) -> bool:
         """Graceful drain: stop accepting, finish in-flight, then close.
 
-        Returns True when the drain completed without cancelling work.
+        Restores the collector policy :meth:`start` found.  Returns True
+        when the drain completed without cancelling work.
         """
         self.httpd.shutdown()
         clean = self.endpoint.shutdown()
         self.httpd.server_close()
         if self._serve_thread is not None:
             self._serve_thread.join(timeout=5.0)
+            gc.unfreeze()
+            gc.set_threshold(*self._saved_threshold)
         return clean

@@ -120,46 +120,42 @@ def simplify(node: AlgebraNode) -> AlgebraNode:
 def algebra_variables(node: AlgebraNode) -> List[Var]:
     """In-scope variables of an algebra tree, in first-appearance order."""
     seen: dict[Var, None] = {}
-
-    def walk(current: AlgebraNode) -> None:
-        if isinstance(current, AlgBGP):
-            for triple in current.triples:
-                for var in triple.variables():
-                    seen.setdefault(var)
-        elif isinstance(current, (AlgJoin, AlgUnion)):
-            walk(current.left)
-            walk(current.right)
-        elif isinstance(current, AlgLeftJoin):
-            walk(current.left)
-            walk(current.right)
-        elif isinstance(current, AlgFilter):
-            walk(current.child)
-        elif isinstance(current, AlgExtend):
-            walk(current.child)
-            seen.setdefault(current.var)
-
-    walk(node)
+    _collect_variables(node, seen)
     return list(seen)
+
+
+def _collect_variables(current: AlgebraNode, seen: dict[Var, None]) -> None:
+    # module-level, not a self-recursive closure (that would be a
+    # reference cycle left for the collector on every compile)
+    if isinstance(current, AlgBGP):
+        for triple in current.triples:
+            for var in triple.variables():
+                seen.setdefault(var)
+    elif isinstance(current, (AlgJoin, AlgUnion, AlgLeftJoin)):
+        _collect_variables(current.left, seen)
+        _collect_variables(current.right, seen)
+    elif isinstance(current, AlgFilter):
+        _collect_variables(current.child, seen)
+    elif isinstance(current, AlgExtend):
+        _collect_variables(current.child, seen)
+        seen.setdefault(current.var)
 
 
 def collect_bgps(node: AlgebraNode) -> List[AlgBGP]:
     """All BGPs in the tree (used by query-statistics reporting)."""
     bgps: List[AlgBGP] = []
-
-    def walk(current: AlgebraNode) -> None:
-        if isinstance(current, AlgBGP):
-            bgps.append(current)
-        elif isinstance(current, (AlgJoin, AlgUnion)):
-            walk(current.left)
-            walk(current.right)
-        elif isinstance(current, AlgLeftJoin):
-            walk(current.left)
-            walk(current.right)
-        elif isinstance(current, (AlgFilter, AlgExtend)):
-            walk(current.child)
-
-    walk(node)
+    _collect_bgps(node, bgps)
     return bgps
+
+
+def _collect_bgps(current: AlgebraNode, bgps: List[AlgBGP]) -> None:
+    if isinstance(current, AlgBGP):
+        bgps.append(current)
+    elif isinstance(current, (AlgJoin, AlgUnion, AlgLeftJoin)):
+        _collect_bgps(current.left, bgps)
+        _collect_bgps(current.right, bgps)
+    elif isinstance(current, (AlgFilter, AlgExtend)):
+        _collect_bgps(current.child, bgps)
 
 
 def count_optionals(node: AlgebraNode) -> int:

@@ -99,23 +99,25 @@ class AggregateExpr(Expression):
 
 def expression_variables(expr: Expression) -> List[Var]:
     found: List[Var] = []
-
-    def walk(node: Expression) -> None:
-        if isinstance(node, VarExpr):
-            found.append(node.var)
-        elif isinstance(node, UnaryExpr):
-            walk(node.operand)
-        elif isinstance(node, BinaryExpr):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, CallExpr):
-            for arg in node.args:
-                walk(arg)
-        elif isinstance(node, AggregateExpr) and node.argument is not None:
-            walk(node.argument)
-
-    walk(expr)
+    _collect_expression_variables(expr, found)
     return found
+
+
+def _collect_expression_variables(node: Expression, found: List[Var]) -> None:
+    # a module-level function, not a self-recursive closure: a closure
+    # that refers to itself is a reference cycle left for the collector
+    if isinstance(node, VarExpr):
+        found.append(node.var)
+    elif isinstance(node, UnaryExpr):
+        _collect_expression_variables(node.operand, found)
+    elif isinstance(node, BinaryExpr):
+        _collect_expression_variables(node.left, found)
+        _collect_expression_variables(node.right, found)
+    elif isinstance(node, CallExpr):
+        for arg in node.args:
+            _collect_expression_variables(arg, found)
+    elif isinstance(node, AggregateExpr) and node.argument is not None:
+        _collect_expression_variables(node.argument, found)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import re
@@ -28,8 +29,10 @@ from repro.server import (
     WorkerPool,
     parse_json_results,
 )
+from repro.server.http import YOUNG_THRESHOLD
 
 from test_cancellation import FAST_QUERY, SLOW_QUERY
+from test_unfolder_residue import BULK_QUERIES
 
 
 def http_get(url: str, headers: dict = None, timeout: float = 60.0):
@@ -336,6 +339,47 @@ class TestHttpIntegration:
         assert payload["counters"]["requests_total"] > 0
         assert "engine_caches" in payload
         assert "total" in payload["latency"]
+        # the serving collector policy is visible on a live server
+        assert payload["gc"]["frozen"] == gc.get_freeze_count() > 0
+        collections = payload["gc"]["collections"]
+        assert len(collections) == len(gc.get_stats())
+        assert all(isinstance(count, int) and count >= 0 for count in collections)
+
+
+class TestCollectorPolicy:
+    def test_start_freezes_and_stop_restores(self, npd_engine):
+        before = gc.get_threshold()
+        server = SparqlServer(npd_engine, ServerConfig(port=0, workers=1))
+        server.start()
+        try:
+            assert gc.get_freeze_count() > 0
+            assert gc.get_threshold() == (YOUNG_THRESHOLD, *before[1:])
+        finally:
+            server.stop()
+        assert gc.get_freeze_count() == 0
+        assert gc.get_threshold() == before
+
+    def test_serving_leaves_no_cyclic_garbage(self, server, npd_benchmark):
+        """What makes a large young threshold safe: every object a
+        request allocates is freed by reference counting alone."""
+        urls = [
+            query_url(server.address, text, format=fmt)
+            for text in BULK_QUERIES.values()
+            for fmt in ("json", "csv")
+        ] + [
+            query_url(server.address, npd_benchmark.queries[query_id].sparql)
+            for query_id in ("q1", "q6", "q11")
+        ]
+        for url in urls:  # compile and fill the caches first
+            assert http_get(url)[0] == 200
+        gc.collect()
+        gc.disable()
+        try:
+            for url in urls:
+                assert http_get(url)[0] == 200
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestOverloadAndDrain:

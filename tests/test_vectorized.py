@@ -11,6 +11,7 @@ EXPLAIN) and the fallback accounting are covered here too.
 from __future__ import annotations
 
 import gc
+import re
 from collections import Counter
 
 import pytest
@@ -157,6 +158,36 @@ class TestNoReferenceCycles:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+    @pytest.mark.parametrize("index", [0, 1], ids=["row", "vectorized"])
+    def test_compiling_leaves_no_cyclic_garbage(self, bench_small, engines_small, index):
+        """Parsing, rewriting, unfolding and planning a never-seen query
+        text leaves nothing for the collector either."""
+        engine = engines_small[index]
+        filtered = [
+            query.sparql
+            for _, query in sorted(bench_small.queries.items())
+            if "FILTER" in query.sparql
+        ]
+        for text in filtered:  # fill the caches the fresh texts share
+            engine.execute(text)
+        gc.collect()
+        gc.disable()
+        try:
+            for text in filtered:
+                engine.execute(_FILTER.sub(_nudge_integers, text))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
+_FILTER = re.compile(r"FILTER\([^\n]*\)")
+_INTEGER = re.compile(r"(?<![\w-])\d+(?![\w-])")
+
+
+def _nudge_integers(found: re.Match) -> str:
+    """A FILTER with every integer constant plus one: a text no cache has seen."""
+    return _INTEGER.sub(lambda number: str(int(number.group()) + 1), found.group())
 
 
 # ---------------------------------------------------------------------------
