@@ -48,7 +48,7 @@ def analyze(
 ) -> AnalysisReport:
     """Run obdalint end to end and return the report (with FactBase)."""
     started = time.perf_counter()
-    reasoner = QLReasoner(ontology)
+    reasoner = QLReasoner.of(ontology)
     factbase = build_factbase(
         database=database,
         ontology=ontology,

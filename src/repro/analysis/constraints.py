@@ -38,8 +38,20 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from functools import partial
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
+from ..obda.mapping import IriTermMap, LiteralTermMap, Template
 from ..owl.model import (
     ClassConcept,
     DataPropertyRef,
@@ -49,6 +61,7 @@ from ..owl.model import (
     SomeValues,
 )
 from ..owl.reasoner import QLReasoner
+from ..rdf.terms import IRI
 from ..sql.errors import SqlError
 from .model import Finding, Severity
 
@@ -431,64 +444,163 @@ def infer_vfd_candidates(database, mappings) -> List[VfdConstraint]:
 # ---------------------------------------------------------------------------
 
 
+#: argument types whose equality already implies an equal rendering
+_RAW_ARGUMENT_TYPES = frozenset({int, str, type(None)})
+
+
+class _Extension:
+    """One extension as term keys, rendered to terms only on demand."""
+
+    __slots__ = ("keys", "_render", "_terms")
+
+    def __init__(self, keys: Set[object], render: Callable[[object], object]) -> None:
+        self.keys = keys
+        self._render = render
+        self._terms: Optional[Set[object]] = None
+
+    def outside(self, keys: Set[object]) -> Set[object]:
+        """The terms of *keys* that are not in this extension.
+
+        A key in :attr:`keys` renders a term of the extension, so only the
+        keys that miss are rendered, and compared with the rendered
+        extension: a miss may still render a member.
+        """
+        missing = keys - self.keys
+        if not missing:
+            return missing
+        if self._terms is None:
+            self._terms = set(map(self._render, self.keys))
+        return set(map(self._render, missing)) - self._terms
+
+
 class _ExtensionCache:
-    """Lazily-computed extensions of mapped entities (raw mappings)."""
+    """Extensions of mapped entities (raw mappings), as term keys.
+
+    Each distinct mapping source runs once.  A term key stands for the term
+    a term map builds, without building it: an IRI template's key is
+    ``(fragments, arguments)``, a literal or constant map's key is its
+    term.  Arguments stay ints and strings and anything else becomes its
+    ``str``, which is all :meth:`Template.render` reads of it, so equal
+    keys always render equal terms.  Unequal keys may render one term too
+    (``1`` vs ``"1"``, two templates with different fragments, adjacent
+    placeholders), which :meth:`_Extension.outside` settles by rendering.
+    """
 
     def __init__(self, database, mappings) -> None:
         self._database = database
         self._mappings = mappings
-        self._subjects: Dict[str, Set[object]] = {}
-        self._pairs: Dict[str, Set[Tuple[object, object]]] = {}
+        #: source key -> (row count, column name -> values)
+        self._sources: Dict[str, Tuple[int, Dict[str, Sequence[object]]]] = {}
+        self._templates: Dict[Tuple[str, ...], Template] = {}
+        self._extensions: Dict[Tuple[str, str], _Extension] = {}
 
-    def subjects(self, entity: str) -> Set[object]:
-        cached = self._subjects.get(entity)
-        if cached is None:
-            cached = {
-                subject
-                for subject, _, _ in self._entity_triples(entity)
-            }
-            self._subjects[entity] = cached
-        return cached
+    def subjects(self, entity: str) -> _Extension:
+        return self._extension(entity, "subjects")
 
-    def pairs(self, entity: str) -> Set[Tuple[object, object]]:
-        cached = self._pairs.get(entity)
-        if cached is None:
-            cached = {
-                (subject, obj)
-                for subject, _, obj in self._entity_triples(entity)
-            }
-            self._pairs[entity] = cached
-        return cached
+    def objects(self, entity: str) -> _Extension:
+        return self._extension(entity, "objects")
 
-    def objects(self, entity: str) -> Set[object]:
-        return {obj for _, obj in self.pairs(entity)}
-
-    def role_subjects(self, entity: str) -> Set[object]:
-        return {subject for subject, _ in self.pairs(entity)}
+    def pairs(self, entity: str) -> _Extension:
+        return self._extension(entity, "pairs")
 
     def generator_instances(self, generator) -> Set[object]:
-        """Individuals a basic concept contributes to a class extension."""
+        """Keys of the individuals a basic concept contributes to a class."""
         if isinstance(generator, ClassConcept):
-            return self.subjects(generator.iri)
+            return self.subjects(generator.iri).keys
         if isinstance(generator, SomeValues):
             if generator.role.inverse:
-                return self.objects(generator.role.iri)
-            return self.role_subjects(generator.role.iri)
+                return self.objects(generator.role.iri).keys
+            return self.subjects(generator.role.iri).keys
         if isinstance(generator, DataSomeValues):
-            return self.role_subjects(generator.prop.iri)
+            return self.subjects(generator.prop.iri).keys
         return set()
 
-    def role_pairs(self, role: Role) -> Set[Tuple[object, object]]:
-        pairs = self.pairs(role.iri)
+    def role_pairs(self, role: Role) -> Set[object]:
+        pairs = self.pairs(role.iri).keys
         if role.inverse:
             return {(obj, subject) for subject, obj in pairs}
         return pairs
 
-    def _entity_triples(self, entity: str):
-        from ..obda.materializer import triples_of_assertion
-
+    def _extension(self, entity: str, side: str) -> _Extension:
+        extension = self._extensions.get((entity, side))
+        if extension is not None:
+            return extension
+        keys: Set[object] = set()
         for assertion in self._mappings.for_entity(entity):
-            yield from triples_of_assertion(self._database, assertion)
+            count, columns = self._columns(assertion)
+            # a row yields a triple only when both of its terms are
+            # non-NULL; a side that is not kept is read for NULLs only
+            subjects = self._keys(assertion.subject, count, columns, side != "objects")
+            objects = self._keys(assertion.object, count, columns, side != "subjects")
+            rows = zip(subjects, objects)
+            if side == "subjects":
+                keys.update(s for s, o in rows if s is not None and o is not None)
+            elif side == "objects":
+                keys.update(o for s, o in rows if s is not None and o is not None)
+            else:
+                keys.update(p for p in rows if p[0] is not None and p[1] is not None)
+        # a render function that holds the templates only, not the cache:
+        # the cache must not sit in a reference cycle, or it outlives the
+        # load until a full collection (and stays for good once the server
+        # freezes the loaded heap)
+        render = partial(_render_pair if side == "pairs" else _render, self._templates)
+        extension = self._extensions[(entity, side)] = _Extension(keys, render)
+        return extension
+
+    def _columns(self, assertion) -> Tuple[int, Dict[str, Sequence[object]]]:
+        source = assertion.source
+        cached = self._sources.get(source.key)
+        if cached is None:
+            result = self._database.execute(assertion.parsed_source())
+            values = list(zip(*result.rows)) or [()] * len(result.columns)
+            cached = (len(result.rows), dict(zip(result.columns, values)))
+            self._sources[source.key] = cached
+        return cached
+
+    def _keys(self, term_map, count: int, columns, terms: bool) -> Sequence[object]:
+        """Per-row term keys of *term_map*, None where the term is NULL.
+
+        With *terms* off, a literal map yields its raw values: enough to
+        tell the NULL rows, without building a literal.
+        """
+        if isinstance(term_map, IriTermMap):
+            template = term_map.template
+            fragments = template.fragments
+            self._templates.setdefault(fragments, template)
+            arguments = [_arguments(columns[name]) for name in template.columns]
+            if not arguments:
+                return [(fragments, ())] * count
+            if len(arguments) == 1:
+                return [None if v is None else (fragments, (v,)) for v in arguments[0]]
+            return [
+                None if None in args else (fragments, args) for args in zip(*arguments)
+            ]
+        if isinstance(term_map, LiteralTermMap):
+            values = columns[term_map.columns[0]]
+            if not terms:
+                return values
+            make = term_map.make_term
+            return [make((value,)) for value in values]
+        return [term_map.make_term(())] * count
+
+
+def _render(templates: Dict[Tuple[str, ...], Template], key: object) -> object:
+    if type(key) is tuple:  # (fragments, arguments) of an IRI template
+        fragments, arguments = key
+        return IRI(templates[fragments].render(arguments))
+    return key  # a literal or constant term
+
+
+def _render_pair(templates: Dict[Tuple[str, ...], Template], pair: object) -> object:
+    subject, obj = pair  # type: ignore[misc]
+    return _render(templates, subject), _render(templates, obj)
+
+
+def _arguments(values: Sequence[object]) -> Sequence[object]:
+    """Template arguments whose equality implies an equal rendering."""
+    if set(map(type, values)) <= _RAW_ARGUMENT_TYPES:
+        return values
+    return [v if v is None or type(v) is int else str(v) for v in values]
 
 
 def verify_exact(
@@ -501,7 +613,7 @@ def verify_exact(
     if constraint.kind == "class":
         own = cache.subjects(constraint.entity)
         for generator in candidate.proper_generators:
-            extra = cache.generator_instances(generator) - own
+            extra = own.outside(cache.generator_instances(generator))
             if extra:
                 sample = sorted(str(term) for term in extra)[0]
                 return f"{generator} contributes {sample} not in own extension"
@@ -509,9 +621,9 @@ def verify_exact(
     own_pairs = cache.pairs(constraint.entity)
     for generator in candidate.proper_generators:
         if isinstance(generator, Role):
-            extra_pairs = cache.role_pairs(generator) - own_pairs
+            extra_pairs = own_pairs.outside(cache.role_pairs(generator))
         else:  # DataPropertyRef
-            extra_pairs = cache.pairs(generator.iri) - own_pairs
+            extra_pairs = own_pairs.outside(cache.pairs(generator.iri).keys)
         if extra_pairs:
             subject, obj = sorted(
                 extra_pairs, key=lambda pair: (str(pair[0]), str(pair[1]))
@@ -651,7 +763,7 @@ def build_constraints(
     vfd_out: List[VfdConstraint] = []
 
     have_assets = ontology is not None and mappings is not None
-    reasoner = reasoner or (QLReasoner(ontology) if ontology is not None else None)
+    reasoner = reasoner or (QLReasoner.of(ontology) if ontology is not None else None)
     cache = (
         _ExtensionCache(database, mappings)
         if database is not None and mappings is not None

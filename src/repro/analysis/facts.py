@@ -344,7 +344,7 @@ def build_factbase(
     exacts: List[ExactMappingFact] = []
     if ontology is not None and mappings is not None:
         empties, exacts = _empty_entity_facts(
-            ontology, mappings, reasoner or QLReasoner(ontology)
+            ontology, mappings, reasoner or QLReasoner.of(ontology)
         )
     factbase = FactBase(not_null, unique, fks, empties, exacts)
     if database is not None:

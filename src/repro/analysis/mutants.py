@@ -21,7 +21,12 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple
 
 from ..npd.ontology import build_npd_ontology
-from ..obda.mapping import LiteralTermMap, MappingCollection
+from ..obda.mapping import (
+    IriTermMap,
+    LiteralTermMap,
+    MappingCollection,
+    Template,
+)
 from ..owl.model import ClassConcept, DataSomeValues, Ontology, SomeValues, SubClassOf
 from ..owl.reasoner import QLReasoner
 from ..rdf.terms import XSD_DATE, XSD_DECIMAL, XSD_DOUBLE, XSD_INTEGER
@@ -189,7 +194,7 @@ def _orphan_class(
     rng: random.Random,
 ) -> Assets:
     target = rng.choice(_ORPHAN_TARGETS)
-    reasoner = QLReasoner(ontology)
+    reasoner = QLReasoner.of(ontology)
     doomed_classes = set()
     doomed_predicates = set()
     for concept in reasoner.subconcepts_of(ClassConcept(target)):
@@ -245,6 +250,46 @@ def _identity(
 ) -> Assets:
     """The defect lives in the declarations, not the assets."""
     return database, ontology, mappings
+
+
+#: a class whose own mappings are exact on the pristine seed at every
+#: scale the mutants run at, with several mapped subclasses
+_EXACT_TEMPLATE_TARGET = NPDV + "Discovery"
+
+
+def _stale_template_subclass(
+    database: Database,
+    ontology: Ontology,
+    mappings: MappingCollection,
+    rng: random.Random,
+) -> Assets:
+    """One subclass mapping mints its IRIs under the old npd-v1 namespace.
+
+    The copy's template has other literal fragments than every mapping of
+    the declared class, so no individual it adds shares a template
+    argument key with the class's own extension; only rendering its IRIs
+    shows them outside that extension.
+    """
+    reasoner = QLReasoner.of(ontology)
+    candidates = [
+        assertion
+        for concept in reasoner.subconcepts_of(
+            ClassConcept(_EXACT_TEMPLATE_TARGET), reflexive=False
+        )
+        if isinstance(concept, ClassConcept)
+        for assertion in mappings.for_entity(concept.iri)
+        if isinstance(assertion.subject, IriTermMap)
+        and database.execute(assertion.parsed_source()).rows
+    ]
+    if not candidates:  # pragma: no cover - NPD maps four Discovery kinds
+        raise RuntimeError(f"no populated subclass mapping of {_EXACT_TEMPLATE_TARGET}")
+    original = rng.choice(candidates)
+    pattern = original.subject.template.pattern
+    stale = IriTermMap(Template(pattern.replace("/npd-v2/", "/npd-v1/", 1)))
+    if stale == original.subject:  # pragma: no cover - NPD IRIs are npd-v2
+        raise RuntimeError(f"{pattern} has no npd-v2 segment to make stale")
+    copy = dataclasses.replace(original, id=f"{original.id}-npd-v1", subject=stale)
+    return database, ontology, MappingCollection([*mappings, copy])
 
 
 def _vfd_dup_row(
@@ -324,6 +369,14 @@ MUTANTS: Dict[str, Mutant] = {
             ("CON_EXACT_VIOLATED",),
             _identity,
             declarations=(f"exact <{NPDV}ProductionLicence>",),
+        ),
+        Mutant(
+            "false-exact-template",
+            "declare Discovery exact although a subclass mapping mints its "
+            "IRIs under another template",
+            ("CON_EXACT_VIOLATED",),
+            _stale_template_subclass,
+            declarations=(f"exact <{_EXACT_TEMPLATE_TARGET}>",),
         ),
         Mutant(
             "vfd-dup-row",

@@ -9,7 +9,7 @@ would immediately contradict the TBox.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import AbstractSet, List, Mapping, Optional, Set, Tuple
 
 from ..owl.model import (
     BasicConcept,
@@ -25,25 +25,13 @@ from .facts import FactBase
 from .model import Finding, Severity
 
 
-def _disjointness_adjacency(
-    pairs: Set[FrozenSet[BasicConcept]],
-) -> Dict[BasicConcept, Set[BasicConcept]]:
-    """Concept -> concepts it is disjoint with (self for disj(A, A))."""
-    adjacency: Dict[BasicConcept, Set[BasicConcept]] = {}
-    for pair in pairs:
-        members = tuple(pair)
-        first, second = (members * 2)[:2]
-        adjacency.setdefault(first, set()).add(second)
-        adjacency.setdefault(second, set()).add(first)
-    return adjacency
-
-
 def _find_clash(
     superconcepts: Set[BasicConcept],
-    adjacency: Dict[BasicConcept, Set[BasicConcept]],
+    adjacency: Mapping[BasicConcept, AbstractSet[BasicConcept]],
 ) -> Optional[Tuple[BasicConcept, BasicConcept]]:
-    # scan superconcepts (small) against the adjacency map, never the
-    # full quadratic pair set; deterministic pick for stable messages
+    # scan superconcepts (small) against the reasoner's disjointness
+    # adjacency, never the quadratic pair set; deterministic pick for
+    # stable messages
     for concept in sorted(superconcepts, key=str):
         partners = adjacency.get(concept)
         if not partners:
@@ -71,10 +59,9 @@ def run_ontology_pass(
                 f"{fact.kind}; every query atom over it is empty",
             )
         )
-    pairs = reasoner.disjoint_pairs()
-    if not pairs:
+    adjacency = reasoner.disjointness()
+    if not adjacency:
         return findings
-    adjacency = _disjointness_adjacency(pairs)
     for cls in sorted(ontology.classes):
         clash = _find_clash(
             set(reasoner.superconcepts_of(ClassConcept(cls))), adjacency

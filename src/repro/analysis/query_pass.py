@@ -123,7 +123,7 @@ class QueryAnalyzer:
     ):
         self.ontology = ontology
         self.factbase = factbase
-        self.reasoner = reasoner if reasoner is not None else QLReasoner(ontology)
+        self.reasoner = reasoner if reasoner is not None else QLReasoner.of(ontology)
         self.vocabulary = Vocabulary.from_ontology(ontology)
         # hierarchy expansion off: emptiness facts are already computed
         # over the whole subconcept closure, and the smaller UCQ keeps the

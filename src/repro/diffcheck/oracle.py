@@ -284,7 +284,7 @@ class DifferentialOracle:
         if self._plain is None:
             saturated = Graph()
             saturated.update(iter(self.materialized))
-            saturate_graph(saturated, QLReasoner(self.ontology))
+            saturate_graph(saturated, QLReasoner.of(self.ontology))
             self._plain = SparqlEvaluator(saturated)
         return self._plain
 

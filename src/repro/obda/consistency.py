@@ -176,12 +176,9 @@ class OBDAConsistencyChecker:
         executed = 0
         skipped = 0
         pairs = 0
-        for pair in sorted(
+        for first, second in sorted(
             self.reasoner.disjoint_pairs(), key=lambda p: sorted(str(c) for c in p)
         ):
-            concepts = tuple(pair)
-            first = concepts[0]
-            second = concepts[1] if len(concepts) > 1 else concepts[0]
             pairs += 1
             pair_witnesses, pair_executed, pair_skipped = self.check_pair(
                 first, second

@@ -195,7 +195,7 @@ class OBDAEngine:
         self.constraints = constraints
         #: FACT_STALE findings recorded when DML outran verified artifacts
         self.stale_findings: List[Any] = []
-        self.reasoner = QLReasoner(ontology)
+        self.reasoner = QLReasoner.of(ontology)
         self.tmapping_result: Optional[TMappingResult] = None
         if enable_tmappings:
             # the containment pass is part of the semantic optimizations

@@ -348,7 +348,7 @@ class RewritingTripleStore:
 
     def __init__(self, ontology: Ontology, reasoning: bool = True):
         self.ontology = ontology
-        self.reasoner = QLReasoner(ontology)
+        self.reasoner = QLReasoner.of(ontology)
         self.graph = Graph()
         self.reasoning = reasoning
         self.load_seconds = 0.0

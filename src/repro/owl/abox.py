@@ -105,18 +105,8 @@ def find_inconsistencies(
     Returns (individual, concept, concept) witnesses, at most *limit*.
     """
     violations: List[Tuple[Term, BasicConcept, BasicConcept]] = []
-    checked: Set[frozenset] = set()
-    for pair in reasoner.disjoint_pairs():
-        concepts = tuple(pair)
-        if len(concepts) == 1:
-            # B disjoint with itself: any member is a violation
-            first = second = concepts[0]
-        else:
-            first, second = concepts
-        key = frozenset((first, second))
-        if key in checked:
-            continue
-        checked.add(key)
+    # B disjoint with itself comes as (B, B): any member is a violation
+    for first, second in reasoner.disjoint_pairs():
         shared = concept_extension(graph, reasoner, first) & concept_extension(
             graph, reasoner, second
         )

@@ -20,7 +20,7 @@ Classes here are pure data; all inference lives in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Set, Union
+from typing import Iterator, List, Optional, Set, Tuple, Union
 
 from ..rdf.terms import IRI
 
@@ -169,7 +169,9 @@ class Ontology:
     """A mutable OWL 2 QL ontology (declarations + axioms).
 
     The builder-style ``add_*`` methods return ``self`` so the NPD ontology
-    generator can chain them.
+    generator can chain them.  Every ``declare_*``/``add_*`` call bumps
+    :attr:`revision`, so :meth:`repro.owl.reasoner.QLReasoner.of` can hand
+    every consumer one classification per revision.
     """
 
     def __init__(self, iri: str = "urn:repro:ontology"):
@@ -178,18 +180,27 @@ class Ontology:
         self.object_properties: Set[str] = set()
         self.data_properties: Set[str] = set()
         self.axioms: List[Axiom] = []
+        #: bumped by every declaration and axiom; mutate only through the
+        #: ``declare_*``/``add_*`` methods so classifications never go stale
+        self.revision = 0
+        #: (revision, reasoner) of the latest classification; written and
+        #: read only by :meth:`repro.owl.reasoner.QLReasoner.of`
+        self.classification: Optional[Tuple[int, object]] = None
 
     # -- declarations ------------------------------------------------------
 
     def declare_class(self, iri: str | IRI) -> "Ontology":
+        self.revision += 1
         self.classes.add(_iri_str(iri))
         return self
 
     def declare_object_property(self, iri: str | IRI) -> "Ontology":
+        self.revision += 1
         self.object_properties.add(_iri_str(iri))
         return self
 
     def declare_data_property(self, iri: str | IRI) -> "Ontology":
+        self.revision += 1
         self.data_properties.add(_iri_str(iri))
         return self
 
@@ -198,6 +209,7 @@ class Ontology:
     def add_subclass(
         self, sub: Concept | str | IRI, sup: Concept | str | IRI
     ) -> "Ontology":
+        self.revision += 1
         sub_concept = _as_concept(sub)
         sup_concept = _as_concept(sup)
         if isinstance(sub_concept, QualifiedSome):
@@ -208,6 +220,7 @@ class Ontology:
         return self
 
     def add_subproperty(self, sub: Role | str | IRI, sup: Role | str | IRI) -> "Ontology":
+        self.revision += 1
         sub_role = _as_role(sub)
         sup_role = _as_role(sup)
         self.object_properties.add(sub_role.iri)
@@ -216,6 +229,7 @@ class Ontology:
         return self
 
     def add_data_subproperty(self, sub: str | IRI, sup: str | IRI) -> "Ontology":
+        self.revision += 1
         sub_prop = DataPropertyRef(_iri_str(sub))
         sup_prop = DataPropertyRef(_iri_str(sup))
         self.data_properties.add(sub_prop.iri)
@@ -225,18 +239,21 @@ class Ontology:
 
     def add_domain(self, prop: Role | str | IRI, cls: Concept | str | IRI) -> "Ontology":
         """``domain(R) = C``  desugars to  ``∃R ⊑ C``."""
+        self.revision += 1
         role = _as_role(prop)
         self.object_properties.add(role.iri)
         return self.add_subclass(SomeValues(role), cls)
 
     def add_range(self, prop: Role | str | IRI, cls: Concept | str | IRI) -> "Ontology":
         """``range(R) = C``  desugars to  ``∃R⁻ ⊑ C``."""
+        self.revision += 1
         role = _as_role(prop)
         self.object_properties.add(role.iri)
         return self.add_subclass(SomeValues(role.inv()), cls)
 
     def add_data_domain(self, prop: str | IRI, cls: Concept | str | IRI) -> "Ontology":
         """``domain(U) = C``  desugars to  ``∃U ⊑ C``."""
+        self.revision += 1
         data_prop = DataPropertyRef(_iri_str(prop))
         self.data_properties.add(data_prop.iri)
         return self.add_subclass(DataSomeValues(data_prop), cls)
@@ -248,6 +265,7 @@ class Ontology:
         filler: str | IRI | None = None,
     ) -> "Ontology":
         """``sub ⊑ ∃role.filler`` (or unqualified when *filler* is None)."""
+        self.revision += 1
         role_obj = _as_role(role)
         self.object_properties.add(role_obj.iri)
         if filler is None:
@@ -259,6 +277,7 @@ class Ontology:
     def add_disjoint(
         self, first: Concept | str | IRI, second: Concept | str | IRI
     ) -> "Ontology":
+        self.revision += 1
         first_concept = _as_concept(first)
         second_concept = _as_concept(second)
         if isinstance(first_concept, QualifiedSome) or isinstance(
@@ -273,6 +292,7 @@ class Ontology:
     def add_disjoint_properties(
         self, first: Role | str | IRI, second: Role | str | IRI
     ) -> "Ontology":
+        self.revision += 1
         first_role = _as_role(first)
         second_role = _as_role(second)
         self.object_properties.add(first_role.iri)

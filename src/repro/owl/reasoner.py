@@ -9,17 +9,21 @@ The reasoner precomputes, from an :class:`~repro.owl.model.Ontology`:
   existentials (``∃R.A ⊑ ∃R``),
 * the qualified-existential axioms indexed by their LHS closure (these
   drive tree-witness detection in the rewriter),
-* the disjointness pairs, saturated downwards (if ``B ⊓ B' ⊑ ⊥`` then all
-  subconcepts of ``B`` are disjoint from all subconcepts of ``B'``).
+* the disjointness relation, saturated downwards (if ``B ⊓ B' ⊑ ⊥`` then
+  all subconcepts of ``B`` are disjoint from all subconcepts of ``B'``),
+  held as one adjacency map from each concept to its disjoint partners.
 
 All query-rewriting and T-mapping machinery in :mod:`repro.obda` is built
 on the ``subconcepts_of`` / ``subroles_of`` closures computed here.
+Consumers get their reasoner from :meth:`QLReasoner.of`, which classifies
+an ontology once per revision and hands every later caller the same
+object.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, FrozenSet, List, Set, Tuple
+from typing import AbstractSet, Dict, Iterator, List, Mapping, Set, Tuple
 
 from .model import (
     BasicConcept,
@@ -92,6 +96,23 @@ def _invert_descendants(
 
 class QLReasoner:
     """Precomputed closures for one ontology."""
+
+    @classmethod
+    def of(cls, ontology: Ontology) -> "QLReasoner":
+        """The reasoner for *ontology*'s current revision.
+
+        Classifies at most once per :attr:`Ontology.revision`: the
+        analyzer, the engine and every other consumer of one unchanged
+        ontology share the first classification, and any ``declare_*`` or
+        ``add_*`` call makes the next caller classify afresh.  Reasoners
+        are read-only after construction, so sharing one is safe.
+        """
+        cached = ontology.classification
+        if cached is not None and cached[0] == ontology.revision:
+            return cached[1]  # type: ignore[return-value]
+        reasoner = cls(ontology)
+        ontology.classification = (ontology.revision, reasoner)
+        return reasoner
 
     def __init__(self, ontology: Ontology):
         self.ontology = ontology
@@ -272,15 +293,33 @@ class QLReasoner:
     # ------------------------------------------------------------------
 
     def _saturate_disjointness(self) -> None:
-        pairs: Set[FrozenSet[BasicConcept]] = set()
+        # concept -> every concept disjoint with it; disj(A, A) puts A in
+        # its own partner set, which is how unsatisfiable classes show
+        adjacency: Dict[BasicConcept, Set[BasicConcept]] = {}
         for axiom in self.ontology.disjointness_axioms():
-            for first in self.subconcepts_of(axiom.first):
-                for second in self.subconcepts_of(axiom.second):
-                    pairs.add(frozenset((first, second)))
-        self._disjoint_pairs = pairs
+            firsts = self.subconcepts_of(axiom.first)
+            seconds = self.subconcepts_of(axiom.second)
+            for first in firsts:
+                adjacency.setdefault(first, set()).update(seconds)
+            for second in seconds:
+                adjacency.setdefault(second, set()).update(firsts)
+        self._disjoint = adjacency
 
-    def disjoint_pairs(self) -> Set[FrozenSet[BasicConcept]]:
-        return set(self._disjoint_pairs)
+    def disjointness(self) -> Mapping[BasicConcept, AbstractSet[BasicConcept]]:
+        """Concept -> concepts disjoint with it (itself for disj(A, A)).
+
+        The reasoner's own structure, not a copy: callers must not mutate
+        it.
+        """
+        return self._disjoint
+
+    def disjoint_pairs(self) -> Iterator[Tuple[BasicConcept, BasicConcept]]:
+        """Every unordered disjoint pair once, ``(A, A)`` for disj(A, A)."""
+        position = {concept: index for index, concept in enumerate(self._disjoint)}
+        for first, partners in self._disjoint.items():
+            for second in partners:
+                if position[first] <= position[second]:
+                    yield first, second
 
     def are_disjoint(self, first: BasicConcept, second: BasicConcept) -> bool:
-        return frozenset((first, second)) in self._disjoint_pairs
+        return second in self._disjoint.get(first, ())

@@ -39,7 +39,7 @@ class OntologyStats:
 
 def compute_stats(ontology: Ontology, reasoner: QLReasoner | None = None) -> OntologyStats:
     """Compute the statistics row for one ontology."""
-    reasoner = reasoner or QLReasoner(ontology)
+    reasoner = reasoner or QLReasoner.of(ontology)
     return OntologyStats(
         classes=len(ontology.classes),
         object_properties=len(ontology.object_properties),

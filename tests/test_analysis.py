@@ -13,17 +13,19 @@ import pytest
 
 from repro.analysis import (
     MUTANTS,
+    FactBase,
     Severity,
     analyze,
     apply_mutant,
     build_factbase,
+    run_ontology_pass,
 )
 from repro.mixer import Mixer, OBDASystemAdapter
 from repro.npd import build_benchmark
 from repro.npd.queries import build_query_set
 from repro.npd.seed import SeedProfile
 from repro.obda import OBDAEngine
-from repro.owl import QLReasoner
+from repro.owl import Ontology, QLReasoner
 
 SCALE = 0.1
 SEED = 1
@@ -83,6 +85,22 @@ class TestPristine:
     def test_factbase_attached(self, pristine_report):
         assert pristine_report.factbase is not None
         assert len(pristine_report.factbase) > 0
+
+
+class TestOntologyPass:
+    def test_self_disjoint_class_unsatisfiable(self):
+        ex = "http://ex.org/"
+        ontology = Ontology()
+        ontology.add_subclass(ex + "B", ex + "A").add_disjoint(ex + "A", ex + "A")
+        ontology.declare_class(ex + "C")
+        findings = run_ontology_pass(
+            ontology, QLReasoner.of(ontology), FactBase()
+        )
+        unsatisfiable = {
+            f.subject for f in findings if f.code == "ONT_UNSATISFIABLE"
+        }
+        # A is disjoint with itself, and so is its subclass B
+        assert unsatisfiable == {ex + "A", ex + "B"}
 
 
 class TestMutants:

@@ -158,6 +158,94 @@ class TestDisjointness:
             ClassConcept(EX + "Facility"), ClassConcept(EX + "Core")
         )
 
+    def test_pairs_listed_once_from_the_adjacency(self, reasoner):
+        pairs = list(reasoner.disjoint_pairs())
+        # the saturation as a set of pairs, built the direct way
+        expected = {
+            frozenset((first, second))
+            for first in reasoner.subconcepts_of(ClassConcept(EX + "Wellbore"))
+            for second in reasoner.subconcepts_of(ClassConcept(EX + "Company"))
+        }
+        assert len(pairs) == len(expected) == 9
+        assert {frozenset(pair) for pair in pairs} == expected
+        adjacency = reasoner.disjointness()
+        for first, second in pairs:
+            assert second in adjacency[first] and first in adjacency[second]
+
+    def test_self_disjoint_class(self):
+        o = Ontology().add_subclass(EX + "B", EX + "A").add_disjoint(EX + "A", EX + "A")
+        reasoner = QLReasoner(o)
+        a, b = ClassConcept(EX + "A"), ClassConcept(EX + "B")
+        assert reasoner.disjointness()[a] == {a, b}
+        assert reasoner.are_disjoint(b, b)
+        assert sorted(reasoner.disjoint_pairs(), key=str) == sorted(
+            [(a, a), (a, b), (b, b)], key=str
+        )
+
+
+class TestSharedClassification:
+    """One classification per ontology revision, shared by every consumer."""
+
+    @pytest.fixture()
+    def classifications(self, monkeypatch):
+        calls = []
+        original = QLReasoner.__init__
+
+        def counted(self, ontology):
+            calls.append(ontology)
+            original(self, ontology)
+
+        monkeypatch.setattr(QLReasoner, "__init__", counted)
+        return calls
+
+    def test_analyzer_and_engine_classify_once(
+        self, classifications, example_db, example_ontology, example_mappings
+    ):
+        from repro.analysis import analyze
+        from repro.obda import OBDAEngine
+
+        report = analyze(example_db, example_ontology, example_mappings, perf=False)
+        engine = OBDAEngine(
+            example_db,
+            example_ontology,
+            example_mappings,
+            factbase=report.factbase,
+            constraints=report.constraints.constraints,
+        )
+        assert len(classifications) == 1
+        assert engine.reasoner is QLReasoner.of(example_ontology)
+        assert len(classifications) == 1
+
+    def test_mutation_after_classification_is_seen(self, classifications, ontology):
+        first = QLReasoner.of(ontology)
+        assert not first.is_subconcept(
+            ClassConcept(EX + "Company"), ClassConcept(EX + "Facility")
+        )
+        ontology.add_subclass(EX + "Company", EX + "Facility")
+        second = QLReasoner.of(ontology)
+        assert second is not first
+        assert second.is_subconcept(
+            ClassConcept(EX + "Company"), ClassConcept(EX + "Facility")
+        )
+        ontology.add_disjoint(EX + "Core", EX + "Facility")
+        third = QLReasoner.of(ontology)
+        assert third.are_disjoint(ClassConcept(EX + "Core"), ClassConcept(EX + "Company"))
+        assert QLReasoner.of(ontology) is third
+        assert len(classifications) == 3
+
+    def test_engine_after_mutation_sees_new_axiom(
+        self, example_db, example_ontology, example_mappings
+    ):
+        from repro.obda import OBDAEngine
+
+        before = OBDAEngine(example_db, example_ontology, example_mappings)
+        example_ontology.add_subclass(EX + "Product", EX + "Person")
+        after = OBDAEngine(example_db, example_ontology, example_mappings)
+        assert after.reasoner is not before.reasoner
+        person, product = ClassConcept(EX + "Person"), ClassConcept(EX + "Product")
+        assert after.reasoner.is_subconcept(product, person)
+        assert not before.reasoner.is_subconcept(product, person)
+
 
 class TestAbox:
     def test_saturation(self, reasoner):
