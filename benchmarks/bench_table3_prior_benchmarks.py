@@ -43,8 +43,8 @@ def _query_profile(ontology, reasoner, sparql):
 def _build_rows():
     rows = []
     for name, bench in all_prior_benchmarks().items():
-        reasoner = QLReasoner(bench.ontology)
-        stats = compute_stats(bench.ontology, reasoner)
+        reasoner = QLReasoner.of(bench.ontology)
+        stats = compute_stats(bench.ontology)
         joins = optionals = witnesses = 0
         for query in bench.queries:
             j, o, t = _query_profile(bench.ontology, reasoner, query.sparql)

@@ -20,7 +20,6 @@ from typing import Dict, Optional, Union
 
 from ..obda.mapping import MappingCollection
 from ..owl.model import Ontology
-from ..owl.reasoner import QLReasoner
 from ..sparql.ast import SelectQuery
 from ..sql.engine import Database
 from .constraints import build_constraints
@@ -48,26 +47,23 @@ def analyze(
 ) -> AnalysisReport:
     """Run obdalint end to end and return the report (with FactBase)."""
     started = time.perf_counter()
-    reasoner = QLReasoner.of(ontology)
     factbase = build_factbase(
         database=database,
         ontology=ontology,
         mappings=mappings,
-        reasoner=reasoner,
         verify_data=verify_data,
     )
     report = AnalysisReport(factbase=factbase)
     passes = ["mapping"]
     report.extend(run_mapping_pass(database.catalog, mappings))
     passes.append("ontology")
-    report.extend(run_ontology_pass(ontology, reasoner, factbase))
+    report.extend(run_ontology_pass(ontology, factbase))
     if constraints:
         passes.append("constraints")
         report.constraints = build_constraints(
             database=database,
             ontology=ontology,
             mappings=mappings,
-            reasoner=reasoner,
             declarations=constraint_declarations,
             verify_data=verify_data,
         )
@@ -81,7 +77,6 @@ def analyze(
                 factbase,
                 queries or {},
                 advisory_queries,
-                reasoner=reasoner,
             )
         )
     if perf and queries:

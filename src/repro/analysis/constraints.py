@@ -740,7 +740,6 @@ def build_constraints(
     database=None,
     ontology: Optional[Ontology] = None,
     mappings=None,
-    reasoner: Optional[QLReasoner] = None,
     declarations: Union[str, Sequence[Declaration]] = (),
     verify_data: bool = True,
 ) -> ConstraintReport:
@@ -763,7 +762,7 @@ def build_constraints(
     vfd_out: List[VfdConstraint] = []
 
     have_assets = ontology is not None and mappings is not None
-    reasoner = reasoner or (QLReasoner.of(ontology) if ontology is not None else None)
+    reasoner = QLReasoner.of(ontology) if ontology is not None else None
     cache = (
         _ExtensionCache(database, mappings)
         if database is not None and mappings is not None

@@ -286,7 +286,6 @@ def build_factbase(
     database=None,
     ontology: Optional[Ontology] = None,
     mappings=None,
-    reasoner: Optional[QLReasoner] = None,
     verify_data: bool = True,
 ) -> FactBase:
     """Derive the fact base from the catalog (and optionally the assets).
@@ -344,7 +343,7 @@ def build_factbase(
     exacts: List[ExactMappingFact] = []
     if ontology is not None and mappings is not None:
         empties, exacts = _empty_entity_facts(
-            ontology, mappings, reasoner or QLReasoner.of(ontology)
+            ontology, mappings, QLReasoner.of(ontology)
         )
     factbase = FactBase(not_null, unique, fks, empties, exacts)
     if database is not None:

@@ -44,7 +44,6 @@ def _find_clash(
 
 def run_ontology_pass(
     ontology: Ontology,
-    reasoner: QLReasoner,
     factbase: FactBase,
 ) -> List[Finding]:
     findings: List[Finding] = []
@@ -59,6 +58,7 @@ def run_ontology_pass(
                 f"{fact.kind}; every query atom over it is empty",
             )
         )
+    reasoner = QLReasoner.of(ontology)
     adjacency = reasoner.disjointness()
     if not adjacency:
         return findings

@@ -119,11 +119,10 @@ class QueryAnalyzer:
         ontology: Ontology,
         mappings: MappingCollection,
         factbase: FactBase,
-        reasoner: Optional[QLReasoner] = None,
     ):
         self.ontology = ontology
         self.factbase = factbase
-        self.reasoner = reasoner if reasoner is not None else QLReasoner.of(ontology)
+        self.reasoner = QLReasoner.of(ontology)
         self.vocabulary = Vocabulary.from_ontology(ontology)
         # hierarchy expansion off: emptiness facts are already computed
         # over the whole subconcept closure, and the smaller UCQ keeps the
@@ -253,9 +252,8 @@ def run_query_pass(
     factbase: FactBase,
     queries: Dict[str, Union[str, SelectQuery]],
     advisory_queries: Optional[Dict[str, Union[str, SelectQuery]]] = None,
-    reasoner: Optional[QLReasoner] = None,
 ) -> List[Finding]:
-    analyzer = QueryAnalyzer(ontology, mappings, factbase, reasoner)
+    analyzer = QueryAnalyzer(ontology, mappings, factbase)
     findings: List[Finding] = []
     for name, sparql in queries.items():
         findings.extend(analyzer.check(name, sparql, advisory=False))

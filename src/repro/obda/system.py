@@ -212,8 +212,13 @@ class OBDAEngine:
         # artifacts without one are pinned to the generation seen now
         self._artifact_generation = self._verified_generation()
         self._compiled: "OrderedDict[Hashable, CompiledQuery]" = OrderedDict()
-        # the unfolder keeps per-query mutable state, so compilation is
-        # serialized; executing cached artifacts stays concurrent
+        # compilation is serialized for two reasons: demotion rebuilds the
+        # pipeline and empties the cache, and a compile beside it could
+        # cache an artifact shaped by the demoted facts; and the rewriter
+        # is shared mutable state -- it draws fresh variable names from
+        # one ``_fresh_counter``.  (The unfolder keeps its per-query state
+        # in a per-call object.)  Executing cached artifacts stays
+        # concurrent
         self._compile_lock = threading.Lock()
         # guards the cache dict + hit/miss counters only, so cache hits
         # never wait behind a slow compile holding _compile_lock

@@ -6,21 +6,47 @@ then *unfolded* by picking, for every atom, one mapping assertion whose
 source SQL supplies the atom's triples; every combination of choices that
 can join becomes one select-project-join block of a union.
 
-A combination cannot join when two term maps bound to one variable could
-never produce the same term (IRI templates with different literal
-fragments, an IRI against a literal), or when an atom's constant is one
-its term map cannot produce.  Choices are enumerated atom by atom and a
-choice that cannot join the ones before it is skipped together with every
-combination extending it, so the work follows the blocks emitted, not the
-cartesian product.
+A BGP is lowered in three steps, expand -> passes -> emit:
 
-With ``enable_sqo`` the paper's "semantic query optimisation in the
-SPARQL-to-SQL translation phase" is applied as well:
+* **Expand** lists, per atom, the assertions that may supply it
+  (``_candidate_lists``) and enumerates the combinations that can join
+  (``_viable_combinations``), one ``_Block`` each.  A combination cannot
+  join when two term maps bound to one variable could never produce the
+  same term (IRI templates with different literal fragments, an IRI
+  against a literal), or when an atom's constant is one its term map
+  cannot produce.  Choices are enumerated atom by atom and a choice that
+  cannot join the ones before it is skipped together with every
+  combination extending it, so the work follows the blocks emitted, not
+  the cartesian product.
+* **Passes** rewrite each block in the order of ``Unfolder.passes``, a
+  tuple fixed at construction from what is attached; a pass that returns
+  None drops the block (it cannot join):
 
-* **self-join elimination** -- two atoms reading from the same source with
-  the same subject template share one table alias when the subject columns
-  are a unique key of the source, turning the q1-style "many data
-  properties of one subject" pattern into a single scan.
+  1. ``_merge_scans`` (``enable_sqo``) -- the paper's "semantic query
+     optimisation in the SPARQL-to-SQL translation phase": atoms over one
+     subject variable share a table alias.  Self-join elimination when
+     the subject columns are a unique key of the single-table source
+     (declared PK, or a FactBase uniqueness fact), turning the q1-style
+     "many data properties of one subject" pattern into one scan; with a
+     ConstraintSet, VFD merging, which also shares one scan across
+     different projections of a table.  Without ``enable_sqo``,
+     ``_scan_per_atom`` gives every atom its own alias instead.
+  2. ``_bind_terms`` -- binds every CQ term occurrence to a (term map,
+     alias); a constant becomes a condition.
+  3. ``_eliminate_fk_joins`` (``enable_sqo`` and a FactBase) -- drops a
+     parent class-atom scan that a verified FK into a verified unique key
+     proves to be a no-op semijoin.
+  4. ``_join_equalities`` -- equates the occurrences of each variable; a
+     reflexive ``A.c = A.c`` from a merged scan is left to the guards.
+  5. ``_null_guards`` -- ``IS NOT NULL`` on every term-map column that may
+     be NULL; the declared schema elides guards, and with a FactBase so
+     do verified not-null facts.
+* **Emit** (``_emit``) builds the SELECT block and commits the block's
+  counters and licensing labels to the per-query ``_Unfolding``.
+
+Under ``enable_sqo`` expand also drops CQs subsumed by another CQ of the
+union (``prune_redundant_cqs``) and, with a ConstraintSet and the raw
+mappings, keeps only an exact entity's own disjuncts (``_exact_filter``).
 
 The result carries, per projected variable, the metadata needed to rebuild
 RDF terms from SQL values (Phase 4, result translation).
@@ -31,13 +57,14 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from ..owl.model import Ontology
 from ..rdf.terms import IRI, Literal, Term, XSD_DECIMAL, XSD_INTEGER, XSD_STRING
 from ..sparql import ast as sp
+from ..sparql.ast import expression_variables
 from ..sparql.algebra import (
     AlgBGP,
     AlgExtend,
@@ -46,6 +73,7 @@ from ..sparql.algebra import (
     AlgLeftJoin,
     AlgUnion,
     AlgebraNode,
+    algebra_variables,
     simplify,
     translate,
 )
@@ -160,6 +188,68 @@ class UnfoldResult:
         return self.statement.to_sql() if self.statement is not None else "-- empty --"
 
 
+# ---------------------------------------------------------------------------
+# per-query state, the block IR and the per-assertion profile
+# ---------------------------------------------------------------------------
+
+
+@dataclass(eq=False)
+class _Unfolding:
+    """What one ``unfold_query`` call accumulates: its alias numbering,
+    rewritings, counters and licensing labels.  ``UnfoldResult`` is built
+    from it; the unfolder itself holds no per-query state."""
+
+    #: fresh aliases per query: the emitted SQL text is deterministic for
+    #: a given query, so unfolded sizes and EXPLAIN traces repeat from one
+    #: unfolding of it to the next
+    aliases: Iterator[int] = field(default_factory=itertools.count)
+    #: one rewriting per BGP; the query reports their merge
+    rewritings: List[RewritingResult] = field(default_factory=list)
+    union_blocks: int = 0
+    pruned: int = 0
+    merged: int = 0
+    vfd_merged: int = 0
+    eliminated_joins: int = 0
+    elided_guards: int = 0
+    constraint_pruned: int = 0
+    fired_facts: Dict[str, None] = field(default_factory=dict)
+    fired_constraints: Dict[str, None] = field(default_factory=dict)
+
+    def fire(self, kind: str, label: str) -> None:
+        """Record a licensing label; *kind* is "fact" or "constraint"."""
+        labels = self.fired_constraints if kind == "constraint" else self.fired_facts
+        labels.setdefault(label)
+
+    def result(
+        self,
+        statement: Optional[sql.SelectStatement],
+        columns: List[str],
+        metas: List[Optional[VarMeta]],
+        elapsed: float,
+    ) -> UnfoldResult:
+        rewriting = merge_rewritings(self.rewritings)
+        return UnfoldResult(
+            statement=statement,
+            columns=columns,
+            column_meta=metas,
+            rewriting=rewriting,
+            elapsed_seconds=elapsed,
+            union_blocks=self.union_blocks,
+            pruned_combinations=self.pruned,
+            merged_self_joins=self.merged,
+            rewriting_truncated=rewriting is not None and rewriting.truncated,
+            elided_null_guards=self.elided_guards,
+            eliminated_joins=self.eliminated_joins,
+            empty_disjuncts_skipped=(
+                rewriting.empty_disjuncts_skipped if rewriting is not None else 0
+            ),
+            fired_facts=tuple(self.fired_facts),
+            merged_vfd_joins=self.vfd_merged,
+            constraint_pruned_disjuncts=self.constraint_pruned,
+            fired_constraints=tuple(self.fired_constraints),
+        )
+
+
 @dataclass
 class _SharedScan:
     """One alias shared by several VFD-merged atoms of a CQ.
@@ -175,10 +265,92 @@ class _SharedScan:
     labels: List[Tuple[str, str]]  # ("fact" | "constraint", label)
 
     def scan_statement(self) -> sql.SelectStatement:
-        items = tuple(
-            sql.SelectItem(sql.ColumnRef(column)) for column in sorted(self.columns)
-        )
+        items = tuple(sql.SelectItem(sql.ColumnRef(c)) for c in sorted(self.columns))
         return sql.SelectStatement(items=items, source=sql.NamedTable(self.table))
+
+
+@dataclass(eq=False)
+class _Block:
+    """One mapping combination of a CQ on its way to a SELECT block.
+
+    Expand sets ``cq``, ``combination`` and ``unfolding``; the passes fill
+    in the rest.  The counters and ``fired`` labels are pending: ``_emit``
+    commits them to the ``_Unfolding`` only when the block reaches the
+    SQL, so EXPLAIN reports what the SQL holds.
+    """
+
+    cq: ConjunctiveQuery
+    combination: Tuple[MappingAssertion, ...]
+    unfolding: _Unfolding
+    #: the FROM entries, in order
+    scans: List[Tuple[str, MappingAssertion]] = field(default_factory=list)
+    #: per atom, the alias it reads
+    atom_alias: List[str] = field(default_factory=list)
+    #: VFD-merged aliases by alias
+    shared: Dict[str, _SharedScan] = field(default_factory=dict)
+    #: per variable, every (term map, alias) occurrence
+    bindings: Dict[sp.Var, List[Tuple[TermMap, str]]] = field(default_factory=dict)
+    #: the WHERE conjuncts in order: constants, join equalities, guards
+    conditions: List[sql.Expr] = field(default_factory=list)
+    #: (alias, column)s of reflexive equalities, for the guards to settle
+    reflexive: Dict[Tuple[str, str], None] = field(default_factory=dict)
+    #: aliases FK-join elimination removed from the FROM clause
+    dropped: Set[str] = field(default_factory=set)
+    merged: int = 0
+    vfd_merged: int = 0
+    elided: int = 0
+    fired: List[Tuple[str, str]] = field(default_factory=list)
+
+    def new_scan(self, assertion: MappingAssertion) -> str:
+        alias = f"m{next(self.unfolding.aliases)}"
+        self.scans.append((alias, assertion))
+        self.atom_alias.append(alias)
+        return alias
+
+
+#: a pass rewrites a block in place; None when the block cannot join
+_Pass = Callable[[_Block], Optional[_Block]]
+
+
+class _VfdScan(NamedTuple):
+    """A bare identity projection of *table* whose columns the subject
+    columns (*determinants*) functionally determine; *labels* are the
+    licensing ("fact" | "constraint", label) pairs."""
+
+    table: str
+    determinants: Tuple[str, ...]
+    columns: Tuple[str, ...]
+    source: str
+    labels: Tuple[Tuple[str, str], ...]
+
+
+@dataclass(frozen=True)
+class _AssertionProfile:
+    """What the passes need to know about one assertion, computed once."""
+
+    #: term-map columns that still need an IS NOT NULL guard
+    guarded: Tuple[str, ...]
+    #: (column, fact label) of guards a FactBase fact proved unnecessary
+    elided: Tuple[Tuple[str, str], ...]
+    #: (key columns, fact label) when the subject columns contain a key of
+    #: the single-table source; the label is None for the declared PK
+    unique: Optional[Tuple[Tuple[str, ...], Optional[str]]]
+    #: set when the scan may share an alias with sibling scans of its
+    #: table joined on the same subject template (ConstraintSet attached)
+    vfd: Optional[_VfdScan]
+    #: (table, subject base columns in template order, unique label) when
+    #: the assertion is an unfiltered bare scan keyed by its subject: a
+    #: parent whose join a verified FK may eliminate
+    parent_key: Optional[Tuple[str, Tuple[str, ...], str]]
+
+
+class _NoEvidence:
+    """Stands in for an absent FactBase or ConstraintSet: proves nothing."""
+
+    not_null = unique_key_within = covering_fk = exact = staticmethod(lambda *args: None)
+
+
+_NO_EVIDENCE = _NoEvidence()
 
 
 # ---------------------------------------------------------------------------
@@ -214,84 +386,42 @@ class Unfolder:
         #: entity's *own* disjuncts among the compiled T-mapping ones
         #: (by body, not id: the compiler re-keys shared bodies)
         self.raw_mappings = raw_mappings
+        # what the optimizations consult; an absent artifact proves nothing
+        self._facts = facts if facts is not None else _NO_EVIDENCE
+        exact = enable_sqo and constraints is not None and raw_mappings is not None
+        self._exact = constraints if exact else _NO_EVIDENCE
+        self._prune_ucq = prune_redundant_cqs if enable_sqo else list
+        # the block passes, in order (see the module docstring)
+        passes: List[_Pass] = [
+            self._merge_scans if enable_sqo else _scan_per_atom,
+            _bind_terms,
+        ]
+        if enable_sqo and facts is not None:
+            passes.append(self._eliminate_fk_joins)
+        passes += [_join_equalities, self._null_guards]
+        self.passes: Tuple[_Pass, ...] = tuple(passes)
         # per entity: body keys of its own raw assertions (exact pruning),
         # or None when it has no raw assertions of its own
         self._own_body_cache: Dict[str, Optional[frozenset]] = {}
-        # per assertion id: VFD merge eligibility, see _vfd_eligibility
-        self._vfd_cache: Dict[str, object] = {}
-        # per assertion id: (guarded columns, fact-elided (column, label)s)
-        self._nullable_cache: Dict[
-            str, Tuple[Tuple[str, ...], Tuple[Tuple[str, str], ...]]
-        ] = {}
-        # per assertion id: unique-subject info (key columns, fact label)
-        self._unique_cache: Dict[
-            str, Optional[Tuple[Tuple[str, ...], Optional[str]]]
-        ] = {}
-        # per assertion id: FK-elimination parent info, see _parent_key_info
-        self._parent_cache: Dict[str, Optional[Tuple[str, Tuple[str, ...], str]]] = {}
+        # per assertion id, filled on first use
+        self._profiles: Dict[str, _AssertionProfile] = {}
 
     # -- public API ---------------------------------------------------------
 
     def unfold_query(self, query: sp.SelectQuery) -> UnfoldResult:
         started = time.perf_counter()
-        # fresh aliases per query: the emitted SQL text is deterministic
-        # for a given query, so unfolded sizes and EXPLAIN traces repeat
-        # from one unfolding of it to the next
-        self._alias_counter = itertools.count()
-        self._pruned = 0
-        self._merged = 0
-        self._union_blocks = 0
-        # one rewriting per BGP; the query reports their merge
-        self._rewritings: List[RewritingResult] = []
-        self._elided_guards = 0
-        self._eliminated_joins = 0
-        self._vfd_merged = 0
-        self._constraint_pruned = 0
-        self._fired_facts: Dict[str, None] = {}
-        self._fired_constraints: Dict[str, None] = {}
+        unfolding = _Unfolding()
         algebra = simplify(translate(query.where))
         needed = self._query_level_variables(query, algebra)
-        fragment = self._unfold_node(algebra, needed)
+        fragment = self._unfold_node(algebra, needed, unfolding)
         statement, columns, metas = self._apply_query_level(query, fragment)
-        elapsed = time.perf_counter() - started
-        rewriting = merge_rewritings(self._rewritings)
-        return UnfoldResult(
-            statement=statement,
-            columns=columns,
-            column_meta=metas,
-            rewriting=rewriting,
-            elapsed_seconds=elapsed,
-            union_blocks=self._union_blocks,
-            pruned_combinations=self._pruned,
-            merged_self_joins=self._merged,
-            rewriting_truncated=rewriting is not None and rewriting.truncated,
-            elided_null_guards=self._elided_guards,
-            eliminated_joins=self._eliminated_joins,
-            empty_disjuncts_skipped=(
-                rewriting.empty_disjuncts_skipped if rewriting is not None else 0
-            ),
-            fired_facts=tuple(self._fired_facts),
-            merged_vfd_joins=self._vfd_merged,
-            constraint_pruned_disjuncts=self._constraint_pruned,
-            fired_constraints=tuple(self._fired_constraints),
-        )
-
-    def _record_fact(self, label: str) -> None:
-        self._fired_facts.setdefault(label)
-
-    def _record_constraint(self, label: str) -> None:
-        self._fired_constraints.setdefault(label)
+        return unfolding.result(statement, columns, metas, time.perf_counter() - started)
 
     # -- algebra lowering ------------------------------------------------------
 
     @staticmethod
-    def _query_level_variables(
-        query: sp.SelectQuery, algebra: AlgebraNode
-    ) -> Set[sp.Var]:
+    def _query_level_variables(query: sp.SelectQuery, algebra: AlgebraNode) -> Set[sp.Var]:
         """Variables needed above the WHERE clause."""
-        from ..sparql.algebra import algebra_variables
-        from ..sparql.ast import expression_variables
-
         needed: Set[sp.Var] = set()
         if query.select_star:
             needed.update(algebra_variables(algebra))
@@ -315,67 +445,50 @@ class Unfolder:
             needed.update(expression_variables(condition.expression))
         return needed
 
-    @staticmethod
-    def _node_variables(node: AlgebraNode) -> Set[sp.Var]:
-        from ..sparql.algebra import algebra_variables
-
-        return set(algebra_variables(node))
-
-    def _unfold_node(self, node: AlgebraNode, needed: Set[sp.Var]) -> Fragment:
-        from ..sparql.ast import expression_variables
-
+    def _unfold_node(
+        self, node: AlgebraNode, needed: Set[sp.Var], unfolding: _Unfolding
+    ) -> Fragment:
         if isinstance(node, AlgBGP):
-            return self._unfold_bgp(node, needed)
-        if isinstance(node, AlgJoin):
-            left_vars = self._node_variables(node.left)
-            right_vars = self._node_variables(node.right)
-            return self._join(
-                self._unfold_node(node.left, (needed | right_vars) & left_vars),
-                self._unfold_node(node.right, (needed | left_vars) & right_vars),
-            )
-        if isinstance(node, AlgLeftJoin):
-            left_vars = self._node_variables(node.left)
-            right_vars = self._node_variables(node.right)
-            condition_vars: Set[sp.Var] = set()
-            if node.condition is not None:
-                condition_vars = set(expression_variables(node.condition))
-            return self._left_join(
-                self._unfold_node(
-                    node.left,
-                    (needed | right_vars | condition_vars) & left_vars,
-                ),
-                self._unfold_node(
-                    node.right,
-                    (needed | left_vars | condition_vars) & right_vars,
-                ),
-                node.condition,
-            )
-        if isinstance(node, AlgUnion):
-            left_vars = self._node_variables(node.left)
-            right_vars = self._node_variables(node.right)
-            return self._union(
-                self._unfold_node(node.left, needed & left_vars),
-                self._unfold_node(node.right, needed & right_vars),
-            )
+            return self._unfold_bgp(node, needed, unfolding)
         if isinstance(node, AlgFilter):
             condition_vars = set(expression_variables(node.condition))
             return self._filter(
-                self._unfold_node(node.child, needed | condition_vars),
+                self._unfold_node(node.child, needed | condition_vars, unfolding),
                 node.condition,
             )
         if isinstance(node, AlgExtend):
             condition_vars = set(expression_variables(node.expression))
             child_needed = (needed - {node.var}) | condition_vars
             return self._extend(
-                self._unfold_node(node.child, child_needed),
+                self._unfold_node(node.child, child_needed, unfolding),
                 node.var,
                 node.expression,
             )
-        raise UnfoldingError(f"cannot unfold algebra node {node!r}")
+        if not isinstance(node, (AlgJoin, AlgLeftJoin, AlgUnion)):
+            raise UnfoldingError(f"cannot unfold algebra node {node!r}")
+        left_vars = set(algebra_variables(node.left))
+        right_vars = set(algebra_variables(node.right))
+        if isinstance(node, AlgUnion):
+            return self._union(
+                self._unfold_node(node.left, needed & left_vars, unfolding),
+                self._unfold_node(node.right, needed & right_vars, unfolding),
+            )
+        # a join side also keeps the variables the other side and the
+        # OPTIONAL condition read
+        wanted = set(needed)
+        if isinstance(node, AlgLeftJoin) and node.condition is not None:
+            wanted.update(expression_variables(node.condition))
+        left = self._unfold_node(node.left, (wanted | right_vars) & left_vars, unfolding)
+        right = self._unfold_node(node.right, (wanted | left_vars) & right_vars, unfolding)
+        if isinstance(node, AlgJoin):
+            return self._join(left, right)
+        return self._left_join(left, right, node.condition)
 
-    # -- BGP unfolding -----------------------------------------------------------
+    # -- BGP unfolding: expand -----------------------------------------------
 
-    def _unfold_bgp(self, node: AlgBGP, needed: Set[sp.Var]) -> Fragment:
+    def _unfold_bgp(
+        self, node: AlgBGP, needed: Set[sp.Var], unfolding: _Unfolding
+    ) -> Fragment:
         if not node.triples:
             # the unit table: SELECT with no FROM, zero variables
             return Fragment(
@@ -394,20 +507,18 @@ class Unfolder:
         cq = bgp_to_cq(node.triples, answer_vars, self.vocabulary)
         if self.rewriter is not None:
             rewriting = self.rewriter.rewrite(cq)
-            self._rewritings.append(rewriting)
+            unfolding.rewritings.append(rewriting)
             for entity in rewriting.skipped_entities:
-                self._record_fact(f"empty:{entity}")
+                unfolding.fire("fact", f"empty:{entity}")
             for label in rewriting.exact_pruned:
-                self._record_constraint(label)
+                unfolding.fire("constraint", label)
             cqs = rewriting.cqs
         else:
             cqs = [cq]
-        if self.enable_sqo:
-            cqs = prune_redundant_cqs(cqs)
         branches: List[Tuple[sql.SelectStatement, Dict[sp.Var, VarMeta]]] = []
-        for candidate in cqs:
-            branches.extend(self._unfold_cq(candidate, answer_vars))
-        self._union_blocks += max(0, len(branches))
+        for candidate in self._prune_ucq(cqs):
+            branches.extend(self._unfold_cq(candidate, answer_vars, unfolding))
+        unfolding.union_blocks += len(branches)
         if not branches:
             return Fragment(None, {var: VarMeta("iri") for var in answer_vars})
         # merge metadata across branches
@@ -421,21 +532,31 @@ class Unfolder:
         return Fragment(statement, merged_meta)
 
     def _unfold_cq(
-        self, cq: ConjunctiveQuery, answer_vars: Sequence[sp.Var]
+        self,
+        cq: ConjunctiveQuery,
+        answer_vars: Sequence[sp.Var],
+        unfolding: _Unfolding,
     ) -> List[Tuple[sql.SelectStatement, Dict[sp.Var, VarMeta]]]:
-        candidate_lists = self._candidate_lists(cq)
+        candidate_lists = self._candidate_lists(cq, unfolding)
         if candidate_lists is None:
             return []
         branches = []
         for combination in _viable_combinations(cq.atoms, candidate_lists):
-            built = self._compose_spj(cq, combination, answer_vars)
-            if built is not None:
-                branches.append(built)
-        self._pruned += math.prod(map(len, candidate_lists)) - len(branches)
+            block = self._run_passes(_Block(cq, combination, unfolding))
+            if block is not None:
+                branches.append(_emit(block, answer_vars))
+        unfolding.pruned += math.prod(map(len, candidate_lists)) - len(branches)
         return branches
 
+    def _run_passes(self, block: _Block) -> Optional[_Block]:
+        for run in self.passes:
+            block = run(block)
+            if block is None:
+                return None
+        return block
+
     def _candidate_lists(
-        self, cq: ConjunctiveQuery
+        self, cq: ConjunctiveQuery, unfolding: _Unfolding
     ) -> Optional[List[List[MappingAssertion]]]:
         """Per atom, the assertions that may supply it; None when one has
         none (the CQ is empty and no combination is counted as pruned)."""
@@ -447,224 +568,17 @@ class Unfolder:
                 for assertion in self.mappings.for_entity(entity)
                 if _assertion_matches_atom(assertion, atom)
             ]
-            candidates = self._exact_filter(entity, candidates)
+            candidates = self._exact_filter(entity, candidates, unfolding)
             if not candidates:
                 return None
             candidate_lists.append(candidates)
         return candidate_lists
 
-    def _compose_spj(
-        self,
-        cq: ConjunctiveQuery,
-        combination: Sequence[MappingAssertion],
-        answer_vars: Sequence[sp.Var],
-    ) -> Optional[Tuple[sql.SelectStatement, Dict[sp.Var, VarMeta]]]:
-        aliases: List[Tuple[str, MappingAssertion]] = []
-        alias_by_merge_key: Dict[Tuple, str] = {}
-        atom_alias: List[str] = []
-        shared_scans: Dict[str, _SharedScan] = {}
-        # counters and licensing labels are committed only when the branch
-        # is emitted, so EXPLAIN reports what reaches the SQL
-        merged = vfd_merged = elided = 0
-        fired: List[Tuple[str, str]] = []  # ("fact" | "constraint", label)
-        for atom, assertion in zip(cq.atoms, combination):
-            merge_key = None
-            eligibility = None
-            if self.enable_sqo:
-                eligibility = self._vfd_eligibility_for_atom(atom, assertion)
-                if eligibility is not None:
-                    # VFD keys ignore the source text: scans of the same
-                    # table joined on the same subject template may share
-                    # one alias even across different projections
-                    merge_key = (
-                        atom.terms()[0],
-                        "vfd",
-                        eligibility[0],
-                        eligibility[1],
-                        assertion.subject.template.pattern,
-                    )
-                else:
-                    merge_key = self._self_join_key(atom, assertion)
-            if merge_key is not None and merge_key in alias_by_merge_key:
-                alias = alias_by_merge_key[merge_key]
-                atom_alias.append(alias)
-                if eligibility is not None:
-                    _, _, columns, source_norm, labels = eligibility
-                    group = shared_scans[alias]
-                    cross_source = source_norm not in group.sources
-                    group.columns.update(columns)
-                    group.sources.add(source_norm)
-                    if cross_source:
-                        vfd_merged += 1
-                    else:
-                        merged += 1
-                    fired.extend(labels)
-                    fired.extend(group.labels)
-                    group.labels.extend(labels)
-                else:
-                    merged += 1
-                    unique_info = self._unique_subject_info(assertion)
-                    if unique_info is not None and unique_info[1] is not None:
-                        fired.append(("fact", unique_info[1]))
-                continue
-            alias = f"m{next(self._alias_counter)}"
-            aliases.append((alias, assertion))
-            atom_alias.append(alias)
-            if merge_key is not None:
-                alias_by_merge_key[merge_key] = alias
-                if eligibility is not None:
-                    table, _, columns, source_norm, labels = eligibility
-                    shared_scans[alias] = _SharedScan(
-                        table, set(columns), {source_norm}, list(labels)
-                    )
-        # bind each CQ term occurrence to a (term map, alias)
-        bindings: Dict[sp.Var, List[Tuple[TermMap, str]]] = {}
-        constant_constraints: List[sql.Expr] = []
-
-        def bind(term: CqTerm, term_map: TermMap, alias: str) -> bool:
-            if isinstance(term, sp.Var):
-                bindings.setdefault(term, []).append((term_map, alias))
-                return True
-            constraint = _constant_constraint(term, term_map, alias)
-            if constraint is None:
-                return False
-            constant_constraints.extend(constraint)
-            return True
-
-        for atom, assertion, alias in zip(cq.atoms, combination, atom_alias):
-            for term, term_map in _atom_bindings(atom, assertion):
-                if not bind(term, term_map, alias):
-                    return None
-        # FK join elimination: drop parent class-atom scans proven no-op
-        # by verified FK + uniqueness facts (Hovland et al.-style)
-        dropped: Set[str] = set()
-        if self.enable_sqo and self.facts is not None:
-            dropped = self._eliminate_fk_joins(
-                cq, combination, atom_alias, bindings, fired
-            )
-            if dropped:
-                aliases = [
-                    (alias, assertion)
-                    for alias, assertion in aliases
-                    if alias not in dropped
-                ]
-        # join constraints between occurrences of the same variable; atoms
-        # merged onto one alias yield reflexive ``A.c = A.c``, which holds
-        # exactly when A.c is not NULL and is settled by the guards below
-        join_constraints: List[sql.Expr] = []
-        reflexive: Dict[Tuple[str, str], None] = {}
-        for var, occurrences in bindings.items():
-            first_map, first_alias = occurrences[0]
-            for other_map, other_alias in occurrences[1:]:
-                equality = _term_map_equality(
-                    first_map, first_alias, other_map, other_alias
-                )
-                if equality is None:
-                    return None
-                for conjunct in equality:
-                    key = _reflexive_key(conjunct)
-                    if key is None:
-                        join_constraints.append(conjunct)
-                    else:
-                        reflexive[key] = None
-        # NULL guards: a NULL term-map column means the triple does not
-        # exist, so the row must not match the atom (shared aliases from
-        # self-join merging would otherwise leak NULLs of sibling columns)
-        null_guard_keys: set = set()
-        elided_keys: set = set()
-        # (alias, column)s whose guard was emitted or proven unnecessary
-        settled: set = set()
-        null_guards: List[sql.Expr] = []
-        for assertion, alias in zip(combination, atom_alias):
-            if alias in dropped:
-                continue
-            if reflexive:
-                settled.update((alias, c) for c in assertion.referenced_columns())
-            guarded, fact_elided = self._null_guard_info(assertion)
-            for column in guarded:
-                key = (alias, column)
-                if key not in null_guard_keys:
-                    null_guard_keys.add(key)
-                    null_guards.append(
-                        sql.IsNull(sql.ColumnRef(column, alias), negated=True)
-                    )
-            for column, label in fact_elided:
-                key = (alias, column)
-                if key not in elided_keys:
-                    elided_keys.add(key)
-                    elided += 1
-                    fired.append(("fact", label))
-        for alias, column in reflexive:
-            if (alias, column) not in settled:
-                settled.add((alias, column))
-                null_guards.append(
-                    sql.IsNull(sql.ColumnRef(column, alias), negated=True)
-                )
-        # assemble FROM; aliases merged across different source texts get
-        # a synthesized bare scan projecting every column any member needs
-        source: Optional[sql.TableRef] = None
-        for alias, assertion in aliases:
-            group = shared_scans.get(alias)
-            if group is not None and len(group.sources) > 1:
-                table_ref = sql.SubquerySource(group.scan_statement(), alias)
-            else:
-                table_ref = self._source_ref(assertion, alias)
-            source = (
-                table_ref if source is None else sql.Join("INNER", source, table_ref)
-            )
-        # a variable bound three times repeats the first-vs-other equality
-        where = sql.conjunction(
-            list(dict.fromkeys(constant_constraints + join_constraints + null_guards))
-        )
-        # projection: answer variables present in this CQ
-        items: List[sql.SelectItem] = []
-        meta: Dict[sp.Var, VarMeta] = {}
-        for var in answer_vars:
-            if var in bindings:
-                term_map, alias = bindings[var][0]
-                expression = _term_map_expression(term_map, alias)
-                meta[var] = _term_map_meta(term_map)
-            else:
-                expression = sql.LiteralValue(None)
-                meta[var] = VarMeta("iri")
-            items.append(sql.SelectItem(expression, var_column(var)))
-        if not items:
-            items.append(sql.SelectItem(sql.LiteralValue(1), "one"))
-        statement = sql.SelectStatement(
-            items=tuple(items), source=source, where=where
-        )
-        self._merged += merged
-        self._vfd_merged += vfd_merged
-        self._eliminated_joins += len(dropped)
-        self._elided_guards += elided
-        for kind, label in fired:
-            if kind == "constraint":
-                self._record_constraint(label)
-            else:
-                self._record_fact(label)
-        return statement, meta
-
-    def _self_join_key(
-        self, atom: Atom, assertion: MappingAssertion
-    ) -> Optional[Tuple]:
-        """Key under which this atom's alias may be shared.
-
-        Sharing is sound when the subject columns are a unique key of the
-        (single-table) source, so that equal subjects imply equal rows.
-        """
-        subject = atom.terms()[0]
-        if not isinstance(subject, sp.Var):
-            return None
-        if not isinstance(assertion.subject, IriTermMap):
-            return None
-        if self._unique_subject_info(assertion) is None:
-            return None
-        return (subject, assertion.source.key, assertion.subject.template.pattern)
-
-    # -- constraint-licensed pruning and merging ----------------------------
-
     def _exact_filter(
-        self, entity: str, candidates: List[MappingAssertion]
+        self,
+        entity: str,
+        candidates: List[MappingAssertion],
+        unfolding: _Unfolding,
     ) -> List[MappingAssertion]:
         """Keep only an exact entity's own disjuncts.
 
@@ -673,14 +587,9 @@ class Unfolder:
         T-mapping disjuncts inherited from proper sub-entities are
         duplicate-producing and can be dropped: UCQ unions deduplicate.
         """
-        if (
-            self.constraints is None
-            or self.raw_mappings is None
-            or not self.enable_sqo
-            or len(candidates) < 2
-        ):
+        if len(candidates) < 2:
             return candidates
-        constraint = self.constraints.exact(entity)
+        constraint = self._exact.exact(entity)
         if constraint is None:
             return candidates
         keep = self._own_body_keys(entity)
@@ -689,8 +598,8 @@ class Unfolder:
         kept = [a for a in candidates if assertion_body_key(a) in keep]
         if not kept or len(kept) == len(candidates):
             return candidates
-        self._constraint_pruned += len(candidates) - len(kept)
-        self._record_constraint(constraint.label())
+        unfolding.constraint_pruned += len(candidates) - len(kept)
+        unfolding.fire("constraint", constraint.label())
         return kept
 
     def _own_body_keys(self, entity: str) -> Optional[frozenset]:
@@ -712,98 +621,185 @@ class Unfolder:
         self._own_body_cache[entity] = result
         return result
 
-    def _vfd_eligibility_for_atom(
-        self, atom: Atom, assertion: MappingAssertion
-    ) -> Optional[Tuple]:
-        if self.constraints is None:
-            return None
-        subject = atom.terms()[0]
-        if not isinstance(subject, sp.Var):
-            return None
-        if not isinstance(assertion.subject, IriTermMap):
-            return None
-        return self._vfd_eligibility(assertion)
+    # -- BGP unfolding: passes -------------------------------------------------
 
-    def _vfd_eligibility(self, assertion: MappingAssertion) -> Optional[Tuple]:
-        cached = self._vfd_cache.get(assertion.id, "missing")
-        if cached != "missing":
-            return cached
-        result = self._compute_vfd_eligibility(assertion)
-        self._vfd_cache[assertion.id] = result
-        return result
+    def _merge_scans(self, block: _Block) -> _Block:
+        """Give atoms that may share a scan one alias (self-join and VFD
+        merging); every other atom gets a fresh alias."""
+        alias_by_key: Dict[Tuple, str] = {}
+        for atom, assertion in zip(block.cq.atoms, block.combination):
+            profile = self._profile(assertion)
+            key = _merge_key(atom, assertion, profile)
+            alias = alias_by_key.get(key) if key is not None else None
+            if alias is None:
+                alias = block.new_scan(assertion)
+                if key is not None:
+                    alias_by_key[key] = alias
+                    vfd = profile.vfd
+                    if vfd is not None:
+                        block.shared[alias] = _SharedScan(
+                            vfd.table, set(vfd.columns), {vfd.source}, list(vfd.labels)
+                        )
+                continue
+            block.atom_alias.append(alias)
+            vfd = profile.vfd
+            if vfd is None:
+                block.merged += 1
+                assert profile.unique is not None
+                if profile.unique[1] is not None:
+                    block.fired.append(("fact", profile.unique[1]))
+                continue
+            group = block.shared[alias]
+            if vfd.source in group.sources:
+                block.merged += 1
+            else:
+                block.vfd_merged += 1
+            group.columns.update(vfd.columns)
+            group.sources.add(vfd.source)
+            block.fired.extend(vfd.labels)
+            block.fired.extend(group.labels)
+            group.labels.extend(vfd.labels)
+        return block
 
-    def _compute_vfd_eligibility(
-        self, assertion: MappingAssertion
-    ) -> Optional[Tuple]:
-        """(table, determinants, columns, source, labels) when this scan
-        may share an alias with sibling scans of the same table joined on
-        the same subject template.
+    def _eliminate_fk_joins(self, block: _Block) -> _Block:
+        """Drop class-atom parent scans proven redundant by FK facts.
 
-        Requires a bare identity projection of one table, with every
-        non-subject column functionally determined by the subject columns:
-        either via a unique-key fact (the classic case, but now merging
-        *across* different projections of the table) or via verified
-        VFDs.  Labels carry the licensing facts/constraints for
-        explain().
+        A scan ``C(x)`` over an unfiltered table whose subject key columns
+        are a verified unique key is a no-op when another atom binds ``x``
+        through an identical IRI template over columns carrying a verified
+        FK to that key: every child row finds exactly one parent row, so
+        the join neither filters nor duplicates (Hovland et al.-style).
+        The parent alias leaves the bindings and the FROM clause, and the
+        guards pass skips it.
         """
-        branch = assertion.source.projection
-        if branch is None:
-            return None
-        columns = tuple(
-            dict.fromkeys(c.lower() for c in assertion.referenced_columns())
+        counts: Dict[str, int] = {}
+        for alias in block.atom_alias:
+            counts[alias] = counts.get(alias, 0) + 1
+        assertion_by_alias: Dict[str, MappingAssertion] = dict(
+            zip(block.atom_alias, block.combination)
         )
-        if any(column not in branch.columns for column in columns):
-            return None
-        determinants = tuple(sorted({c.lower() for c in assertion.subject.columns}))
-        if not determinants:
-            return None
-        labels: List[Tuple[str, str]] = []
-        unique = self._unique_subject_info(assertion)
-        if unique is not None:
-            if unique[1] is not None:
-                labels.append(("fact", unique[1]))
-        else:
-            for column in columns:
-                if column in determinants:
+        dropped = block.dropped
+        for atom, assertion, alias in zip(
+            block.cq.atoms, block.combination, block.atom_alias
+        ):
+            if alias in dropped or not isinstance(atom, ClassAtom):
+                continue
+            term = atom.term
+            if not isinstance(term, sp.Var) or counts[alias] != 1:
+                continue
+            parent = self._profile(assertion).parent_key
+            if parent is None:
+                continue
+            parent_table, parent_key, unique_label = parent
+            assert isinstance(assertion.subject, IriTermMap)
+            parent_template = assertion.subject.template
+            occurrences = block.bindings.get(term, [])
+            if len(occurrences) < 2:
+                continue
+            fk_labels: Optional[List[str]] = None
+            for term_map, other_alias in occurrences:
+                if other_alias == alias or other_alias in dropped:
                     continue
-                vfd = self.constraints.vfd_covers(branch.table, determinants, column)
-                if vfd is None:
-                    return None
-                labels.append(("constraint", vfd.label()))
-        return (
-            branch.table,
-            determinants,
-            columns,
-            assertion.source.key,
-            tuple(labels),
-        )
+                if not isinstance(term_map, IriTermMap):
+                    continue
+                if not term_map.template.compatible_with(parent_template):
+                    continue
+                supporter = assertion_by_alias.get(other_alias)
+                if supporter is None:
+                    continue
+                fk_labels = self._child_fk_labels(
+                    supporter,
+                    term_map.template.columns,
+                    parent_table,
+                    parent_key,
+                )
+                if fk_labels is not None:
+                    break
+            if fk_labels is None:
+                continue
+            dropped.add(alias)
+            block.bindings[term] = [
+                (term_map, other_alias)
+                for term_map, other_alias in occurrences
+                if other_alias != alias
+            ]
+            block.fired.append(("fact", unique_label))
+            block.fired.extend(("fact", label) for label in fk_labels)
+        if dropped:
+            block.scans = [scan for scan in block.scans if scan[0] not in dropped]
+        return block
 
-    def _null_guard_info(
+    def _null_guards(self, block: _Block) -> _Block:
+        """NULL guards: a NULL term-map column means the triple does not
+        exist, so the row must not match the atom (shared aliases from
+        scan merging would otherwise leak NULLs of sibling columns).
+
+        A reflexive ``A.c = A.c`` holds exactly when ``A.c`` is not NULL,
+        so it needs a guard only when no atom on ``A`` settles ``A.c``.
+        """
+        guarded_keys: Set[Tuple[str, str]] = set()
+        elided_keys: Set[Tuple[str, str]] = set()
+        # (alias, column)s whose guard was emitted or proven unnecessary
+        settled: Set[Tuple[str, str]] = set()
+        guards = block.conditions
+        for assertion, alias in zip(block.combination, block.atom_alias):
+            if alias in block.dropped:
+                continue
+            if block.reflexive:
+                settled.update((alias, c) for c in assertion.referenced_columns())
+            profile = self._profile(assertion)
+            for column in profile.guarded:
+                key = (alias, column)
+                if key not in guarded_keys:
+                    guarded_keys.add(key)
+                    guards.append(sql.IsNull(sql.ColumnRef(column, alias), negated=True))
+            for column, label in profile.elided:
+                key = (alias, column)
+                if key not in elided_keys:
+                    elided_keys.add(key)
+                    block.elided += 1
+                    block.fired.append(("fact", label))
+        for alias, column in block.reflexive:
+            if (alias, column) not in settled:
+                settled.add((alias, column))
+                guards.append(sql.IsNull(sql.ColumnRef(column, alias), negated=True))
+        return block
+
+    # -- the per-assertion profile ---------------------------------------------
+
+    def _profile(self, assertion: MappingAssertion) -> _AssertionProfile:
+        profile = self._profiles.get(assertion.id)
+        if profile is None:
+            profile = self._profiles[assertion.id] = self._build_profile(assertion)
+        return profile
+
+    def _build_profile(self, assertion: MappingAssertion) -> _AssertionProfile:
+        guarded, elided = self._nullable_columns(assertion)
+        unique = vfd = parent_key = None
+        if isinstance(assertion.subject, IriTermMap):
+            unique = self._unique_subject(assertion)
+            if self.constraints is not None:
+                vfd = self._vfd_scan(assertion, unique)
+            parent_key = self._parent_key(assertion)
+        return _AssertionProfile(guarded, elided, unique, vfd, parent_key)
+
+    def _nullable_columns(
         self, assertion: MappingAssertion
     ) -> Tuple[Tuple[str, ...], Tuple[Tuple[str, str], ...]]:
         """(columns still needing an IS NOT NULL guard, fact-elided ones).
 
         The first tuple are term-map columns that may be NULL; the second
-        holds ``(column, fact label)`` pairs for guards the legacy
-        (declared-schema) path would have emitted but a FactBase fact
-        proved unnecessary -- including over UNION sources, which the
-        declared path cannot see through.
+        holds ``(column, fact label)`` pairs for guards the declared
+        schema would have emitted but a FactBase fact proved unnecessary
+        -- including over UNION sources, which the declared schema cannot
+        see through.
         """
-        cached = self._nullable_cache.get(assertion.id)
-        if cached is not None:
-            return cached
-        columns = assertion.referenced_columns()
-        legacy = self._declared_nullable(assertion, columns)
-        result = legacy
-        elided: Tuple[Tuple[str, str], ...] = ()
-        if self.facts is not None and legacy:
-            still_nullable, labels = self._facts_nullable(assertion, legacy)
-            result = tuple(c for c in legacy if c in still_nullable)
-            elided = tuple(
-                (c, labels[c]) for c in legacy if c not in still_nullable
-            )
-        self._nullable_cache[assertion.id] = (result, elided)
-        return result, elided
+        declared = self._declared_nullable(assertion, assertion.referenced_columns())
+        still_nullable, labels = self._facts_nullable(assertion, declared)
+        return (
+            tuple(c for c in declared if c in still_nullable),
+            tuple((c, labels[c]) for c in declared if c not in still_nullable),
+        )
 
     def _declared_nullable(
         self, assertion: MappingAssertion, columns: Tuple[str, ...]
@@ -847,7 +843,7 @@ class Unfolder:
             for block in blocks:
                 base_column = block.base_column(column)
                 fact = (
-                    self.facts.not_null(block.table, base_column)
+                    self._facts.not_null(block.table, base_column)
                     if base_column is not None
                     else None
                 )
@@ -860,7 +856,7 @@ class Unfolder:
             still.add(column)
         return still, labels
 
-    def _unique_subject_info(
+    def _unique_subject(
         self, assertion: MappingAssertion
     ) -> Optional[Tuple[Tuple[str, ...], Optional[str]]]:
         """(key columns, licensing fact label) when the subject template
@@ -870,18 +866,6 @@ class Unfolder:
         (the seed behaviour); a data-derived UniqueFact extends coverage
         and is reported as a fired fact.
         """
-        cached = self._unique_cache.get(assertion.id, "missing")
-        if cached != "missing":
-            return cached  # type: ignore[return-value]
-        result = self._compute_unique_subject_info(assertion)
-        self._unique_cache[assertion.id] = result
-        return result
-
-    def _compute_unique_subject_info(
-        self, assertion: MappingAssertion
-    ) -> Optional[Tuple[Tuple[str, ...], Optional[str]]]:
-        if self.catalog is None and self.facts is None:
-            return None
         branch = assertion.source.single
         if branch is None or branch.modifiers & {"GROUP BY", "DISTINCT"}:
             return None
@@ -892,36 +876,56 @@ class Unfolder:
             table = self.catalog.table(branch.table)
             if table.primary_key and set(table.primary_key) <= key_columns:
                 return tuple(table.primary_key), None
-        if self.facts is not None:
-            fact = self.facts.unique_key_within(
-                branch.table, key_columns - {None}
-            )
-            if fact is not None:
-                return fact.columns, fact.label()
+        fact = self._facts.unique_key_within(branch.table, key_columns - {None})
+        if fact is not None:
+            return fact.columns, fact.label()
         return None
 
-    # -- FK join elimination -------------------------------------------------
+    def _vfd_scan(
+        self,
+        assertion: MappingAssertion,
+        unique: Optional[Tuple[Tuple[str, ...], Optional[str]]],
+    ) -> Optional[_VfdScan]:
+        """Set when this scan may share an alias with sibling scans of the
+        same table joined on the same subject template.
 
-    def _parent_key_info(
-        self, assertion: MappingAssertion
-    ) -> Optional[Tuple[str, Tuple[str, ...], str]]:
-        """(table, subject base columns in template order, unique label)
-        when *assertion* is an unfiltered bare scan whose subject template
-        columns contain a verified unique key -- the shape whose join can
-        be eliminated when a verified FK guarantees the lookup succeeds.
+        Requires a bare identity projection of one table, with every
+        non-subject column functionally determined by the subject columns:
+        either via a unique key (the classic case, but now merging
+        *across* different projections of the table) or via verified
+        VFDs.  Labels carry the licensing facts/constraints for
+        explain().
         """
-        cached = self._parent_cache.get(assertion.id, "missing")
-        if cached != "missing":
-            return cached  # type: ignore[return-value]
-        result = self._compute_parent_key_info(assertion)
-        self._parent_cache[assertion.id] = result
-        return result
+        branch = assertion.source.projection
+        if branch is None:
+            return None
+        columns = tuple(
+            dict.fromkeys(c.lower() for c in assertion.referenced_columns())
+        )
+        if any(column not in branch.columns for column in columns):
+            return None
+        determinants = tuple(sorted({c.lower() for c in assertion.subject.columns}))
+        if not determinants:
+            return None
+        labels: List[Tuple[str, str]] = []
+        if unique is not None:
+            if unique[1] is not None:
+                labels.append(("fact", unique[1]))
+        else:
+            for column in columns:
+                if column in determinants:
+                    continue
+                vfd = self.constraints.vfd_covers(branch.table, determinants, column)
+                if vfd is None:
+                    return None
+                labels.append(("constraint", vfd.label()))
+        return _VfdScan(
+            branch.table, determinants, columns, assertion.source.key, tuple(labels)
+        )
 
-    def _compute_parent_key_info(
+    def _parent_key(
         self, assertion: MappingAssertion
     ) -> Optional[Tuple[str, Tuple[str, ...], str]]:
-        if self.facts is None or not isinstance(assertion.subject, IriTermMap):
-            return None
         branch = assertion.source.single
         if branch is None or not branch.plain:
             return None
@@ -931,7 +935,7 @@ class Unfolder:
             if base_column is None:
                 return None
             key.append(base_column)
-        unique = self.facts.unique_key_within(branch.table, key)
+        unique = self._facts.unique_key_within(branch.table, key)
         if unique is None:
             return None
         return branch.table, tuple(key), unique.label()
@@ -958,7 +962,7 @@ class Unfolder:
                 if base_column is None:
                     return None
                 child_columns.append(base_column)
-            fact = self.facts.covering_fk(
+            fact = self._facts.covering_fk(
                 block.table, child_columns, parent_table, parent_key
             )
             if fact is None:
@@ -966,132 +970,12 @@ class Unfolder:
             labels.append(fact.label())
         return list(dict.fromkeys(labels))
 
-    def _eliminate_fk_joins(
-        self,
-        cq: ConjunctiveQuery,
-        combination: Sequence[MappingAssertion],
-        atom_alias: List[str],
-        bindings: Dict[sp.Var, List[Tuple[TermMap, str]]],
-        fired: List[Tuple[str, str]],
-    ) -> Set[str]:
-        """Drop class-atom parent scans proven redundant by FK facts.
-
-        A scan ``C(x)`` over an unfiltered table whose subject key columns
-        are a verified unique key is a no-op when another atom binds ``x``
-        through an identical IRI template over columns carrying a verified
-        FK to that key: every child row finds exactly one parent row, so
-        the join neither filters nor duplicates.  The parent alias is
-        removed from *bindings* (its FROM entry and guards are skipped by
-        the caller); the licensing facts are appended to *fired*, which
-        the caller records once the branch is actually emitted.
-        """
-        counts: Dict[str, int] = {}
-        for alias in atom_alias:
-            counts[alias] = counts.get(alias, 0) + 1
-        assertion_by_alias: Dict[str, MappingAssertion] = dict(
-            zip(atom_alias, combination)
-        )
-        dropped: Set[str] = set()
-        for atom, assertion, alias in zip(cq.atoms, combination, atom_alias):
-            if alias in dropped or not isinstance(atom, ClassAtom):
-                continue
-            term = atom.term
-            if not isinstance(term, sp.Var) or counts[alias] != 1:
-                continue
-            parent = self._parent_key_info(assertion)
-            if parent is None:
-                continue
-            parent_table, parent_key, unique_label = parent
-            assert isinstance(assertion.subject, IriTermMap)
-            parent_template = assertion.subject.template
-            occurrences = bindings.get(term, [])
-            if len(occurrences) < 2:
-                continue
-            fk_labels: Optional[List[str]] = None
-            for term_map, other_alias in occurrences:
-                if other_alias == alias or other_alias in dropped:
-                    continue
-                if not isinstance(term_map, IriTermMap):
-                    continue
-                if not term_map.template.compatible_with(parent_template):
-                    continue
-                supporter = assertion_by_alias.get(other_alias)
-                if supporter is None:
-                    continue
-                fk_labels = self._child_fk_labels(
-                    supporter,
-                    term_map.template.columns,
-                    parent_table,
-                    parent_key,
-                )
-                if fk_labels is not None:
-                    break
-            if fk_labels is None:
-                continue
-            dropped.add(alias)
-            bindings[term] = [
-                (term_map, other_alias)
-                for term_map, other_alias in occurrences
-                if other_alias != alias
-            ]
-            fired.append(("fact", unique_label))
-            fired.extend(("fact", label) for label in fk_labels)
-        return dropped
-
-    def _source_ref(self, assertion: MappingAssertion, alias: str) -> sql.TableRef:
-        statement = assertion.parsed_source()
-        # inline trivial "SELECT cols FROM table [WHERE ...]" sources when
-        # every referenced column is projected bare (no renaming needed)
-        return sql.SubquerySource(statement, alias)
-
     # -- joins / unions / filters ----------------------------------------------------
 
     def _join(self, left: Fragment, right: Fragment) -> Fragment:
         if left.is_empty or right.is_empty:
-            meta = dict(left.var_meta)
-            meta.update(right.var_meta)
-            return Fragment(None, meta)
-        assert left.statement is not None and right.statement is not None
-        shared = [var for var in left.var_meta if var in right.var_meta]
-        left_alias, right_alias = "lj", "rj"
-        condition = sql.conjunction(
-            [
-                sql.BinaryOp(
-                    "=",
-                    sql.ColumnRef(var_column(var), left_alias),
-                    sql.ColumnRef(var_column(var), right_alias),
-                )
-                for var in shared
-            ]
-        )
-        items: List[sql.SelectItem] = []
-        meta: Dict[sp.Var, VarMeta] = {}
-        for var, var_meta in left.var_meta.items():
-            items.append(
-                sql.SelectItem(
-                    sql.ColumnRef(var_column(var), left_alias), var_column(var)
-                )
-            )
-            meta[var] = var_meta
-        for var, var_meta in right.var_meta.items():
-            if var in meta:
-                meta[var] = meta[var].merge(var_meta)
-                continue
-            items.append(
-                sql.SelectItem(
-                    sql.ColumnRef(var_column(var), right_alias), var_column(var)
-                )
-            )
-            meta[var] = var_meta
-        join: sql.TableRef = sql.Join(
-            "INNER",
-            sql.SubquerySource(left.statement, left_alias),
-            sql.SubquerySource(right.statement, right_alias),
-            condition,
-        )
-        return Fragment(
-            sql.SelectStatement(items=tuple(items), source=join), meta
-        )
+            return Fragment(None, {**left.var_meta, **right.var_meta})
+        return _join_fragments("INNER", left, right)
 
     def _left_join(
         self,
@@ -1099,14 +983,11 @@ class Unfolder:
         right: Fragment,
         condition: Optional[sp.Expression],
     ) -> Fragment:
+        meta = {**left.var_meta, **right.var_meta}
         if left.is_empty:
-            meta = dict(left.var_meta)
-            meta.update(right.var_meta)
             return Fragment(None, meta)
         if right.is_empty:
             # OPTIONAL over nothing: keep the left side, right vars unbound
-            meta = dict(left.var_meta)
-            meta.update(right.var_meta)
             assert left.statement is not None
             items = [
                 sql.SelectItem(sql.ColumnRef(var_column(v), "lj"), var_column(v))
@@ -1123,51 +1004,7 @@ class Unfolder:
                 ),
                 meta,
             )
-        assert left.statement is not None and right.statement is not None
-        shared = [var for var in left.var_meta if var in right.var_meta]
-        left_alias, right_alias = "lj", "rj"
-        conjuncts = [
-            sql.BinaryOp(
-                "=",
-                sql.ColumnRef(var_column(var), left_alias),
-                sql.ColumnRef(var_column(var), right_alias),
-            )
-            for var in shared
-        ]
-        var_exprs: Dict[sp.Var, sql.Expr] = {}
-        for var in left.var_meta:
-            var_exprs[var] = sql.ColumnRef(var_column(var), left_alias)
-        for var in right.var_meta:
-            var_exprs.setdefault(var, sql.ColumnRef(var_column(var), right_alias))
-        if condition is not None:
-            conjuncts.append(self._translate_expression(condition, var_exprs))
-        join_condition = sql.conjunction(conjuncts) or sql.LiteralValue(True)
-        items = []
-        meta = {}
-        for var, var_meta in left.var_meta.items():
-            items.append(
-                sql.SelectItem(
-                    sql.ColumnRef(var_column(var), left_alias), var_column(var)
-                )
-            )
-            meta[var] = var_meta
-        for var, var_meta in right.var_meta.items():
-            if var in meta:
-                meta[var] = meta[var].merge(var_meta)
-                continue
-            items.append(
-                sql.SelectItem(
-                    sql.ColumnRef(var_column(var), right_alias), var_column(var)
-                )
-            )
-            meta[var] = var_meta
-        join = sql.Join(
-            "LEFT",
-            sql.SubquerySource(left.statement, left_alias),
-            sql.SubquerySource(right.statement, right_alias),
-            join_condition,
-        )
-        return Fragment(sql.SelectStatement(items=tuple(items), source=join), meta)
+        return _join_fragments("LEFT", left, right, condition)
 
     def _union(self, left: Fragment, right: Fragment) -> Fragment:
         if left.is_empty and right.is_empty:
@@ -1212,7 +1049,7 @@ class Unfolder:
         var_exprs = {
             var: sql.ColumnRef(var_column(var), alias) for var in fragment.var_meta
         }
-        predicate = self._translate_expression(condition, var_exprs)
+        predicate = translate_expression(condition, var_exprs)
         pushed = _push_filter(fragment.statement, predicate)
         if pushed is not None:
             return Fragment(pushed, dict(fragment.var_meta))
@@ -1241,7 +1078,7 @@ class Unfolder:
         var_exprs = {
             v: sql.ColumnRef(var_column(v), alias) for v in fragment.var_meta
         }
-        computed = self._translate_expression(expression, var_exprs)
+        computed = translate_expression(expression, var_exprs)
         items = [
             sql.SelectItem(sql.ColumnRef(var_column(v), alias), var_column(v))
             for v in fragment.var_meta
@@ -1259,11 +1096,6 @@ class Unfolder:
 
     # -- expressions ---------------------------------------------------------------
 
-    def _translate_expression(
-        self, expression: sp.Expression, var_exprs: Dict[sp.Var, sql.Expr]
-    ) -> sql.Expr:
-        return translate_expression(expression, var_exprs)
-
     # -- query level -----------------------------------------------------------------
 
     def _apply_query_level(
@@ -1274,8 +1106,21 @@ class Unfolder:
         ]
         columns = [projection.var.name for projection in projections]
         if fragment.is_empty:
-            metas = [fragment.var_meta.get(p.var) for p in projections]
-            return None, columns, metas
+            if query.group_by or not query.has_aggregates():
+                metas = [fragment.var_meta.get(p.var) for p in projections]
+                return None, columns, metas
+            # an aggregate without GROUP BY answers one row even over no
+            # solutions (COUNT 0): aggregate an empty derived table
+            items = tuple(
+                sql.SelectItem(sql.LiteralValue(None), var_column(var))
+                for var in fragment.var_meta
+            ) or (sql.SelectItem(sql.LiteralValue(1), "one"),)
+            fragment = Fragment(
+                sql.SelectStatement(
+                    items=items, source=None, where=sql.LiteralValue(False)
+                ),
+                fragment.var_meta,
+            )
         assert fragment.statement is not None
         alias = "q"
         var_exprs: Dict[sp.Var, sql.Expr] = {
@@ -1338,34 +1183,184 @@ def _alias_map(items: Sequence[sql.SelectItem]) -> Dict[str, sql.Expr]:
     return {item.output_name: item.expr for item in items}
 
 
+
+# ---------------------------------------------------------------------------
+# BGP unfolding: the passes that need no unfolder state, and emit
+# ---------------------------------------------------------------------------
+
+
+def _scan_per_atom(block: _Block) -> _Block:
+    """Give every atom its own alias (no scan merging)."""
+    for assertion in block.combination:
+        block.new_scan(assertion)
+    return block
+
+
+def _merge_key(
+    atom: Atom, assertion: MappingAssertion, profile: _AssertionProfile
+) -> Optional[Tuple]:
+    """Key under which this atom's scan may share an alias.
+
+    Self-join sharing is sound when the subject columns are a unique key
+    of the (single-table) source, so that equal subjects imply equal rows.
+    VFD keys ignore the source text: scans of the same table joined on
+    the same subject template may share one alias even across different
+    projections.
+    """
+    subject = atom.terms()[0]
+    if not isinstance(subject, sp.Var):
+        return None
+    if profile.vfd is not None:
+        return (
+            subject,
+            "vfd",
+            profile.vfd.table,
+            profile.vfd.determinants,
+            assertion.subject.template.pattern,
+        )
+    if profile.unique is not None:
+        return (subject, assertion.source.key, assertion.subject.template.pattern)
+    return None
+
+
+def _bind_terms(block: _Block) -> Optional[_Block]:
+    """Bind each CQ term occurrence to a (term map, alias); a constant
+    becomes a condition, and None when its term map cannot produce it."""
+    for atom, assertion, alias in zip(
+        block.cq.atoms, block.combination, block.atom_alias
+    ):
+        for term, term_map in _atom_bindings(atom, assertion):
+            if isinstance(term, sp.Var):
+                block.bindings.setdefault(term, []).append((term_map, alias))
+                continue
+            constraint = _constant_constraint(term, term_map, alias)
+            if constraint is None:
+                return None
+            block.conditions.extend(constraint)
+    return block
+
+
+def _join_equalities(block: _Block) -> Optional[_Block]:
+    """Join conditions between the occurrences of each variable; None
+    when two of them can never produce the same term.
+
+    Atoms merged onto one alias yield a reflexive ``A.c = A.c``, which
+    holds exactly when ``A.c`` is not NULL and is left to the guards.
+    """
+    for occurrences in block.bindings.values():
+        first_map, first_alias = occurrences[0]
+        for other_map, other_alias in occurrences[1:]:
+            equality = _term_map_equality(
+                first_map, first_alias, other_map, other_alias
+            )
+            if equality is None:
+                return None
+            for conjunct in equality:
+                key = _reflexive_key(conjunct)
+                if key is None:
+                    block.conditions.append(conjunct)
+                else:
+                    block.reflexive[key] = None
+    return block
+
+
+def _emit(
+    block: _Block, answer_vars: Sequence[sp.Var]
+) -> Tuple[sql.SelectStatement, Dict[sp.Var, VarMeta]]:
+    """The SELECT block of a block that passed every pass; commits its
+    counters and licensing labels to the query's ``_Unfolding``."""
+    # aliases merged across different source texts get a synthesized bare
+    # scan projecting every column any member needs
+    source: Optional[sql.TableRef] = None
+    for alias, assertion in block.scans:
+        group = block.shared.get(alias)
+        if group is not None and len(group.sources) > 1:
+            table_ref = sql.SubquerySource(group.scan_statement(), alias)
+        else:
+            table_ref = sql.SubquerySource(assertion.parsed_source(), alias)
+        source = table_ref if source is None else sql.Join("INNER", source, table_ref)
+    # a variable bound three times repeats the first-vs-other equality
+    where = sql.conjunction(list(dict.fromkeys(block.conditions)))
+    # projection: answer variables present in this CQ
+    items: List[sql.SelectItem] = []
+    meta: Dict[sp.Var, VarMeta] = {}
+    for var in answer_vars:
+        if var in block.bindings:
+            term_map, alias = block.bindings[var][0]
+            expression = _term_map_expression(term_map, alias)
+            meta[var] = _term_map_meta(term_map)
+        else:
+            expression = sql.LiteralValue(None)
+            meta[var] = VarMeta("iri")
+        items.append(sql.SelectItem(expression, var_column(var)))
+    if not items:
+        items.append(sql.SelectItem(sql.LiteralValue(1), "one"))
+    unfolding = block.unfolding
+    unfolding.merged += block.merged
+    unfolding.vfd_merged += block.vfd_merged
+    unfolding.eliminated_joins += len(block.dropped)
+    unfolding.elided_guards += block.elided
+    for kind, label in block.fired:
+        unfolding.fire(kind, label)
+    return sql.SelectStatement(items=tuple(items), source=source, where=where), meta
+
+
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------
+
+
+def _join_fragments(
+    kind: str,
+    left: Fragment,
+    right: Fragment,
+    condition: Optional[sp.Expression] = None,
+) -> Fragment:
+    """``lj kind JOIN rj`` on the shared variables (and *condition*),
+    projecting every variable once, the left side's first."""
+    assert left.statement is not None and right.statement is not None
+    conjuncts: List[sql.Expr] = [
+        sql.BinaryOp(
+            "=",
+            sql.ColumnRef(var_column(var), "lj"),
+            sql.ColumnRef(var_column(var), "rj"),
+        )
+        for var in left.var_meta
+        if var in right.var_meta
+    ]
+    var_exprs: Dict[sp.Var, sql.Expr] = {
+        var: sql.ColumnRef(var_column(var), "lj") for var in left.var_meta
+    }
+    items = [sql.SelectItem(expr, var_column(var)) for var, expr in var_exprs.items()]
+    meta: Dict[sp.Var, VarMeta] = dict(left.var_meta)
+    for var, var_meta in right.var_meta.items():
+        if var in meta:
+            meta[var] = meta[var].merge(var_meta)
+            continue
+        var_exprs[var] = sql.ColumnRef(var_column(var), "rj")
+        items.append(sql.SelectItem(var_exprs[var], var_column(var)))
+        meta[var] = var_meta
+    if condition is not None:
+        conjuncts.append(translate_expression(condition, var_exprs))
+    join_condition = sql.conjunction(conjuncts)
+    if kind == "LEFT" and join_condition is None:
+        join_condition = sql.LiteralValue(True)
+    join = sql.Join(
+        kind,
+        sql.SubquerySource(left.statement, "lj"),
+        sql.SubquerySource(right.statement, "rj"),
+        join_condition,
+    )
+    return Fragment(sql.SelectStatement(items=tuple(items), source=join), meta)
 
 
 def _chain_union(
     statements: List[sql.SelectStatement], dedup: bool
 ) -> sql.SelectStatement:
     """Right-fold SELECT blocks into a UNION [ALL] chain."""
-    assert statements
-    result: Optional[sql.SelectStatement] = None
-    for statement in reversed(statements):
-        if result is None:
-            result = statement
-        else:
-            result = sql.SelectStatement(
-                items=statement.items,
-                source=statement.source,
-                where=statement.where,
-                group_by=statement.group_by,
-                having=statement.having,
-                order_by=statement.order_by,
-                limit=statement.limit,
-                offset=statement.offset,
-                distinct=statement.distinct,
-                union=sql.UnionTail(result, all=not dedup),
-            )
-    assert result is not None
+    result = statements[-1]
+    for statement in reversed(statements[:-1]):
+        result = replace(statement, union=sql.UnionTail(result, all=not dedup))
     return result
 
 
@@ -1616,10 +1611,9 @@ def _term_map_equality(
             )
         ]
     if isinstance(first, ConstantTermMap):
-        constraint = _constant_term_constraint(first.term, second, second_alias)
-        return constraint
+        return _constant_constraint(first.term, second, second_alias)
     if isinstance(second, ConstantTermMap):
-        return _constant_term_constraint(second.term, first, first_alias)
+        return _constant_constraint(second.term, first, first_alias)
     # IRI vs literal can never be equal
     return None
 
@@ -1638,15 +1632,10 @@ def _reflexive_key(conjunct: sql.Expr) -> Optional[Tuple[str, str]]:
 
 
 def _constant_constraint(
-    term: CqTerm, term_map: TermMap, alias: str
-) -> Optional[List[sql.Expr]]:
-    assert isinstance(term, (IRI, Literal))
-    return _constant_term_constraint(term, term_map, alias)
-
-
-def _constant_term_constraint(
     term: Term, term_map: TermMap, alias: str
 ) -> Optional[List[sql.Expr]]:
+    """Conditions under which *term_map* produces the constant *term*;
+    None when it never can."""
     if isinstance(term_map, ConstantTermMap):
         return [] if term_map.term == term else None
     if isinstance(term, IRI):

@@ -37,9 +37,9 @@ class OntologyStats:
         }
 
 
-def compute_stats(ontology: Ontology, reasoner: QLReasoner | None = None) -> OntologyStats:
+def compute_stats(ontology: Ontology) -> OntologyStats:
     """Compute the statistics row for one ontology."""
-    reasoner = reasoner or QLReasoner.of(ontology)
+    reasoner = QLReasoner.of(ontology)
     return OntologyStats(
         classes=len(ontology.classes),
         object_properties=len(ontology.object_properties),

@@ -25,7 +25,7 @@ from repro.npd import build_benchmark
 from repro.npd.queries import build_query_set
 from repro.npd.seed import SeedProfile
 from repro.obda import OBDAEngine
-from repro.owl import Ontology, QLReasoner
+from repro.owl import Ontology
 
 SCALE = 0.1
 SEED = 1
@@ -56,12 +56,10 @@ def pristine_report(bench, queries):
 
 @pytest.fixture(scope="module")
 def factbase(bench):
-    reasoner = QLReasoner(bench.ontology)
     return build_factbase(
         database=bench.database,
         ontology=bench.ontology,
         mappings=bench.mappings,
-        reasoner=reasoner,
     )
 
 
@@ -93,9 +91,7 @@ class TestOntologyPass:
         ontology = Ontology()
         ontology.add_subclass(ex + "B", ex + "A").add_disjoint(ex + "A", ex + "A")
         ontology.declare_class(ex + "C")
-        findings = run_ontology_pass(
-            ontology, QLReasoner.of(ontology), FactBase()
-        )
+        findings = run_ontology_pass(ontology, FactBase())
         unsatisfiable = {
             f.subject for f in findings if f.code == "ONT_UNSATISFIABLE"
         }
@@ -159,7 +155,6 @@ class TestFactBase:
             database=bench.database,
             ontology=bench.ontology,
             mappings=bench.mappings,
-            reasoner=QLReasoner(bench.ontology),
         )
         assert other.fingerprint() == factbase.fingerprint()
 

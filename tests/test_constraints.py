@@ -75,26 +75,26 @@ def queries():
 
 @pytest.fixture(scope="module")
 def reasoner(bench):
-    return QLReasoner(bench.ontology)
+    """The ontology's shared classification, built before any test
+    that must not count its allocations."""
+    return QLReasoner.of(bench.ontology)
 
 
 @pytest.fixture(scope="module")
-def factbase(bench, reasoner):
+def factbase(bench):
     return build_factbase(
         database=bench.database,
         ontology=bench.ontology,
         mappings=bench.mappings,
-        reasoner=reasoner,
     )
 
 
 @pytest.fixture(scope="module")
-def constraint_report(bench, reasoner):
+def constraint_report(bench):
     return build_constraints(
         database=bench.database,
         ontology=bench.ontology,
         mappings=bench.mappings,
-        reasoner=reasoner,
     )
 
 
@@ -393,7 +393,6 @@ class TestKeyedVerification:
                 database=bench.database,
                 ontology=bench.ontology,
                 mappings=bench.mappings,
-                reasoner=reasoner,
             )
             assert gc.collect() == 0
         finally:
@@ -540,18 +539,15 @@ class TestFuzzedEquivalence:
 class TestStalenessDemotion:
     def test_dml_demotes_and_preserves_answers(self, queries):
         fresh = _fresh_benchmark()
-        reasoner = QLReasoner(fresh.ontology)
         fb = build_factbase(
             database=fresh.database,
             ontology=fresh.ontology,
             mappings=fresh.mappings,
-            reasoner=reasoner,
         )
         cons = build_constraints(
             database=fresh.database,
             ontology=fresh.ontology,
             mappings=fresh.mappings,
-            reasoner=reasoner,
         ).constraints
         engine = OBDAEngine(
             fresh.database,

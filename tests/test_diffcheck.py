@@ -257,6 +257,55 @@ class TestOracleExample:
         assert len(texts) == 1
 
 
+def _pass_names(unfolder):
+    return {run.__name__ for run in unfolder.passes}
+
+
+class TestPassCoverage:
+    def test_every_optional_pass_is_on_and_off_in_the_matrix(
+        self, example_db, example_ontology, example_mappings
+    ):
+        """diffcheck compares each unfolder pass against its absence.
+
+        A pass is optional unless both an unfolder with nothing attached
+        (no ``enable_sqo``, FactBase or ConstraintSet) and one with
+        everything attached run it; every optional pass must be present
+        in at least one ``DEFAULT_MATRIX`` config and absent from at least
+        one, so a new pass cannot land unchecked.
+        """
+        from repro.analysis.constraints import ConstraintSet
+        from repro.analysis.facts import FactBase
+        from repro.obda.unfolder import Unfolder
+
+        per_config = {
+            config.name: _pass_names(
+                config.build(example_db, example_ontology, example_mappings).unfolder
+            )
+            for config in DEFAULT_MATRIX
+        }
+        bare = _pass_names(
+            Unfolder(example_mappings, example_ontology, enable_sqo=False)
+        )
+        full = _pass_names(
+            Unfolder(
+                example_mappings,
+                example_ontology,
+                facts=FactBase(),
+                constraints=ConstraintSet(),
+                raw_mappings=example_mappings,
+            )
+        )
+        mandatory = bare & full
+        assert mandatory == {"_bind_terms", "_join_equalities", "_null_guards"}
+        assert set.union(*per_config.values()) <= bare | full
+        for name in sorted((bare | full) - mandatory):
+            on = sorted(c for c, names in per_config.items() if name in names)
+            off = sorted(c for c, names in per_config.items() if name not in names)
+            assert on and off, (name, on, off)
+        for names in per_config.values():
+            assert mandatory <= names
+
+
 class _AnswerDroppingEngine:
     """A deliberately buggy engine: loses the last row of every answer."""
 

@@ -4,7 +4,7 @@ The unfolder ANDs the translated predicate into the WHERE of each block
 of the filtered fragment (``_push_filter``) instead of wrapping the union
 in ``SELECT ... FROM (UCQ) fq WHERE ...``; the executors then apply it to
 one relation before the joins.  The declined form -- the helper patched
-to decline, as the product oracle patches ``_compose_spj`` -- is the
+to decline, as the product oracle patches ``_unfold_cq`` -- is the
 wrapper, so every answer bag here is compared against it.
 """
 

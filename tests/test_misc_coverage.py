@@ -103,10 +103,10 @@ class TestPriorBenchmarks:
                 parse_query(query.sparql)
 
     def test_reasoners_build(self):
-        from repro.owl import QLReasoner, compute_stats
+        from repro.owl import compute_stats
 
         for bench in all_prior_benchmarks().values():
-            stats = compute_stats(bench.ontology, QLReasoner(bench.ontology))
+            stats = compute_stats(bench.ontology)
             assert stats.classes > 0
 
     def test_bsbm_is_tiny_dbpedia_is_big(self):

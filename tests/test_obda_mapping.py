@@ -302,17 +302,19 @@ class TestMappingSource:
             ),
         )
         fk_args = (("id",), "temployee", ("id",))
+        good_profile = unfolder._profile(good)
+        bad_profile = unfolder._profile(bad)
         # the parseable twin fires every shape-based check ...
-        assert unfolder._null_guard_info(good)[0] == ()
-        assert unfolder._unique_subject_info(good) is not None
-        assert unfolder._vfd_eligibility(good) is not None
-        assert unfolder._parent_key_info(good) is not None
+        assert good_profile.guarded == ()
+        assert good_profile.unique is not None
+        assert good_profile.vfd is not None
+        assert good_profile.parent_key is not None
         assert unfolder._child_fk_labels(good, *fk_args) is not None
         # ... the unparseable one none of them
-        assert unfolder._null_guard_info(bad) == (("id", "name"), ())
-        assert unfolder._unique_subject_info(bad) is None
-        assert unfolder._vfd_eligibility(bad) is None
-        assert unfolder._parent_key_info(bad) is None
+        assert (bad_profile.guarded, bad_profile.elided) == (("id", "name"), ())
+        assert bad_profile.unique is None
+        assert bad_profile.vfd is None
+        assert bad_profile.parent_key is None
         assert unfolder._child_fk_labels(bad, *fk_args) is None
 
 

@@ -128,3 +128,58 @@ class TestUnfoldOutput:
         )
         assert unfolded.statement.limit == 1
         assert unfolded.statement.order_by
+
+
+NPDV = "PREFIX npdv: <http://sws.ifi.uio.no/vocab/npd-v2#>\n"
+#: COUNT queries over a pattern that unfolds to nothing (an unmapped
+#: class), with and without GROUP BY, plus a non-empty control
+AGGREGATE_QUERIES = {
+    "count-var": "SELECT (COUNT(?x) AS ?c) WHERE { ?x a npdv:NoSuchClass }",
+    "count-star": "SELECT (COUNT(*) AS ?c) WHERE { ?x a npdv:NoSuchClass }",
+    "count-join": "SELECT (COUNT(?n) AS ?c) "
+    "WHERE { ?x a npdv:NoSuchClass . ?x npdv:name ?n }",
+    "count-having": "SELECT (COUNT(?x) AS ?c) WHERE { ?x a npdv:NoSuchClass } "
+    "HAVING (COUNT(?x) = 0)",
+    "group-by": "SELECT ?x (COUNT(?x) AS ?c) "
+    "WHERE { ?x a npdv:NoSuchClass } GROUP BY ?x",
+    "control": "SELECT (COUNT(?x) AS ?c) WHERE { ?x a npdv:Wellbore }",
+}
+
+
+@pytest.fixture(scope="module")
+def small_npd():
+    from repro.npd import build_benchmark
+    from repro.npd.seed import SeedProfile
+    from repro.obda.materializer import materialize
+
+    from repro.diffcheck.oracle import CONFIGS_BY_NAME
+
+    bench = build_benchmark(seed=1, profile=SeedProfile().scaled(0.1))
+    engines = {
+        config: CONFIGS_BY_NAME[config].build(
+            bench.database, bench.ontology, bench.mappings
+        )
+        for config in ("default", "facts")
+    }
+    return engines, materialize(bench.database, bench.mappings).graph
+
+
+class TestAggregateOverEmpty:
+    """An aggregate without GROUP BY answers one row even when its
+    pattern unfolds to nothing, as SPARQL's implicit single group does."""
+
+    @pytest.mark.parametrize("config", ["default", "facts"])
+    @pytest.mark.parametrize("name", sorted(AGGREGATE_QUERIES))
+    def test_matches_materialized_graph(self, small_npd, config, name):
+        from repro.sparql.evaluator import query_graph
+
+        engines, graph = small_npd
+        text = NPDV + AGGREGATE_QUERIES[name]
+        expected = query_graph(graph, text).rows
+        assert sorted(map(repr, engines[config].execute(text).rows)) == sorted(
+            map(repr, expected)
+        )
+        if name == "group-by":
+            assert expected == []
+        else:
+            assert len(expected) == 1

@@ -7,7 +7,8 @@ no ``A.c = A.c`` (true exactly when ``A.c IS NOT NULL``, which the null
 guards already settle) and no conjunct twice.  The optimization counters
 and fired-fact labels are pinned to what they were before the residue was
 removed; the counters count only merges that reach the SQL, which an
-oracle re-derives from the plain cross-product loop over ``_compose_spj``.
+oracle re-derives from the plain cross-product loop running every
+combination through the whole pass list (``_run_passes``).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from repro.npd.queries import build_query_set
 from repro.npd.seed import SeedProfile
 from repro.obda import OBDAEngine, parse_obda
 from repro.obda.materializer import materialize
-from repro.obda.unfolder import _shape_key, _term_map_equality
+from repro.obda.unfolder import _Block, _emit, _shape_key, _term_map_equality
 from repro.sql import ast as sql
 
 SCALE = 0.1
@@ -181,30 +182,33 @@ class TestUnfolderResidue:
         assert digest.hexdigest() == FIRED_LABELS_SHA1[config]
 
 
-_COUNTERS = ("_merged", "_vfd_merged", "_eliminated_joins", "_elided_guards")
+_COUNTERS = ("merged", "vfd_merged", "eliminated_joins", "elided_guards")
 
 
-def _product_unfold_cq(self, cq, answer_vars):
-    """The cross-product loop: ``_compose_spj`` on every combination.
+def _product_unfold_cq(self, cq, answer_vars, unfolding):
+    """The cross-product loop: the whole pass list on every combination.
 
-    Counter deltas and fired labels of a composition that returns no
-    branch are rolled back, so what remains counts emitted branches only.
+    A block some pass drops must leave the query's counters and fired
+    labels as they were, so what remains counts emitted branches only.
     """
-    candidate_lists = self._candidate_lists(cq)
+    candidate_lists = self._candidate_lists(cq, unfolding)
     if candidate_lists is None:
         return []
     branches = []
     for combination in itertools.product(*candidate_lists):
-        saved = [getattr(self, name) for name in _COUNTERS]
-        facts, constraints = dict(self._fired_facts), dict(self._fired_constraints)
-        built = self._compose_spj(cq, combination, answer_vars)
-        if built is None:
-            self._pruned += 1
-            for name, value in zip(_COUNTERS, saved):
-                setattr(self, name, value)
-            self._fired_facts, self._fired_constraints = facts, constraints
+        saved = [getattr(unfolding, name) for name in _COUNTERS]
+        facts = dict(unfolding.fired_facts)
+        constraints = dict(unfolding.fired_constraints)
+        block = self._run_passes(_Block(cq, combination, unfolding))
+        if block is None:
+            unfolding.pruned += 1
+            assert [getattr(unfolding, name) for name in _COUNTERS] == saved
+            assert (unfolding.fired_facts, unfolding.fired_constraints) == (
+                facts,
+                constraints,
+            )
             continue
-        branches.append(built)
+        branches.append(_emit(block, answer_vars))
     return branches
 
 
@@ -246,18 +250,18 @@ def _summary(unfolded):
 @pytest.mark.parametrize("config", ["best", "default"])
 def test_enumeration_matches_product_oracle(engines, queries, config, monkeypatch):
     engine = engines[config]
-    compose = engine.unfolder._compose_spj
+    run_passes = engine.unfolder._run_passes
     composed = []
 
-    def counting_compose(*args):
+    def counting_run_passes(*args):
         composed.append(None)
-        return compose(*args)
+        return run_passes(*args)
 
     counters = {}
     for name, text in queries.items():
         composed.clear()
         with monkeypatch.context() as patch:
-            patch.setattr(engine.unfolder, "_compose_spj", counting_compose)
+            patch.setattr(engine.unfolder, "_run_passes", counting_run_passes)
             enumerated = engine.unfold(text)
         # no NPD term map is a constant: every composition is emitted
         assert len(composed) == enumerated.union_blocks, name
@@ -333,7 +337,7 @@ def test_constant_term_maps_match_product_oracle(
     example_db, example_ontology, example_mappings, pattern, monkeypatch
 ):
     """A variable bound through a constant term map is left to
-    ``_compose_spj``'s exact check; the branches equal the product loop's."""
+    ``_join_equalities``' exact check; the branches equal the product loop's."""
     _, extra = parse_obda(CONSTANT_OBJECT_OBDA)
     for assertion in extra:
         example_mappings.add(assertion)
