@@ -14,7 +14,6 @@ import math
 import pytest
 
 from repro.bench import save_report
-from repro.mixer import Mixer, OBDASystemAdapter
 from repro.npd import tractable_queries
 from repro.sql import mysql_profile, postgresql_profile
 
@@ -29,10 +28,7 @@ def measure_series(ctx, ladder):
         ("postgresql", postgresql_profile()),
     ):
         for growth in ladder:
-            engine = ctx.engine(growth, profile)
-            report = Mixer(OBDASystemAdapter(engine), queries, warmup_runs=0).run(
-                runs=1
-            )
+            report = ctx.run_mix(growth, profile, queries)
             assert report.errors == {}, report.errors
             series[name].append(report.qmph)
     return series

@@ -12,8 +12,6 @@ import pytest
 from repro.bench import save_report
 from repro.mixer import (
     MIX_HEADERS,
-    Mixer,
-    OBDASystemAdapter,
     format_table,
     mix_report_rows,
     per_query_rows,
@@ -34,10 +32,7 @@ def run_ladder(ctx, ladder, profile):
     rows = []
     reports = {}
     for growth in ladder:
-        engine = ctx.engine(growth, profile)
-        report = Mixer(
-            OBDASystemAdapter(engine), queries, warmup_runs=0
-        ).run(runs=1)
+        report = ctx.run_mix(growth, profile, queries)
         assert report.errors == {}, report.errors
         label = f"NPD{int(growth)}"
         rows.extend(mix_report_rows(report, label, ctx.triples(growth)))

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Mapping, Optional
 
+from ..mixer import Mixer, MixReport, OBDASystemAdapter
 from ..npd import Benchmark, build_benchmark
 from ..obda import OBDAEngine, materialize
 from ..sql import Database, EngineProfile
@@ -32,6 +33,7 @@ class ScaledInstance:
 class BenchContext:
     benchmark: Benchmark
     instances: Dict[float, ScaledInstance] = field(default_factory=dict)
+    _databases: Dict[tuple, Database] = field(default_factory=dict)
     _engines: Dict[tuple, OBDAEngine] = field(default_factory=dict)
 
     def instance(self, growth: float) -> ScaledInstance:
@@ -46,19 +48,41 @@ class BenchContext:
             )
         return self.instances[growth]
 
-    def engine(self, growth: float, profile: EngineProfile) -> OBDAEngine:
+    def database(self, growth: float, profile: EngineProfile) -> Database:
+        """The rung's data under *profile*, cloned once per profile."""
         key = (growth, profile.name)
-        if key not in self._engines:
+        if key not in self._databases:
             instance = self.instance(growth)
-            database = (
+            self._databases[key] = (
                 instance.database
                 if instance.database.profile.name == profile.name
                 else instance.database.clone_with_data(profile)
             )
+        return self._databases[key]
+
+    def engine(self, growth: float, profile: EngineProfile) -> OBDAEngine:
+        """One engine per rung and profile, shared by every caller."""
+        key = (growth, profile.name)
+        if key not in self._engines:
             self._engines[key] = OBDAEngine(
-                database, self.benchmark.ontology, self.benchmark.mappings
+                self.database(growth, profile),
+                self.benchmark.ontology,
+                self.benchmark.mappings,
             )
         return self._engines[key]
+
+    def run_mix(
+        self, growth: float, profile: EngineProfile, queries: Mapping[str, str]
+    ) -> MixReport:
+        """One Mixer run of *queries*, without warm-up, on a fresh engine
+        over the shared data: every query compiles cold, whatever ran in
+        this process before."""
+        engine = OBDAEngine(
+            self.database(growth, profile),
+            self.benchmark.ontology,
+            self.benchmark.mappings,
+        )
+        return Mixer(OBDASystemAdapter(engine), queries, warmup_runs=0).run(runs=1)
 
     def triples(self, growth: float) -> int:
         instance = self.instance(growth)

@@ -9,7 +9,8 @@ Implements the four-phase workflow of Section 3:
 3. **query translation (unfolding)** -- SPARQL algebra to SQL over the
    compiled mappings, with semantic query optimization;
 4. **query execution** -- run the SQL on the relational engine and
-   translate rows back into RDF terms.
+   translate each answer column back into RDF terms, dictionary-encoded
+   (:mod:`repro.rdf.answers`).
 
 Every phase reports its own wall-clock time so the Mixer can fill the
 measure table (Table 1) of the paper.
@@ -21,12 +22,21 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from ..owl.model import Ontology
 from ..owl.reasoner import QLReasoner
+from ..rdf.answers import (
+    LITERAL,
+    URI,
+    Answer,
+    Column,
+    Entry,
+    check_iris,
+    term_of,
+)
 from ..rdf.terms import (
-    IRI,
     Literal,
     Term,
     XSD_BOOLEAN,
@@ -106,16 +116,21 @@ class QualityMetrics:
 
 @dataclass
 class OBDAResult:
-    """Answer rows as RDF terms plus per-phase metrics."""
+    """The answer, dictionary-encoded per column, plus per-phase metrics."""
 
     variables: List[str]
-    rows: List[Tuple[Optional[Term], ...]]
+    answer: Answer
     timings: PhaseTimings
     metrics: QualityMetrics
     sql_text: str
 
+    @cached_property
+    def rows(self) -> List[Tuple[Optional[Term], ...]]:
+        """The answer as rows of RDF terms, built on first access."""
+        return self.answer.rows()
+
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.answer)
 
     def __iter__(self):
         return iter(self.rows)
@@ -423,7 +438,7 @@ class OBDAEngine:
 
         ``token`` (a :class:`repro.concurrency.CancellationToken`) makes the
         call abortable: the SQL executor polls it at operator and row-batch
-        boundaries and the term-translation loop polls it per batch, raising
+        boundaries and the answer encoder polls it per column, raising
         :class:`repro.concurrency.QueryCancelled` out of this method.
         """
         if token is not None:
@@ -468,16 +483,17 @@ class OBDAEngine:
             constraints_fired=unfolded.fired_constraints,
         )
         if artifact.plan is None:
-            return OBDAResult(unfolded.columns, [], timings, metrics, unfolded.sql_text)
+            answer = _encode_answer([], unfolded.column_meta)
+            return OBDAResult(unfolded.columns, answer, timings, metrics, unfolded.sql_text)
         execution_started = time.perf_counter()
         result = self.database.execute_plan(
             artifact.plan, token=token, executor=self.executor
         )
         timings.execution = time.perf_counter() - execution_started
         translation_started = time.perf_counter()
-        rows = _translate_rows(result.rows, unfolded.column_meta, token)
+        answer = _encode_answer(result.rows, unfolded.column_meta, token)
         timings.translation = time.perf_counter() - translation_started
-        return OBDAResult(unfolded.columns, rows, timings, metrics, unfolded.sql_text)
+        return OBDAResult(unfolded.columns, answer, timings, metrics, unfolded.sql_text)
 
     # -- introspection ----------------------------------------------------------
 
@@ -560,121 +576,103 @@ class OBDAEngine:
         }
 
 
-#: rows translated between two polls of the cancellation token
-TRANSLATE_BATCH = 4096
-#: value types whose equal values translate to equal terms (float zeros aside)
-_MEMO_TYPES = (str, int, bool, float)
+#: value types keyed by (type, value): equal values of one such type
+#: translate to equal entries, float zeros aside
+_MEMO_TYPES = frozenset({type(None), str, int, bool, float})
 
 
-def _translate_rows(
+def _encode_answer(
     values: List[Tuple[Any, ...]], column_meta: List[Optional[VarMeta]], token=None
-) -> List[Tuple[Optional[Term], ...]]:
-    """Phase 4 for a whole result, column by column, one batch at a time."""
-    translators = [_ColumnTranslator(meta) for meta in column_meta]
-    rows: List[Tuple[Optional[Term], ...]] = []
-    for start in range(0, len(values), TRANSLATE_BATCH):
+) -> Answer:
+    """Phase 4 for a whole result: each column dictionary-encoded once,
+    polling the cancellation token before every column."""
+    columns = list(zip(*values)) or [()] * len(column_meta)
+    encoded = []
+    for column, meta in zip(columns, column_meta):
         if token is not None:
             token.check()
-        batch = values[start : start + TRANSLATE_BATCH]
-        if not translators:
-            rows.extend(() for _ in batch)
-            continue
-        columns = [
-            translate(column) for translate, column in zip(translators, zip(*batch))
-        ]
-        rows.extend(zip(*columns))
-    return rows
+        encoded.append(_encode_column(column, meta))
+    return Answer(encoded, len(values))
 
 
-class _ColumnTranslator:
-    """:func:`_make_term` for one result column: the converter is picked
-    once from the column's meta, and each distinct value's term is built
-    once per response."""
+def _encode_column(column: Sequence[Any], meta: Optional[VarMeta]) -> Column:
+    """One column as entries and codes, each distinct value translated once.
 
-    def __init__(self, meta: Optional[VarMeta]):
-        self.convert = _term_converter(meta)
-        # one memo per value type: 1, 1.0 and True are equal keys but
-        # translate to different terms
-        self.memos: Dict[type, Dict[Any, Term]] = {}
-
-    def __call__(self, column: Sequence[Any]) -> List[Optional[Term]]:
-        kinds = set(map(type, column))
-        kinds.discard(type(None))
-        kind = kinds.pop() if len(kinds) == 1 else None
-        # 0.0 == -0.0, but they render "0.0" and "-0.0" under xsd:double
-        if kind not in _MEMO_TYPES or (kind is float and 0.0 in column):
-            convert = self.convert
-            return [None if value is None else convert(value) for value in column]
-        memo = self.memos.setdefault(kind, {})
-        for value in set(column).difference(memo):
-            if value is not None:
-                memo[value] = self.convert(value)
-        return list(map(memo.get, column))
-
-
-def _term_converter(meta: Optional[VarMeta]) -> Callable[[Any], Term]:
-    """The non-NULL branch of :func:`_make_term` specialised to *meta*."""
+    Values are keyed by type and value, so ``1``, ``1.0`` and ``True``
+    (equal in Python) stay apart, and so do ``0.0`` and ``-0.0``; values of
+    other types are never shared.  A column of one such type without a
+    float zero is keyed by its values alone.  A NaN key matches only the
+    very same object, and every NaN translates alike.
+    """
+    kinds = set(map(type, column))
+    keys = column
+    if len(kinds - {type(None)}) > 1 or not kinds <= _MEMO_TYPES or (
+        float in kinds and 0.0 in column
+    ):
+        keys = list(map(_value_key, column))
+    index = dict.fromkeys(keys)
+    distinct = index if keys is column else map(dict(zip(keys, column)).get, index)
+    rule = _entry_rule(meta)
+    entries = [None if value is None else rule(value) for value in distinct]
     if meta is not None and meta.kind == "iri":
-        return _iri_term
+        check_iris([entry[3] for entry in entries if entry is not None])
+    index = dict(zip(index, range(len(index))))
+    return Column(entries, list(map(index.__getitem__, keys)))
+
+
+def _value_key(value: Any) -> Hashable:
+    kind = type(value)
+    if kind not in _MEMO_TYPES:
+        return object()
+    if kind is float and value == 0.0:
+        return (kind, str(value))
+    return (kind, value)
+
+
+def _entry_rule(meta: Optional[VarMeta]) -> Callable[[Any], Entry]:
+    """Phase 4 for a non-NULL SQL value of a column with *meta*: the one
+    rule behind both :func:`_encode_column` and :func:`_make_term`."""
+    if meta is not None and meta.kind == "iri":
+        return _iri_entry
     datatype = meta.datatype if meta is not None else XSD_STRING
     if datatype == XSD_STRING:
-        return _refined_literal
+        return _refined_entry
     if datatype in (XSD_INTEGER, XSD_DECIMAL):
-        return lambda value: _integral_literal(value, datatype)
-    return lambda value: _typed_literal(value, datatype)
+        return lambda value: _integral_entry(value, datatype)
+    return lambda value: _typed_entry(value, datatype)
 
 
-def _iri_term(value: Any) -> Term:
-    return IRI(str(value))
+def _iri_entry(value: Any) -> Entry:
+    return (URI, None, None, str(value))
 
 
-def _refined_literal(value: Any) -> Term:
+def _refined_entry(value: Any) -> Entry:
     # untyped columns (aggregates come back numeric) take the runtime type
     if isinstance(value, bool):
-        return Literal("true" if value else "false", XSD_BOOLEAN)
+        return (LITERAL, XSD_BOOLEAN, None, "true" if value else "false")
     if isinstance(value, int):
-        return Literal(str(value), XSD_INTEGER)
+        return (LITERAL, XSD_INTEGER, None, str(value))
     if isinstance(value, float):
-        return Literal(str(value), XSD_DOUBLE)
-    return Literal(str(value), XSD_STRING)
+        return (LITERAL, XSD_DOUBLE, None, str(value))
+    return (LITERAL, XSD_STRING, None, str(value))
 
 
-def _integral_literal(value: Any, datatype: str) -> Term:
-    if isinstance(value, float) and value.is_integer():
-        return Literal(str(int(value)), datatype)
-    return _typed_literal(value, datatype)
-
-
-def _typed_literal(value: Any, datatype: str) -> Term:
-    if isinstance(value, bool):
-        return Literal("true" if value else "false", datatype)
-    return Literal(str(value), datatype)
-
-
-def _make_term(value: Any, meta: Optional[VarMeta]) -> Optional[Term]:
-    """Phase 4 for one SQL value: the definition that the per-column
-    translators of :func:`_translate_rows` specialise."""
-    if value is None:
-        return None
-    if meta is not None and meta.kind == "iri":
-        return IRI(str(value))
-    datatype = meta.datatype if meta is not None else XSD_STRING
-    if datatype == XSD_STRING:
-        # refine from the runtime value (aggregates come back numeric)
-        if isinstance(value, bool):
-            datatype = XSD_BOOLEAN
-        elif isinstance(value, int):
-            datatype = XSD_INTEGER
-        elif isinstance(value, float):
-            datatype = XSD_DOUBLE
-    if isinstance(value, bool):
-        return Literal("true" if value else "false", datatype)
+def _integral_entry(value: Any, datatype: str) -> Entry:
     # integer-valued floats collapse to the integer lexical form for the
     # integer-like datatypes; xsd:decimal must behave like xsd:integer here
     # or virtual answers render "7.0" where materialized ones say "7"
-    if isinstance(value, float) and value.is_integer() and datatype in (
-        XSD_INTEGER,
-        XSD_DECIMAL,
-    ):
-        return Literal(str(int(value)), datatype)
-    return Literal(str(value), datatype)
+    if isinstance(value, float) and value.is_integer():
+        return (LITERAL, datatype, None, str(int(value)))
+    return _typed_entry(value, datatype)
+
+
+def _typed_entry(value: Any, datatype: str) -> Entry:
+    if isinstance(value, bool):
+        return (LITERAL, datatype, None, "true" if value else "false")
+    return (LITERAL, datatype, None, str(value))
+
+
+def _make_term(value: Any, meta: Optional[VarMeta]) -> Optional[Term]:
+    """Phase 4 for one SQL value, as a term: the per-value reference the
+    column encoder is tested against."""
+    return None if value is None else term_of(_entry_rule(meta)(value))

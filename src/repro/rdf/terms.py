@@ -159,24 +159,34 @@ class Literal:
         return self.datatype in _NUMERIC_DATATYPES or self.datatype == XSD_GYEAR
 
     def n3(self) -> str:
-        escaped = (
-            self.lexical.replace("\\", "\\\\")
-            .replace('"', '\\"')
-            .replace("\n", "\\n")
-            .replace("\r", "\\r")
-            .replace("\t", "\\t")
-        )
-        if self.language:
-            return f'"{escaped}"@{self.language}'
-        if self.datatype and self.datatype != XSD_STRING:
-            return f'"{escaped}"^^<{self.datatype}>'
-        return f'"{escaped}"'
+        escaped = escape_lexical(self.lexical)
+        return f'"{escaped}"{literal_suffix(self.datatype, self.language)}'
 
     def __str__(self) -> str:  # pragma: no cover - convenience
         return self.n3()
 
 
 Term = Union[IRI, BNode, Literal]
+
+
+def escape_lexical(lexical: str) -> str:
+    """A lexical form escaped for the quotes of its N-Triples literal."""
+    return (
+        lexical.replace("\\", "\\\\")
+        .replace('"', '\\"')
+        .replace("\n", "\\n")
+        .replace("\r", "\\r")
+        .replace("\t", "\\t")
+    )
+
+
+def literal_suffix(datatype: Optional[str], language: Optional[str]) -> str:
+    """What follows the closing quote of an N-Triples literal."""
+    if language:
+        return f"@{language}"
+    if datatype and datatype != XSD_STRING:
+        return f"^^<{datatype}>"
+    return ""
 
 
 def is_resource(term: Term) -> bool:

@@ -205,9 +205,10 @@ class SparqlEndpoint:
                 f"{len(result.variables)}",
             )
 
+        rows = len(result.answer)
         headers = [
             ("Content-Type", f"{FORMATS[format_key]}; charset=utf-8"),
-            ("X-Row-Count", str(len(result.rows))),
+            ("X-Row-Count", str(rows)),
             ("X-Phase-Rewriting", f"{result.timings.rewriting:.6f}"),
             ("X-Phase-Unfolding", f"{result.timings.unfolding:.6f}"),
             ("X-Phase-Planning", f"{result.timings.planning:.6f}"),
@@ -215,8 +216,13 @@ class SparqlEndpoint:
             ("X-Phase-Translation", f"{result.timings.translation:.6f}"),
             ("X-Cache-Hit", "1" if result.metrics.compile_cache_hit else "0"),
         ]
+        if result.metrics.rewriting_truncated:
+            # answers may be missing: the rewriter's max_ucq valve fired
+            headers.append(("X-Rewriting-Truncated", "1"))
+            self.metrics.increment("truncated_answers")
         serialize_started = time.perf_counter()
-        chunks = serialize(format_key, result.variables, result.rows)
+        # the encoded answer, never result.rows: serving builds no terms
+        chunks = serialize(format_key, result.variables, result.answer)
 
         def timed() -> Iterator[bytes]:
             try:
@@ -226,7 +232,7 @@ class SparqlEndpoint:
                     time.perf_counter() - serialize_started
                 )
 
-        return Response(200, headers, timed(), extra={"rows": len(result.rows)})
+        return Response(200, headers, timed(), extra={"rows": rows})
 
     # -- operability ----------------------------------------------------
 
@@ -247,6 +253,10 @@ class SparqlEndpoint:
 
     def metrics_snapshot(self) -> Response:
         payload = self.metrics.snapshot()
+        # degraded answers: truncated rewritings served, and verified
+        # artifacts the engine demoted (one FACT_STALE finding each)
+        payload["counters"].setdefault("truncated_answers", 0)
+        payload["counters"]["stale_demotions"] = len(self.engine.stale_findings)
         payload["queue"] = {
             "depth": self.pool.queued,
             "inflight": self.pool.inflight,

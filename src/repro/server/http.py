@@ -27,10 +27,12 @@ from .app import ProtocolError, Response, ServerConfig, SparqlEndpoint, _error_r
 logger = logging.getLogger("repro.server")
 
 # Young-generation collection threshold while serving.  One bulk
-# response keeps about 30 k container objects alive (5 760 rows, each a
-# row tuple plus its terms), so the default of 700 runs hundreds of
-# young collections per response, and their promotions trigger full
-# collections.  The serving path leaves no cyclic garbage
+# response on best-g4 keeps up to about 21 k container objects alive:
+# the 5 760 SQL row tuples while its answer is encoded, plus one entry
+# tuple per distinct value of each column (up to 15 k).  At the default
+# of 700, /metrics ``gc.collections`` counts about 37 young and 3
+# generation-1 collections per bulk request; at 50 000, none.  The
+# serving path leaves no cyclic garbage
 # (tests/test_server.py::TestCollectorPolicy), so collecting less often
 # frees nothing later than reference counting already does.
 YOUNG_THRESHOLD = 50_000

@@ -20,17 +20,23 @@ from __future__ import annotations
 import csv
 import io
 import json
-from functools import partial
-from itertools import islice
+import re
 from json.encoder import encode_basestring_ascii as _json_string
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 from xml.etree import ElementTree
 from xml.sax.saxutils import escape as xml_escape
 
+from ..rdf.answers import BNODE, LITERAL, URI, Answer, Entry, encode_terms
 from ..rdf.ntriples import _parse_term
-from ..rdf.terms import BNode, IRI, Literal, Term, XSD_STRING
-
-RowsT = Sequence[Tuple[Optional[Term], ...]]
+from ..rdf.terms import (
+    BNode,
+    IRI,
+    Literal,
+    Term,
+    XSD_STRING,
+    escape_lexical,
+    literal_suffix,
+)
 
 MIME_JSON = "application/sparql-results+json"
 MIME_XML = "application/sparql-results+xml"
@@ -113,81 +119,96 @@ def negotiate(accept: Optional[str], format_param: Optional[str] = None) -> str:
 # ---------------------------------------------------------------------------
 # writers
 #
-# Every writer encodes a response column by column, CHUNK_ROWS rows at a
-# time, and joins each row from its cells' texts.  All but CSV encode
-# through a _ColumnCodec per variable, once per distinct term.
+# A writer takes a dictionary-encoded Answer (rows of terms are encoded
+# first), renders every distinct entry of a column once with its format's
+# renderer, and emits CHUNK_ROWS rows at a time by code.
+
+RowsT = Union[Answer, Sequence[Tuple[Optional[Term], ...]]]
+
+_Renderer = Callable[[Optional[Entry]], str]
+#: how one form (kind, datatype, language) renders: prefix, text escape, suffix
+_Affixes = Tuple[str, Callable[[str], str], str]
 
 
-class _ColumnCodec:
-    """The encoded text of one result column's terms, each built once.
-
-    Cells are looked up by object identity: hashing a term costs about as
-    much as encoding it, and the OBDA translator hands out one object per
-    distinct value of a column.  Every object looked up stays referenced
-    here, so its id is not reused by another term while the codec lives.
-    """
-
-    def __init__(self, encode: Callable[[Optional[Term]], str]):
-        self.encode = encode
-        self.by_id: Dict[int, str] = {}
-        self.objects: List[Optional[Term]] = []
-
-    def __call__(self, column: Sequence[Optional[Term]]) -> List[str]:
-        ids = list(map(id, column))
-        fresh = list(set(ids).difference(self.by_id))
-        if fresh:
-            terms = list(map(dict(zip(ids, column)).__getitem__, fresh))
-            self.by_id.update(zip(fresh, map(self.encode, terms)))
-            self.objects.extend(terms)
-        return list(map(self.by_id.__getitem__, ids))
+def _answer(variables: Sequence[str], rows: RowsT) -> Answer:
+    return rows if isinstance(rows, Answer) else encode_terms(len(variables), rows)
 
 
-_ColumnEncoder = Callable[[Sequence[Optional[Term]]], Iterable[str]]
-
-
-def _encoded_chunks(
-    rows: Iterable[Tuple[Optional[Term], ...]], encoders: Sequence[_ColumnEncoder]
+def _rendered_chunks(
+    answer: Answer, renderers: Sequence[_Renderer]
 ) -> Iterator[Iterable[Tuple[str, ...]]]:
-    """Up to CHUNK_ROWS rows at a time, each row as its encoded cells."""
-    remaining = iter(rows)
-    while chunk := list(islice(remaining, CHUNK_ROWS)):
-        if not encoders:
-            yield [()] * len(chunk)
+    """Up to CHUNK_ROWS rows at a time, each row as its rendered cells."""
+    columns = [
+        (list(map(render, column.entries)), column.codes)
+        for render, column in zip(renderers, answer.columns)
+    ]
+    for start in range(0, len(answer), CHUNK_ROWS):
+        stop = min(start + CHUNK_ROWS, len(answer))
+        if not columns:
+            yield [()] * (stop - start)
             continue
-        yield zip(*[encode(column) for encode, column in zip(encoders, zip(*chunk))])
+        yield zip(*[map(texts.__getitem__, codes[start:stop]) for texts, codes in columns])
 
 
-def _json_cell(variable: str) -> Callable[[Optional[Term]], str]:
+def _renderer(affixes: Callable[[str, Optional[str], Optional[str]], _Affixes]) -> _Renderer:
+    """One format's renderer for one column: ``prefix + escape(text) +
+    suffix``, the affixes worked out once per form; unbound renders ""."""
+    known: Dict[Tuple[str, Optional[str], Optional[str]], _Affixes] = {}
+
+    def render(entry: Optional[Entry]) -> str:
+        if entry is None:
+            return ""
+        form = entry[:3]
+        parts = known.get(form)
+        if parts is None:
+            parts = known[form] = affixes(*form)
+        prefix, escape, suffix = parts
+        return prefix + escape(entry[3]) + suffix
+
+    return render
+
+
+def _no_text(text: str) -> str:
+    return ""
+
+
+def _n3(kind: str, datatype: Optional[str], language: Optional[str]) -> _Affixes:
+    if kind == URI:
+        return "<", str, ">"
+    if kind == BNODE:
+        return "_:", str, ""
+    return '"', escape_lexical, '"' + literal_suffix(datatype, language)
+
+
+def _json_cell(variable: str) -> _Renderer:
     """``"variable": {binding}`` exactly as ``json.dumps`` renders it."""
     key = _json_string(variable) + ": "
 
-    def encode(term: Optional[Term]) -> str:
-        if term is None:
-            return ""
-        if isinstance(term, IRI):
-            return f'{key}{{"type": "uri", "value": {_json_string(term.value)}}}'
-        if isinstance(term, BNode):
-            return f'{key}{{"type": "bnode", "value": {_json_string(term.label)}}}'
-        text = f'{key}{{"type": "literal", "value": {_json_string(term.lexical)}'
-        if term.language:
-            text += f', "xml:lang": {_json_string(term.language)}'
-        elif term.datatype and term.datatype != XSD_STRING:
-            text += f', "datatype": {_json_string(term.datatype)}'
-        return text + "}"
+    def affixes(kind: str, datatype: Optional[str], language: Optional[str]) -> _Affixes:
+        suffix = "}"
+        if language:
+            suffix = f', "xml:lang": {_json_string(language)}}}'
+        elif datatype and datatype != XSD_STRING:
+            suffix = f', "datatype": {_json_string(datatype)}}}'
+        return f'{key}{{"type": "{kind}", "value": ', _json_string, suffix
 
-    return encode
+    return _renderer(affixes)
 
 
 def write_json(variables: Sequence[str], rows: RowsT) -> Iterator[bytes]:
     """SPARQL 1.1 Query Results JSON Format, streamed binding-by-binding."""
+    answer = _answer(variables, rows)
     head = json.dumps({"vars": list(variables)})
     yield f'{{"head": {head}, "results": {{"bindings": ['.encode()
-    codecs = [_ColumnCodec(_json_cell(variable)) for variable in variables]
-    separator = ""
-    for chunk in _encoded_chunks(rows, codecs):
-        text = ",".join("{" + ", ".join(filter(None, cells)) + "}" for cells in chunk)
-        yield (separator + text).encode()
-        separator = ","
+    renderers = [_json_cell(variable) for variable in variables]
+    # an unbound cell renders "" and must not leave a stray separator
+    unbound = any(None in column.entries for column in answer.columns)
+    separator = "{"
+    for chunk in _rendered_chunks(answer, renderers):
+        if unbound:
+            chunk = [filter(None, cells) for cells in chunk]
+        yield (separator + "},{".join(map(", ".join, chunk)) + "}").encode()
+        separator = ",{"
     yield b"]}}"
 
 
@@ -195,43 +216,49 @@ def write_ask_json(answer: bool) -> Iterator[bytes]:
     yield json.dumps({"head": {}, "boolean": bool(answer)}).encode()
 
 
-def _csv_value(term: Optional[Term]) -> str:
-    if term is None:
-        return ""
-    if isinstance(term, IRI):
-        return term.value
-    if isinstance(term, BNode):
-        return f"_:{term.label}"
-    return term.lexical
+#: what makes ``csv.writer`` (RFC 4180, QUOTE_MINIMAL) quote a field
+_CSV_QUOTED = re.compile(r'[,"\r\n]')
+
+
+def _csv_field(text: str) -> str:
+    if _CSV_QUOTED.search(text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _csv(kind: str, datatype: Optional[str], language: Optional[str]) -> _Affixes:
+    # a blank node label is [A-Za-z0-9_]+: "_:label" never needs quoting
+    return ("_:", str, "") if kind == BNODE else ("", _csv_field, "")
+
+
+def _csv_only_cell() -> _Renderer:
+    render = _renderer(_csv)
+    # like csv.writer, a row of one empty field is written as ""
+    return lambda entry: render(entry) or '""'
 
 
 def write_csv(variables: Sequence[str], rows: RowsT) -> Iterator[bytes]:
     """SPARQL 1.1 CSV results: raw values, RFC 4180 quoting, CRLF."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\r\n")
-    writer.writerow(list(variables))
-    # picking a term's CSV text costs less than looking it up in a codec
-    encoders = [partial(map, _csv_value) for _ in variables]
-    for chunk in _encoded_chunks(rows, encoders):
-        writer.writerows(chunk)
-        yield out.getvalue().encode()
-        out.seek(0)
-        out.truncate()
-    if out.tell():
-        yield out.getvalue().encode()
-
-
-def _tsv_value(term: Optional[Term]) -> str:
-    if term is None:
-        return ""
-    return term.n3()
+    answer = _answer(variables, rows)
+    lines = [",".join(map(_csv_field, variables))]
+    if len(variables) == 1:
+        renderers = [_csv_only_cell()]
+    else:
+        renderers = [_renderer(_csv) for _ in variables]
+    for chunk in _rendered_chunks(answer, renderers):
+        lines.extend(map(",".join, chunk))
+        yield ("\r\n".join(lines) + "\r\n").encode()
+        lines = []
+    if lines:
+        yield ("\r\n".join(lines) + "\r\n").encode()
 
 
 def write_tsv(variables: Sequence[str], rows: RowsT) -> Iterator[bytes]:
     """SPARQL 1.1 TSV results: ``?var`` header, N3-serialized terms."""
+    answer = _answer(variables, rows)
     lines = ["\t".join(f"?{variable}" for variable in variables)]
-    codecs = [_ColumnCodec(_tsv_value) for _ in variables]
-    for chunk in _encoded_chunks(rows, codecs):
+    renderers = [_renderer(_n3) for _ in variables]
+    for chunk in _rendered_chunks(answer, renderers):
         lines.extend(map("\t".join, chunk))
         yield ("\n".join(lines) + "\n").encode()
         lines = []
@@ -239,29 +266,28 @@ def write_tsv(variables: Sequence[str], rows: RowsT) -> Iterator[bytes]:
         yield ("\n".join(lines) + "\n").encode()
 
 
-def _xml_binding(variable: str, term: Term) -> str:
-    if isinstance(term, IRI):
-        body = f"<uri>{xml_escape(term.value)}</uri>"
-    elif isinstance(term, BNode):
-        body = f"<bnode>{xml_escape(term.label)}</bnode>"
-    elif term.language:
-        body = f'<literal xml:lang="{xml_escape(term.language)}">{xml_escape(term.lexical)}</literal>'
-    elif term.datatype and term.datatype != XSD_STRING:
-        body = (
-            f'<literal datatype="{xml_escape(term.datatype)}">'
-            f"{xml_escape(term.lexical)}</literal>"
-        )
-    else:
-        body = f"<literal>{xml_escape(term.lexical)}</literal>"
-    return f'<binding name="{xml_escape(variable)}">{body}</binding>'
+def _xml_cell(variable: str) -> _Renderer:
+    name = f'<binding name="{xml_escape(variable)}">'
 
+    def affixes(kind: str, datatype: Optional[str], language: Optional[str]) -> _Affixes:
+        if kind == URI:
+            return name + "<uri>", xml_escape, "</uri></binding>"
+        if kind == BNODE:
+            return name + "<bnode>", xml_escape, "</bnode></binding>"
+        if language:
+            tag = f'<literal xml:lang="{xml_escape(language)}">'
+        elif datatype and datatype != XSD_STRING:
+            tag = f'<literal datatype="{xml_escape(datatype)}">'
+        else:
+            tag = "<literal>"
+        return name + tag, xml_escape, "</literal></binding>"
 
-def _xml_cell(variable: str) -> Callable[[Optional[Term]], str]:
-    return lambda term: "" if term is None else _xml_binding(variable, term)
+    return _renderer(affixes)
 
 
 def write_xml(variables: Sequence[str], rows: RowsT) -> Iterator[bytes]:
     """SPARQL Query Results XML Format."""
+    answer = _answer(variables, rows)
     head = "".join(
         f'<variable name="{xml_escape(variable)}"/>' for variable in variables
     )
@@ -270,20 +296,18 @@ def write_xml(variables: Sequence[str], rows: RowsT) -> Iterator[bytes]:
         '<sparql xmlns="http://www.w3.org/2005/sparql-results#">'
         f"<head>{head}</head><results>"
     ).encode()
-    codecs = [_ColumnCodec(_xml_cell(variable)) for variable in variables]
-    for chunk in _encoded_chunks(rows, codecs):
-        yield "".join(
-            "<result>" + "".join(cells) + "</result>" for cells in chunk
-        ).encode()
+    renderers = [_xml_cell(variable) for variable in variables]
+    for chunk in _rendered_chunks(answer, renderers):
+        yield ("<result>" + "</result><result>".join(map("".join, chunk)) + "</result>").encode()
     yield b"</results></sparql>"
 
 
-def _ntriples_subject(term: Optional[Term]) -> str:
-    return "" if term is None or isinstance(term, Literal) else term.n3()
+def _ntriples_subject(kind: str, datatype: Optional[str], language: Optional[str]) -> _Affixes:
+    return ("", _no_text, "") if kind == LITERAL else _n3(kind, datatype, language)
 
 
-def _ntriples_predicate(term: Optional[Term]) -> str:
-    return term.n3() if isinstance(term, IRI) else ""
+def _ntriples_predicate(kind: str, datatype: Optional[str], language: Optional[str]) -> _Affixes:
+    return _n3(kind, datatype, language) if kind == URI else ("", _no_text, "")
 
 
 def write_ntriples(variables: Sequence[str], rows: RowsT) -> Iterator[bytes]:
@@ -297,13 +321,14 @@ def write_ntriples(variables: Sequence[str], rows: RowsT) -> Iterator[bytes]:
         raise ValueError(
             f"n-triples export needs exactly 3 columns, got {len(variables)}"
         )
-    # a skipped position encodes as "": no N-Triples term is empty
-    codecs = [
-        _ColumnCodec(_ntriples_subject),
-        _ColumnCodec(_ntriples_predicate),
-        _ColumnCodec(_tsv_value),
+    answer = _answer(variables, rows)
+    # a skipped position renders as "": no N-Triples term is empty
+    renderers = [
+        _renderer(_ntriples_subject),
+        _renderer(_ntriples_predicate),
+        _renderer(_n3),
     ]
-    for chunk in _encoded_chunks(rows, codecs):
+    for chunk in _rendered_chunks(answer, renderers):
         lines = [f"{s} {p} {o} ." for s, p, o in chunk if s and p and o]
         if lines:
             yield ("\n".join(lines) + "\n").encode()
@@ -321,6 +346,7 @@ WRITERS = {
 def serialize(
     format_key: str, variables: Sequence[str], rows: RowsT
 ) -> Iterable[bytes]:
+    """The body of an answer (encoded, or rows of terms) in one format."""
     return WRITERS[format_key](variables, rows)
 
 

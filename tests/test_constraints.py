@@ -647,9 +647,11 @@ class TestConstraintMutants:
 
 class TestDiffcheckMatrix:
     def test_matrix_has_constraints_config(self):
-        assert len(DEFAULT_MATRIX) == 7
+        assert len(DEFAULT_MATRIX) == 8
         config = CONFIGS_BY_NAME["constraints"]
         assert config.facts and config.constraints
+        best = CONFIGS_BY_NAME["best"]
+        assert best.facts and best.constraints and best.executor == "vectorized"
 
     def test_oracle_agrees_under_constraints(self, bench, queries):
         oracle = DifferentialOracle(

@@ -129,6 +129,23 @@ class TestBenchHarness:
         assert stats["characters"] > 0
         assert stats["joins"] >= 1
 
+    def test_ladder_runs_compile_cold(self, npd_benchmark):
+        """Figure 1 and Tables 9/10 run the same mix in one process; each
+        run must compile every query itself, whatever ran before it."""
+        from repro.bench import BenchContext
+
+        ctx = BenchContext(benchmark=npd_benchmark)
+        profile = npd_benchmark.database.profile
+        queries = {
+            qid: npd_benchmark.queries[qid].sparql for qid in ("q1", "q2", "q3")
+        }
+        for _ in range(2):
+            report = ctx.run_mix(1, profile, queries)
+            assert report.errors == {}
+            assert report.cache["query_cache_hits"] == 0
+            assert report.cache["query_cache_misses"] == len(queries)
+        assert ctx.database(1, profile) is npd_benchmark.database
+
     def test_save_report(self, tmp_path, monkeypatch, capsys):
         from repro.bench import save_report
 

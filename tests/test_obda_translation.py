@@ -1,9 +1,10 @@
-"""Phase 4 (SQL values back to RDF terms): the per-column translators.
+"""Phase 4 (SQL values back to RDF terms): the column encoder.
 
-``OBDAEngine.execute`` translates a result column by column with a
-converter picked once from the column's ``VarMeta`` and a memo that
-builds each distinct value's term once per response.  Both must agree
-with the per-value definition ``_make_term`` on every edge value.
+``OBDAEngine.execute`` dictionary-encodes a result column by column: each
+distinct value (keyed by type and value) is translated once into an
+entry by the rule picked from the column's ``VarMeta``, and the column
+becomes a list of codes.  Its term view must agree with the per-value
+definition ``_make_term`` on every edge value.
 """
 
 from __future__ import annotations
@@ -12,8 +13,9 @@ import math
 
 import pytest
 
-from repro.obda.system import TRANSLATE_BATCH, _ColumnTranslator, _make_term, _translate_rows
+from repro.obda.system import _encode_answer, _encode_column, _make_term
 from repro.obda.unfolder import VarMeta
+from repro.rdf.answers import Answer
 from repro.rdf.terms import (
     IRI,
     Literal,
@@ -73,9 +75,15 @@ def _reference(value, meta):
         return type(error)
 
 
+def _terms(column, meta):
+    """The term view of one encoded column."""
+    answer = Answer([_encode_column(column, meta)], len(column))
+    return [row[0] for row in answer.rows()]
+
+
 def _translated(column, meta):
     try:
-        return _ColumnTranslator(meta)(column)
+        return _terms(column, meta)
     except TermError as error:
         return type(error)
 
@@ -97,13 +105,12 @@ class TestConverterParity:
     def test_mixed_column(self, meta):
         column = [v for v in EDGE_VALUES if not isinstance(_reference(v, meta), type)]
         expected = [_reference(value, meta) for value in column]
-        got = _ColumnTranslator(meta)(column)
+        got = _terms(column, meta)
         assert list(map(_describe, got)) == list(map(_describe, expected))
 
     def test_homogeneous_columns_across_batches(self, meta):
-        # one translator sees int, float, bool, str and zero-float batches
-        # in turn: the memo must never hand one type's term to another
-        translate = _ColumnTranslator(meta)
+        # each batch alone and all of them as one column: one type's
+        # entry must never be handed to another type's equal value
         batches = [
             [1, 1, 2, None],
             [1.0, 1.0, 2.5, None],
@@ -112,48 +119,72 @@ class TestConverterParity:
             [0.0, -0.0, 1.0],
             [-0.0, -0.0],
             [1, 1.0, True],
+            [math.nan, math.nan, 2.5],
         ]
-        for batch in batches:
+        for batch in batches + [sum(batches, [])]:
             expected = [_reference(value, meta) for value in batch]
-            got = translate(batch)
+            got = _terms(batch, meta)
             assert list(map(_describe, got)) == list(map(_describe, expected))
 
 
 class TestMemo:
     def test_distinct_value_built_once(self):
-        translate = _ColumnTranslator(VarMeta("literal", XSD_DOUBLE))
-        first = translate([2.5, 2.5, 3.5])
-        second = translate([3.5, 2.5])
-        assert first[0] is first[1] is second[1]
-        assert first[2] is second[0]
+        column = _encode_column([2.5, 2.5, 3.5, None, 3.5, 2.5], VarMeta("literal", XSD_DOUBLE))
+        assert column.codes == [0, 0, 1, 2, 1, 0]
+        assert column.entries == [
+            ("literal", XSD_DOUBLE, None, "2.5"),
+            ("literal", XSD_DOUBLE, None, "3.5"),
+            None,
+        ]
 
     def test_one_int_float_bool_never_conflated(self):
-        translate = _ColumnTranslator(None)
-        assert translate([1]) == [Literal("1", XSD_INTEGER)]
-        assert translate([1.0]) == [Literal("1.0", XSD_DOUBLE)]
-        assert translate([True]) == [Literal("true", XSD_BOOLEAN)]
-        assert translate([1, 1.0, True]) == [
+        assert _terms([1], None) == [Literal("1", XSD_INTEGER)]
+        assert _terms([1.0], None) == [Literal("1.0", XSD_DOUBLE)]
+        assert _terms([True], None) == [Literal("true", XSD_BOOLEAN)]
+        column = _encode_column([1, 1.0, True, 1], None)
+        assert column.codes == [0, 1, 2, 0]
+        assert _terms([1, 1.0, True], None) == [
             Literal("1", XSD_INTEGER),
             Literal("1.0", XSD_DOUBLE),
             Literal("true", XSD_BOOLEAN),
         ]
 
     def test_signed_zeros_keep_their_sign(self):
-        translate = _ColumnTranslator(VarMeta("literal", XSD_DOUBLE))
-        assert translate([0.0]) == [Literal("0.0", XSD_DOUBLE)]
-        assert translate([-0.0]) == [Literal("-0.0", XSD_DOUBLE)]
-        assert translate([0.0, -0.0]) == [
+        meta = VarMeta("literal", XSD_DOUBLE)
+        assert _terms([0.0], meta) == [Literal("0.0", XSD_DOUBLE)]
+        assert _terms([-0.0], meta) == [Literal("-0.0", XSD_DOUBLE)]
+        assert _terms([0.0, -0.0, 0.0], meta) == [
             Literal("0.0", XSD_DOUBLE),
             Literal("-0.0", XSD_DOUBLE),
+            Literal("0.0", XSD_DOUBLE),
         ]
+        assert _encode_column([0.0, -0.0, 0.0, -0.0], meta).codes == [0, 1, 0, 1]
+
+    def test_nan_is_never_shared_with_another_value(self):
+        meta = VarMeta("literal", XSD_DOUBLE)
+        nan = math.nan
+        column = _encode_column([nan, float("nan"), nan, 1.0], meta)
+        assert column.entries[column.codes[3]] == ("literal", XSD_DOUBLE, None, "1.0")
+        assert {column.entries[code] for code in column.codes[:3]} == {
+            ("literal", XSD_DOUBLE, None, "nan")
+        }
 
     def test_str_under_iri_meta_and_no_meta(self):
-        assert _ColumnTranslator(VarMeta("iri"))(["http://ex.org/a"]) == [
-            IRI("http://ex.org/a")
-        ]
-        assert _ColumnTranslator(None)(["http://ex.org/a"]) == [
+        assert _terms(["http://ex.org/a"], VarMeta("iri")) == [IRI("http://ex.org/a")]
+        assert _terms(["http://ex.org/a"], None) == [
             Literal("http://ex.org/a", XSD_STRING)
         ]
+
+    @pytest.mark.parametrize(
+        "value", ["", "http://ex.org/a b", "http://ex.org/<a>", 'http://ex.org/"']
+    )
+    def test_invalid_iri_raises_what_the_term_raises(self, value):
+        column = ["http://ex.org/a", value, "http://ex.org/b"]
+        with pytest.raises(TermError) as expected:
+            IRI(value)
+        with pytest.raises(TermError) as got:
+            _encode_column(column, VarMeta("iri"))
+        assert str(got.value) == str(expected.value)
 
 
 class TestTranslateRows:
@@ -161,18 +192,25 @@ class TestTranslateRows:
         metas = [VarMeta("iri"), VarMeta("literal", XSD_INTEGER), None]
         values = [
             (f"http://ex.org/{index % 7}", index % 3 or None, float(index % 5))
-            for index in range(2 * TRANSLATE_BATCH + 10)
+            for index in range(8202)
         ]
         expected = [
             tuple(_make_term(value, meta) for value, meta in zip(row, metas))
             for row in values
         ]
-        assert _translate_rows(values, metas) == expected
+        assert _encode_answer(values, metas).rows() == expected
 
     def test_zero_columns_keep_the_row_count(self):
-        assert _translate_rows([(), (), ()], []) == [(), (), ()]
+        answer = _encode_answer([(), (), ()], [])
+        assert len(answer) == 3
+        assert answer.rows() == [(), (), ()]
 
-    def test_polls_the_token_once_per_batch(self):
+    def test_no_rows_keep_the_columns(self):
+        answer = _encode_answer([], [VarMeta("iri"), None])
+        assert len(answer) == 0 and len(answer.columns) == 2
+        assert answer.rows() == []
+
+    def test_polls_the_token_once_per_column(self):
         class CountingToken:
             checks = 0
 
@@ -180,6 +218,6 @@ class TestTranslateRows:
                 self.checks += 1
 
         token = CountingToken()
-        values = [(index,) for index in range(2 * TRANSLATE_BATCH + 1)]
-        _translate_rows(values, [VarMeta("literal", XSD_INTEGER)], token)
-        assert token.checks == 3
+        values = [(index, index) for index in range(8193)]
+        _encode_answer(values, [VarMeta("literal", XSD_INTEGER)] * 2, token)
+        assert token.checks == 2

@@ -2,15 +2,22 @@
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
+import math
+import random
 
 import pytest
 
 from repro.diffcheck.normalize import canonical_bag
+from repro.obda.system import _encode_answer, _make_term
+from repro.obda.unfolder import VarMeta
 from repro.rdf.terms import (
     BNode,
     IRI,
     Literal,
+    XSD_BOOLEAN,
     XSD_DATE,
     XSD_DECIMAL,
     XSD_DOUBLE,
@@ -32,6 +39,8 @@ from repro.server import (
     write_xml,
 )
 from repro.server.results import WRITERS
+
+from test_unfolder_residue import BULK_QUERIES
 
 ROUND_TRIP = [
     ("json", write_json, parse_json_results),
@@ -370,3 +379,144 @@ class TestByteGolden:
         # 4 200 rows: terms recur across chunk boundaries
         body = render(WRITERS[format_key], ["s", "p", "o"], GOLDEN_ROWS * 300)
         assert hashlib.sha1(body).hexdigest() == GOLDEN_X300_SHA1[format_key]
+
+
+# -- the encoded answer path -------------------------------------------------
+#
+# The server writes from ``OBDAResult.answer`` (each column's distinct
+# entries plus codes); in-process callers and these tests may hand the
+# writers rows of terms instead.  Both must give the same bytes.
+
+_IRI_VALUES = ["http://ex.org/a#1", "http://ex.org/ø", "urn:x:y", 1, "http://ex.org/a#1"]
+_SQL_VALUES = [
+    None,
+    0.0,
+    -0.0,
+    math.nan,
+    math.inf,
+    -math.inf,
+    1,
+    1.0,
+    True,
+    False,
+    7.0,
+    -3.0,
+    2.5,
+    10**20,
+    "",
+    'say "hi", ok',
+    "line\nbreak\r\nend",
+    "tab\there",
+    "<&> 'x'",
+    "Ærfugl – ø",
+    "comma,value",
+    "http://ex.org/a#1",
+]
+_METAS = [
+    None,
+    VarMeta("iri"),
+    VarMeta("literal", XSD_STRING),
+    VarMeta("literal", XSD_INTEGER),
+    VarMeta("literal", XSD_DECIMAL),
+    VarMeta("literal", XSD_DOUBLE),
+    VarMeta("literal", XSD_BOOLEAN),
+    VarMeta("literal", XSD_DATE),
+]
+
+
+def _term_rows(values, metas):
+    return [tuple(_make_term(v, m) for v, m in zip(row, metas)) for row in values]
+
+
+class TestEncodedAnswerBytes:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_entry_path_equals_term_path(self, seed):
+        rng = random.Random(seed)
+        width = 3 if seed % 2 else rng.randint(1, 4)
+        metas = [rng.choice(_METAS) for _ in range(width)]
+        if width == 3 and seed % 4 == 1:  # N-Triples-shaped: IRI, IRI, any
+            metas[:2] = [VarMeta("iri"), VarMeta("iri")]
+        pools = [
+            _IRI_VALUES + [None] if meta is not None and meta.kind == "iri" else _SQL_VALUES
+            for meta in metas
+        ]
+        values = [
+            tuple(rng.choice(pool) for pool in pools)
+            for _ in range(rng.randint(0, 700))
+        ]
+        variables = [f"v{index}" for index in range(width)]
+        answer = _encode_answer(values, metas)
+        rows = _term_rows(values, metas)
+        assert answer.rows() == rows
+        for format_key in sorted(WRITERS):
+            if format_key == "ntriples" and width != 3:
+                continue
+            assert render(WRITERS[format_key], variables, answer) == render(
+                WRITERS[format_key], variables, rows
+            ), format_key
+
+    def test_csv_quoting_is_csv_writers(self):
+        rng = random.Random(7)
+        alphabet = 'ab ,"\r\n\tø;'
+        texts = [""] + [
+            "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 6)))
+            for _ in range(400)
+        ]
+        for width in (1, 2, 3):
+            rows = [
+                tuple(Literal(rng.choice(texts)) for _ in range(width))
+                for _ in range(200)
+            ]
+            variables = ["x", "y z", 'q"'][:width]
+            expected = io.StringIO()
+            writer = csv.writer(expected, lineterminator="\r\n")
+            writer.writerow(variables)
+            writer.writerows([term.lexical for term in row] for row in rows)
+            assert render(write_csv, variables, rows) == expected.getvalue().encode()
+
+    def test_zero_columns(self):
+        answer = _encode_answer([(), ()], [])
+        for format_key in ("json", "xml", "csv", "tsv"):
+            assert render(WRITERS[format_key], [], answer) == render(
+                WRITERS[format_key], [], [(), ()]
+            )
+
+
+@pytest.fixture(scope="module")
+def engines_s025():
+    """``best-s025`` and ``default-s025``: the benchmark's engines at
+    scale 0.25 without growth."""
+    from repro.analysis import analyze
+    from repro.npd import build_benchmark
+    from repro.npd.seed import SeedProfile
+    from repro.obda import OBDAEngine
+
+    bench = build_benchmark(seed=1, profile=SeedProfile().scaled(0.25))
+    report = analyze(bench.database, bench.ontology, bench.mappings, perf=False)
+    best = OBDAEngine(
+        bench.database,
+        bench.ontology,
+        bench.mappings,
+        factbase=report.factbase,
+        constraints=report.constraints.constraints,
+        executor="vectorized",
+    )
+    default = OBDAEngine(bench.database, bench.ontology, bench.mappings)
+    queries = {qid: q.sparql for qid, q in bench.queries.items()}
+    queries.update(BULK_QUERIES)
+    return {"best": best, "default": default}, queries
+
+
+class TestEngineAnswerBytes:
+    @pytest.mark.parametrize("config", ["best", "default"])
+    def test_catalogue_and_bulk_bodies_equal_the_term_path(self, engines_s025, config):
+        engines, queries = engines_s025
+        engine = engines[config]
+        for query_id, sparql in sorted(queries.items()):
+            result = engine.execute(sparql)
+            for format_key in sorted(WRITERS):
+                if format_key == "ntriples" and len(result.variables) != 3:
+                    continue
+                encoded = render(WRITERS[format_key], result.variables, result.answer)
+                terms = render(WRITERS[format_key], result.variables, result.rows)
+                assert encoded == terms, (query_id, format_key)
