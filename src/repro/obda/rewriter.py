@@ -171,12 +171,18 @@ class TreeWitnessRewriter:
             results.append(query)
         else:
             skipped += 1
-        while frontier and len(results) < self.max_ucq:
+        # truncated only when the cap drops an unseen disjunct: reaching
+        # max_ucq with nothing left to explore is a complete rewriting
+        truncated = False
+        while frontier and not truncated:
             current = frontier.pop()
             for successor in self._successors(current, exact_pruned):
                 canonical = successor.canonical()
                 if canonical in seen:
                     continue
+                if len(results) >= self.max_ucq:
+                    truncated = True
+                    break
                 seen[canonical] = None
                 frontier.append(successor)
                 if self._admit(successor, skipped_entities):
@@ -186,14 +192,12 @@ class TreeWitnessRewriter:
                     # its successors (after folding the empty atom away)
                     # still can -- keep it on the frontier only
                     skipped += 1
-                if len(results) >= self.max_ucq:
-                    break
         elapsed = time.perf_counter() - started
         return RewritingResult(
             results,
             tree_witnesses,
             elapsed,
-            truncated=bool(frontier),
+            truncated=truncated,
             empty_disjuncts_skipped=skipped,
             skipped_entities=tuple(sorted(skipped_entities)),
             exact_pruned=tuple(sorted(exact_pruned)),

@@ -25,21 +25,31 @@ from .executor import ExecutionStats, Executor, QueryResult
 from .vectorized import VectorizedExecutor
 from .expressions import ExpressionCompiler, RowSchema
 from .parser import parse_script, parse_statement
-from .plan import CompiledPlan, compile_select, refresh_plan
+from .plan import CompiledPlan, compile_select
 from .profiles import EngineProfile, postgresql_profile
 from .stats import CatalogStatistics, collect_statistics
+
+
+def refresh_plan(*args: Any, **kwargs: Any) -> None:
+    """Inert: compiled plans are never re-planned, so nothing calls this.
+
+    Kept only because the e2e benchmark's tracer wraps this module
+    attribute by name (its ``sql.plan`` span), like ``cache_stats()``'s
+    ``rewrite_cache_hits`` that always reads 0.
+    """
 
 
 class Database:
     """An in-memory relational database with a SQL text interface.
 
-    A SELECT is compiled into a :class:`~repro.sql.plan.CompiledPlan`
-    stamped with the current generation; every mutation event (DML,
-    index/table creation, ``set_profile``) bumps the generation, and
-    :meth:`execute_plan` re-plans a stale plan in place before running
-    it, so a plan object held by a caller can never serve stale physical
-    assumptions.  A readers-writer lock at this facade lets concurrent
-    Mixer clients run SELECTs in parallel while mutations run exclusively.
+    A SELECT is compiled once into a :class:`~repro.sql.plan.CompiledPlan`
+    that holds only logical analysis, so a plan object held by a caller
+    runs against the current data, indexes and profile without ever being
+    re-planned.  :attr:`plan_generation` counts data changes (DML,
+    ``insert_rows``, CREATE TABLE): the stamps of ANALYZE statistics and
+    of the OBDA engine's verified facts/constraints compare against it.
+    A readers-writer lock at this facade lets concurrent Mixer clients
+    run SELECTs in parallel while mutations run exclusively.
     """
 
     #: valid values for the ``execute_plan``/``explain`` executor arg
@@ -60,8 +70,7 @@ class Database:
     def _make_executors(self) -> None:
         """(Re)build the row and vectorized executors.
 
-        Both share one :class:`ExecutionStats` instance, so counters (and
-        the ``plan_recompiles`` counter the facade maintains) are
+        Both share one :class:`ExecutionStats` instance, so counters are
         consistent no matter which path executed a query.
         """
         self._executor = Executor(self.catalog, self.profile)
@@ -83,13 +92,13 @@ class Database:
     def set_profile(self, profile: EngineProfile) -> None:
         """Swap the engine profile (e.g. mysql vs postgresql emulation).
 
-        Profiles change physical operator choices, so every compiled plan
-        goes stale -- its next execution re-plans under the new profile.
+        Profiles change physical operator choices, which are made at
+        execution time, so compiled plans run unchanged under the new
+        profile; no row changed, so the generation stays.
         """
         with self._lock.write():
             self.profile = profile
             self._make_executors()
-            self._invalidate_plans()
 
     # -- statistics ---------------------------------------------------------
 
@@ -97,8 +106,8 @@ class Database:
         """ANALYZE: collect per-table/per-column statistics in the catalog.
 
         The statistics are stamped with the current plan generation and
-        marked stale by the next mutation event, exactly like compiled
-        plans.  Returns a summary dict (tables/columns/rows analyzed).
+        marked stale by the next data change.  Returns a summary dict
+        (tables/columns/rows analyzed).
         """
         with self._lock.write():
             statistics = collect_statistics(self.catalog, self._plan_generation)
@@ -147,7 +156,7 @@ class Database:
             with self._lock.write():
                 table = self.catalog.create_table_from_ast(statement)
                 self._auto_index(table)
-                self._invalidate_plans()
+                self._data_changed()
             return QueryResult(["affected"], [(0,)])
         if isinstance(statement, CreateIndexStatement):
             with self._lock.write():
@@ -155,22 +164,21 @@ class Database:
                 table.create_hash_index(statement.columns)
                 if len(statement.columns) == 1:
                     table.create_sorted_index(statement.columns[0])
-                self._invalidate_plans()
             return QueryResult(["affected"], [(0,)])
         if isinstance(statement, InsertStatement):
             with self._lock.write():
                 count = self._execute_insert(statement)
-                self._invalidate_plans()
+                self._data_changed()
             return QueryResult(["affected"], [(count,)])
         if isinstance(statement, DeleteStatement):
             with self._lock.write():
                 count = self._execute_delete(statement)
-                self._invalidate_plans()
+                self._data_changed()
             return QueryResult(["affected"], [(count,)])
         if isinstance(statement, UpdateStatement):
             with self._lock.write():
                 count = self._execute_update(statement)
-                self._invalidate_plans()
+                self._data_changed()
             return QueryResult(["affected"], [(count,)])
         raise ExecutionError(f"cannot execute {statement!r}")
 
@@ -180,15 +188,15 @@ class Database:
         """Compile a SELECT into a reusable plan.
 
         The returned plan can be executed many times via
-        :meth:`execute_plan`; if the database mutates in between, the plan
-        transparently re-plans itself from its retained AST.
+        :meth:`execute_plan`; each execution reflects the data, indexes
+        and profile current at that moment.
         """
         return self._compile(sql, "compile()")
 
     def execute_plan(
         self, plan: CompiledPlan, token=None, executor: Optional[str] = None
     ) -> QueryResult:
-        """Execute a compiled plan, refreshing it first if it went stale.
+        """Execute a compiled plan.
 
         ``token`` (a :class:`repro.concurrency.CancellationToken`) arms
         cooperative cancellation for this call only: the executor stores it
@@ -199,7 +207,6 @@ class Database:
         """
         engine = self._select_executor(executor)
         with self._lock.read():
-            self._refresh_if_stale(plan)
             if token is None:
                 return engine.execute_plan(plan)
             engine.set_cancel_token(token)
@@ -209,30 +216,18 @@ class Database:
                 engine.set_cancel_token(None)
 
     def _compile(self, sql: Union[str, Statement], caller: str) -> CompiledPlan:
-        """Parse text input, insist on a SELECT, compile and stamp it."""
+        """Parse text input, insist on a SELECT and compile it."""
         statement = parse_statement(sql) if isinstance(sql, str) else sql
         if not isinstance(statement, SelectStatement):
             raise ExecutionError(f"{caller} only applies to SELECT statements")
-        plan = compile_select(statement, sql if isinstance(sql, str) else None)
-        plan.profile_name = self.profile.name
-        plan.generation = self._plan_generation
-        return plan
+        return compile_select(statement, sql if isinstance(sql, str) else None)
 
-    def _refresh_if_stale(self, plan: CompiledPlan) -> None:
-        """Re-plan *plan* in place if a mutation event outdated it."""
-        if (
-            plan.generation != self._plan_generation
-            or plan.profile_name != self.profile.name
-        ):
-            refresh_plan(plan, self.profile.name, self._plan_generation)
-            self._executor.stats.plan_recompiles += 1
-
-    def _invalidate_plans(self) -> None:
-        """Bump the generation so every compiled plan goes stale (caller
-        holds the write lock)."""
+    def _data_changed(self) -> None:
+        """Bump the generation after a data change (caller holds the
+        write lock)."""
         self._plan_generation += 1
-        # ANALYZE statistics follow the same invalidation discipline; the
-        # cost model ignores stale statistics (falls back to live sizes)
+        # the cost model ignores stale statistics (falls back to live
+        # sizes)
         if self.catalog.statistics is not None:
             self.catalog.statistics.stale = True
 
@@ -254,8 +249,8 @@ class Database:
         Unlike a cost-only EXPLAIN, this executes the query (the planner
         makes its physical choices from actual cardinalities), so the
         trace reflects exactly what a plain ``execute`` would do.  The
-        first line (``plan-key:``) summarizes the plan: text digest, block
-        count, profile and generation.
+        first line (``plan-key:``) summarizes the plan: text digest and
+        block count.
 
         ``analyze=True`` (EXPLAIN ANALYZE) additionally annotates every
         join with its actual output row count -- and, when ANALYZE
@@ -270,7 +265,6 @@ class Database:
         # read lock.  EXPLAIN is diagnostic, so exclusivity is cheap.
         engine = self._select_executor(executor)
         with self._lock.write():
-            self._refresh_if_stale(plan)
             engine.trace = []
             engine.analyze = analyze
             try:
@@ -310,7 +304,7 @@ class Database:
             count = self._insert_rows_locked(
                 table_name, rows, columns, check_foreign_keys
             )
-            self._invalidate_plans()
+            self._data_changed()
         return count
 
     def _insert_rows_locked(

@@ -61,7 +61,7 @@ from .catalog import Catalog, Table
 from .errors import ExecutionError
 from .expressions import ExpressionCompiler, RowSchema, sql_compare
 from .optimizer import CostModel, SharedScanContext, scan_key
-from .plan import CompiledPlan, PlannedBlock, compile_select
+from .plan import CompiledPlan, PlannedBlock, SubPlan, compile_select
 from .profiles import EngineProfile, postgresql_profile
 
 RowT = Tuple[Any, ...]
@@ -80,7 +80,8 @@ class ExecutionStats:
     # host-independent work, equal on both executors for one join order
     join_rows: int = 0
     union_branches: int = 0
-    # stale plans re-planned in place (maintained by the Database facade)
+    # always 0: plans are never re-planned (the e2e benchmark's control
+    # API still reads the name)
     plan_recompiles: int = 0
     # sorted-index maintenance counters (aggregated from the catalog)
     index_batch_sorts: int = 0
@@ -192,28 +193,16 @@ class Executor:
         # EXPLAIN ANALYZE mode: trace lines carry actual row counts,
         # estimated-vs-actual cardinality and per-disjunct timings
         self.analyze: bool = False
-        # active per-query shared-scan context (multi-disjunct UNIONs
-        # only); thread-local because the Database facade shares one
-        # Executor across concurrent request threads — instance state
-        # here would let one query's teardown null the context out from
-        # under another thread's in-flight union
-        self._shared_state = threading.local()
-        # compiled-cache layer: memoized scan schemas, schema
-        # concatenations and compiled expressions, keyed by object
-        # identity with the originals pinned in each entry so no id can
-        # be recycled while its entry lives
+        # per-thread execution state: the active shared-scan context
+        # (multi-disjunct UNIONs only), the cancellation token and the
+        # running block's sub-plans.  Thread-local because the Database
+        # facade shares one Executor across concurrent request threads:
+        # instance state would let one query's teardown null the context
+        # out from under another thread's in-flight union
+        self._local = threading.local()
+        # the row schema of each (table, binding) scan, with the table
+        # pinned so a re-created table of the same name gets a new one
         self._scan_schemas: Dict[Tuple[str, str], Tuple[Table, RowSchema]] = {}
-        self._concat_cache: Dict[
-            Tuple[int, int], Tuple[RowSchema, RowSchema, RowSchema]
-        ] = {}
-        self._compiled_exprs: Dict[
-            Tuple[int, int], Tuple[RowSchema, Expr, Callable[[RowT], Any]]
-        ] = {}
-        self._subquery_plans: Dict[int, Tuple[SelectStatement, CompiledPlan]] = {}
-        # per-thread cooperative-cancellation token (the Database facade
-        # shares one Executor across concurrent request threads, so the
-        # token must be thread-local rather than instance state)
-        self._cancel_state = threading.local()
 
     def _trace(self, message: str) -> None:
         if self.trace is not None:
@@ -222,11 +211,11 @@ class Executor:
     @property
     def _shared(self) -> Optional[SharedScanContext]:
         """This thread's active shared-scan context (None when unset)."""
-        return getattr(self._shared_state, "context", None)
+        return getattr(self._local, "context", None)
 
     @_shared.setter
     def _shared(self, context: Optional[SharedScanContext]) -> None:
-        self._shared_state.context = context
+        self._local.context = context
 
     # -- cooperative cancellation --------------------------------------
 
@@ -236,10 +225,10 @@ class Executor:
     @property
     def cancel_token(self):
         """This thread's active cancellation token (None when unset)."""
-        return getattr(self._cancel_state, "token", None)
+        return getattr(self._local, "token", None)
 
     def set_cancel_token(self, token) -> None:
-        self._cancel_state.token = token
+        self._local.token = token
 
     def _check_cancel(self) -> None:
         """Operator-boundary poll: raise QueryCancelled if the token tripped."""
@@ -272,16 +261,24 @@ class Executor:
     # public API
     # ------------------------------------------------------------------
 
-    def execute_select(self, statement: SelectStatement) -> QueryResult:
-        return self.execute_plan(compile_select(statement))
-
     def execute_plan(self, plan: CompiledPlan) -> QueryResult:
         """Execute a pre-compiled logical plan (see :mod:`repro.sql.plan`)."""
         blocks = plan.blocks
         if len(blocks) == 1:
-            columns, rows = self._execute_block(blocks[0].statement, blocks[0])
+            columns, rows = self._run_block(blocks[0])
             return QueryResult(columns, rows)
         return self._execute_union(plan)
+
+    def _run_block(self, block: PlannedBlock) -> Tuple[List[str], List[RowT]]:
+        """Execute one branch with its sub-plans in reach of ``_subplan``;
+        a derived table's own branches nest inside."""
+        local = self._local
+        outer = getattr(local, "subplans", None)
+        local.subplans = block.subplans
+        try:
+            return self._execute_block(block)
+        finally:
+            local.subplans = outer
 
     def _execute_union(self, plan: CompiledPlan) -> QueryResult:
         """Multi-disjunct UNION: one sequential loop over shared scans."""
@@ -295,7 +292,7 @@ class Executor:
             for position, block in enumerate(blocks):
                 self._check_cancel()
                 started = time.perf_counter()
-                columns, branch_rows = self._execute_block(block.statement, block)
+                columns, branch_rows = self._run_block(block)
                 if self.analyze:
                     elapsed_ms = (time.perf_counter() - started) * 1000.0
                     self._trace(
@@ -332,37 +329,32 @@ class Executor:
         rows = _apply_limit(rows, head.limit, head.offset)
         return QueryResult(first_columns, rows)
 
+    def _subplan(self, statement: SelectStatement) -> SubPlan:
+        """The running block's sub-plan for a derived table or subquery.
+
+        A statement outside any plan (a DML WHERE clause, a whole-UNION
+        ORDER BY) is compiled for this one use.
+        """
+        subplans = getattr(self._local, "subplans", None)
+        subplan = subplans.get(id(statement)) if subplans else None
+        if subplan is None:
+            subplan = SubPlan(statement.to_sql(), compile_select(statement))
+        return subplan
+
     def run_subquery(self, statement: SelectStatement) -> List[RowT]:
-        # plans are pure AST artifacts, so memoizing them is safe even
-        # though subquery *results* must be recomputed every execution
-        key = id(statement)
-        entry = self._subquery_plans.get(key)
-        if entry is not None and entry[0] is statement:
-            plan = entry[1]
-        else:
-            plan = compile_select(statement)
-            if len(self._subquery_plans) >= self._COMPILE_CACHE_LIMIT:
-                self._subquery_plans.clear()
-            self._subquery_plans[key] = (statement, plan)
-        return self.execute_plan(plan).rows
+        """The rows of an IN/EXISTS subquery."""
+        return self.execute_plan(self._subplan(statement).plan).rows
 
     # ------------------------------------------------------------------
     # one SELECT block
     # ------------------------------------------------------------------
 
-    def _execute_block(
-        self,
-        statement: SelectStatement,
-        planned: Optional[PlannedBlock] = None,
-    ) -> Tuple[List[str], List[RowT]]:
+    def _execute_block(self, planned: PlannedBlock) -> Tuple[List[str], List[RowT]]:
         self._check_cancel()
+        statement = planned.statement
         # the conjunct list is read-only here; sharing it across
         # executions of a cached plan is safe
-        where_conjuncts = (
-            planned.where_conjuncts
-            if planned is not None
-            else split_conjuncts(statement.where)
-        )
+        where_conjuncts = planned.where_conjuncts
         consumed: Set[int] = set()
         if statement.source is None:
             relation = Relation(RowSchema([]), [()])
@@ -372,13 +364,8 @@ class Executor:
         remaining = [c for i, c in enumerate(where_conjuncts) if i not in consumed]
         if remaining:
             relation = self._filter_compiled(relation, remaining)
-        has_aggregates = (
-            planned.has_aggregates
-            if planned is not None
-            else self._statement_has_aggregates(statement)
-        )
         source_rows: Optional[List[RowT]] = None
-        if has_aggregates or statement.group_by:
+        if planned.has_aggregates or statement.group_by:
             columns, rows = self._aggregate(statement, relation)
         else:
             columns, rows = self._project(statement, relation)
@@ -423,35 +410,12 @@ class Executor:
     def _compiler(self, schema: RowSchema) -> ExpressionCompiler:
         return ExpressionCompiler(schema, subquery_executor=self.run_subquery)
 
-    #: bound on each compiled-cache dict; overflow clears the whole dict
-    #: (cheap, and correct because entries are pure schema+AST artifacts)
-    _COMPILE_CACHE_LIMIT = 8192
-
-    def _compile_cached(
-        self, schema: RowSchema, expr: Expr
-    ) -> Callable[[RowT], Any]:
-        """Compile *expr* against *schema*, memoized across executions.
-
-        Cached plans re-execute the same AST objects against the same
-        (scan-schema-cached) schema objects, so identity keying turns the
-        per-disjunct expression compilation of a UCQ into dict lookups.
-        Subquery expressions are never cached: their closures embed this
-        executor's subquery runner and, transitively, data-dependent
-        state.
-        """
-        key = (id(schema), id(expr))
-        entry = self._compiled_exprs.get(key)
-        if entry is not None and entry[0] is schema and entry[1] is expr:
-            return entry[2]
-        compiled = self._compiler(schema).compile(expr)
-        if not any(
-            isinstance(node, (InSubquery, ExistsSubquery))
-            for node in _walk_expr(expr)
-        ):
-            if len(self._compiled_exprs) >= self._COMPILE_CACHE_LIMIT:
-                self._compiled_exprs.clear()
-            self._compiled_exprs[key] = (schema, expr, compiled)
-        return compiled
+    def _compile_all(
+        self, schema: RowSchema, exprs: Sequence[Expr]
+    ) -> List[Callable[[RowT], Any]]:
+        """Compile *exprs* against *schema* for this execution."""
+        compiler = self._compiler(schema)
+        return [compiler.compile(expr) for expr in exprs]
 
     def _scan_schema(self, table: Table, binding: str) -> RowSchema:
         """The (cached) row schema of one base-table scan.
@@ -468,26 +432,11 @@ class Executor:
         self._scan_schemas[key] = (table, schema)
         return schema
 
-    def _concat_schema(self, left: RowSchema, right: RowSchema) -> RowSchema:
-        """Cached schema concatenation for join outputs."""
-        key = (id(left), id(right))
-        entry = self._concat_cache.get(key)
-        if entry is not None and entry[0] is left and entry[1] is right:
-            return entry[2]
-        schema = left.concat(right)
-        if len(self._concat_cache) >= self._COMPILE_CACHE_LIMIT:
-            self._concat_cache.clear()
-        self._concat_cache[key] = (left, right, schema)
-        return schema
-
     def _filter_compiled(
         self, relation: Relation, conjuncts: Sequence[Expr]
     ) -> Relation:
-        """Apply residual conjuncts through the compiled-expression cache."""
-        predicates = [
-            self._compile_cached(relation.schema, conjunct)
-            for conjunct in conjuncts
-        ]
+        """Apply residual conjuncts."""
+        predicates = self._compile_all(relation.schema, conjuncts)
         return Relation(
             relation.schema,
             [
@@ -500,16 +449,14 @@ class Executor:
     def _combine_compiled(
         self, schema: RowSchema, conjuncts: Sequence[Expr]
     ) -> Optional[Callable[[RowT], Any]]:
-        """One cached predicate per conjunct, folded into a single test.
+        """One predicate per conjunct, folded into a single test.
 
         Per-conjunct AND with ``is True`` matches SQL three-valued logic:
         a row passes a conjunction iff every conjunct is exactly TRUE.
         """
         if not conjuncts:
             return None
-        predicates = [
-            self._compile_cached(schema, conjunct) for conjunct in conjuncts
-        ]
+        predicates = self._compile_all(schema, conjuncts)
         if len(predicates) == 1:
             only = predicates[0]
             return lambda row: only(row) is True
@@ -629,7 +576,7 @@ class Executor:
             self._trace(f"SeqScan {table.name} as {binding} ({len(rows)} rows)")
             return Relation(schema, rows, binding, table)
         if isinstance(node, SubquerySource):
-            result = self.execute_select(node.query)
+            result = self.execute_plan(self._subplan(node.query).plan)
             binding = node.alias.lower()
             schema = RowSchema([(binding, c) for c in result.columns])
             return Relation(schema, result.rows, binding)
@@ -751,7 +698,7 @@ class Executor:
         if index_rows is not None:
             relation.rows = index_rows
             return
-        compiled = self._compile_cached(relation.schema, conjunct)
+        compiled = self._compiler(relation.schema).compile(conjunct)
         relation.rows = [
             row
             for row in self._cancellable_rows(relation.rows)
@@ -1062,7 +1009,7 @@ class Executor:
         estimate: Optional[float] = None,
     ) -> Relation:
         self._check_cancel()
-        schema = self._concat_schema(left.schema, right.schema)
+        schema = left.schema.concat(right.schema)
         left_keys, right_keys, _, residual = self._equi_keys(left, right, conjuncts)
         compiled_residual = self._combine_compiled(schema, residual)
         output: List[RowT] = []
@@ -1214,7 +1161,7 @@ class Executor:
         self, left: Relation, right: Relation, condition: Optional[Expr]
     ) -> Relation:
         self._check_cancel()
-        schema = self._concat_schema(left.schema, right.schema)
+        schema = left.schema.concat(right.schema)
         conjuncts = split_conjuncts(condition)
         left_keys, right_keys, _, residual = self._equi_keys(left, right, conjuncts)
         compiled_residual = self._combine_compiled(schema, residual)
@@ -1330,26 +1277,12 @@ class Executor:
                     getter(row) for row in self._cancellable_rows(relation.rows)
                 ]
             return columns, rows
-        if any(isinstance(item.expr, Star) for item in statement.items):
-            # star expansion mints fresh ColumnRefs per execution; caching
-            # them would pin transient objects for no reuse
-            compiler = self._compiler(relation.schema)
-            compiled = [compiler.compile(item.expr) for item in items]
-        else:
-            compiled = [
-                self._compile_cached(relation.schema, item.expr) for item in items
-            ]
+        compiled = self._compile_all(relation.schema, [item.expr for item in items])
         rows = [
             tuple(fn(row) for fn in compiled)
             for row in self._cancellable_rows(relation.rows)
         ]
         return columns, rows
-
-    @staticmethod
-    def _statement_has_aggregates(statement: SelectStatement) -> bool:
-        from .plan import statement_has_aggregates
-
-        return statement_has_aggregates(statement)
 
     def _aggregate(
         self, statement: SelectStatement, relation: Relation

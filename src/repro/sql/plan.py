@@ -1,4 +1,4 @@
-"""Compiled logical plans and their one lifecycle.
+"""Compiled logical plans.
 
 The executor used to redo the whole *logical* planning pass on every
 execution: re-parse the SQL text, split the UNION chain into branches,
@@ -6,31 +6,29 @@ flatten the WHERE clause into conjuncts and re-detect aggregates.  For
 OBDA-generated SQL (tens of kilobytes of UNION blocks) that work dwarfs
 the per-row effort on small instances and is identical run after run.
 
-This module splits that pass out into a reusable :class:`CompiledPlan`:
-
-* :func:`compile_select` performs the logical planning once, producing a
-  plan object holding the branch decomposition plus per-branch conjunct
-  lists and aggregate flags (all immutable with respect to table *data*);
-* plans carry the owning database's *generation*; any mutation event
-  (DML, index creation, ``set_profile``) bumps the generation, and a
-  stale plan is transparently re-planned from its retained AST on next
-  use (:func:`refresh_plan`) -- physical operator choices stay fresh
-  without re-parsing.
+This module splits that pass out into a reusable :class:`CompiledPlan`.
+:func:`compile_select` performs the logical planning once, producing a
+plan holding the branch decomposition, per-branch conjunct lists and
+aggregate flags, and one compiled sub-plan per distinct derived table or
+IN/EXISTS subquery a branch reads.  All of it is a pure function of the
+immutable AST, so a plan never goes stale and is never re-planned: DML,
+index creation and ``set_profile`` change what executing it returns,
+not the plan.
 
 Whoever wants to reuse a plan holds on to the object (the OBDA engine's
-query cache does); there is no text-keyed cache in between.
+query cache does); there is no text-keyed cache in between, and the
+executors keep no compile state of their own.
 
 Physical decisions (index scans, join order, hash vs. sort dedup) remain
 execution-time choices made from live cardinalities and the active
-:class:`~repro.sql.profiles.EngineProfile`, exactly as before.
+:class:`~repro.sql.profiles.EngineProfile`.
 """
 
 from __future__ import annotations
 
 import hashlib
-import threading
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .ast import (
     ExistsSubquery,
@@ -63,6 +61,19 @@ def statement_has_aggregates(statement: SelectStatement) -> bool:
     return False
 
 
+@dataclass(frozen=True)
+class SubPlan:
+    """A derived table or IN/EXISTS subquery, compiled once per plan.
+
+    ``key`` is the statement's SQL text: equal texts share one sub-plan,
+    and the vectorized executor keys a derived table's result by it in
+    the per-query shared-scan context.
+    """
+
+    key: str
+    plan: "CompiledPlan"
+
+
 @dataclass
 class PlannedBlock:
     """One UNION branch with its pre-computed logical analysis."""
@@ -72,6 +83,10 @@ class PlannedBlock:
     where_conjuncts: List[Expr]
     has_aggregates: bool
     batch_eligible: bool = False
+    # id() of each derived-table or subquery statement of the branch ->
+    # its sub-plan; the branch's AST pins those statements, so the ids
+    # stay valid for as long as the plan lives
+    subplans: Dict[int, SubPlan] = field(default_factory=dict)
 
 
 def _batch_eligible_source(source: Optional[TableRef]) -> bool:
@@ -94,19 +109,21 @@ def _batch_eligible_source(source: Optional[TableRef]) -> bool:
     return False  # LEFT/NATURAL join trees stay on the row path
 
 
-def block_batch_eligible(statement: SelectStatement) -> bool:
-    """Logical eligibility of one UNION branch for the vectorized path.
+def _derived_statements(source: Optional[TableRef]) -> Iterator[SelectStatement]:
+    """The statement of every derived table in a FROM tree."""
+    if isinstance(source, SubquerySource):
+        yield source.query
+    elif isinstance(source, Join):
+        yield from _derived_statements(source.left)
+        yield from _derived_statements(source.right)
 
-    The batch path covers the OBDA workload shape: base-table scans glued
-    by inner joins, scalar expressions, aggregation, DISTINCT, ORDER BY
-    and LIMIT.  LEFT/NATURAL joins, derived tables and subquery predicates
-    keep the row path (the correctness oracle); the executor counts those
-    fallbacks so coverage is observable.
-    """
-    if not _batch_eligible_source(statement.source):
-        return False
+
+def _predicate_statements(statement: SelectStatement) -> Iterator[SelectStatement]:
+    """The statement of every IN/EXISTS subquery in one block's
+    expressions (select list, join conditions, WHERE, GROUP BY, HAVING,
+    ORDER BY); nested statements are their sub-plans' business."""
     exprs: List[Expr] = [item.expr for item in statement.items]
-    pending: List[TableRef] = [statement.source]
+    pending: List[Optional[TableRef]] = [statement.source]
     while pending:
         ref = pending.pop()
         if isinstance(ref, Join):
@@ -123,8 +140,7 @@ def block_batch_eligible(statement: SelectStatement) -> bool:
     for expr in exprs:
         for node in walk_expr(expr):
             if isinstance(node, (InSubquery, ExistsSubquery)):
-                return False  # correlated eval needs per-row context
-    return True
+                yield node.subquery
 
 
 @dataclass
@@ -133,43 +149,46 @@ class CompiledPlan:
 
     The plan holds only *logical* analysis -- it never embeds table rows,
     cardinalities or physical operator choices, so executing a plan always
-    reflects the current data.  ``generation``/``profile_name`` track the
-    mutation epoch it was compiled under; :meth:`Database.execute_plan`
-    refreshes stale plans in place (cheap: no SQL re-parse).
+    reflects the current data and profile.
     """
 
     statement: SelectStatement
     blocks: List[PlannedBlock]
     dedup_needed: bool
-    profile_name: str = ""
-    generation: int = -1
     key_digest: str = ""
-    _refresh_lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
 
     def describe_key(self) -> str:
         """The plan-identity summary EXPLAIN prints."""
-        return (
-            f"sha1={self.key_digest or '-'} blocks={len(self.blocks)} "
-            f"profile={self.profile_name or '-'} generation={self.generation}"
-        )
+        return f"sha1={self.key_digest or '-'} blocks={len(self.blocks)}"
 
 
 def _decompose(statement: SelectStatement) -> Tuple[List[PlannedBlock], bool]:
     blocks: List[PlannedBlock] = []
+    compiled: Dict[str, SubPlan] = {}  # one sub-plan per distinct text
     node: Optional[SelectStatement] = statement
     dedup_needed = False
     while node is not None:
         tail = node.union
         block = node.without_union()
+        predicates = list(_predicate_statements(block))
+        subplans: Dict[int, SubPlan] = {}
+        for sub in [*_derived_statements(block.source), *predicates]:
+            key = sub.to_sql()
+            subplan = compiled.get(key)
+            if subplan is None:
+                subplan = compiled[key] = SubPlan(key, compile_select(sub))
+            subplans[id(sub)] = subplan
         blocks.append(
             PlannedBlock(
                 statement=block,
                 union_all=tail.all if tail else True,
                 where_conjuncts=split_conjuncts(block.where),
                 has_aggregates=statement_has_aggregates(block),
-                batch_eligible=block_batch_eligible(block),
+                # subquery predicates keep the row path: their
+                # evaluation needs per-row context
+                batch_eligible=_batch_eligible_source(block.source)
+                and not predicates,
+                subplans=subplans,
             )
         )
         if tail is not None and not tail.all:
@@ -192,20 +211,3 @@ def compile_select(
         dedup_needed=dedup_needed,
         key_digest=digest,
     )
-
-
-def refresh_plan(plan: CompiledPlan, profile_name: str, generation: int) -> None:
-    """Re-plan a stale plan in place from its retained AST.
-
-    Holders of the plan object (e.g. the OBDA engine's end-to-end query
-    cache) see the refresh without re-compiling their artifact; the AST is
-    immutable so concurrent readers of the old block list stay correct.
-    """
-    with plan._refresh_lock:
-        if plan.generation == generation and plan.profile_name == profile_name:
-            return  # another thread refreshed it first
-        blocks, dedup_needed = _decompose(plan.statement)
-        plan.blocks = blocks
-        plan.dedup_needed = dedup_needed
-        plan.profile_name = profile_name
-        plan.generation = generation

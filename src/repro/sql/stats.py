@@ -3,9 +3,9 @@
 The cost-based physical optimizer (:mod:`repro.sql.optimizer`) needs the
 same measures VIG's analysis phase computes for data generation -- row
 counts, number of distinct values, NULL fractions and value bounds -- but
-collected *inside* the engine, attached to the catalog, and invalidated
-like compiled plans: every mutation event bumps the database's plan
-generation, and statistics stamped with an older generation are stale.
+collected *inside* the engine and attached to the catalog: every data
+change bumps the database's plan generation, and statistics stamped with
+an older generation are stale.
 
 Stale statistics are never wrong-answers-dangerous here (the executor
 always filters and joins exactly; estimates only steer operator order and
@@ -62,8 +62,8 @@ class CatalogStatistics:
     """The ANALYZE artifact the catalog carries for the optimizer.
 
     ``generation`` is the database's plan generation at collection time;
-    :meth:`Database._invalidate_plans` marks the object stale on every
-    mutation event, exactly like compiled plans go stale.  ``stale``
+    :meth:`Database._data_changed` marks the object stale on every data
+    change (DML, ``insert_rows``, CREATE TABLE).  ``stale``
     statistics stay inspectable (EXPLAIN prints them) but the optimizer
     ignores them.
     """

@@ -37,7 +37,7 @@ Design points:
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .ast import (
     BinaryOp,
@@ -61,9 +61,13 @@ from .catalog import Table
 from .columnar import ColumnStore, select_cmp, select_eq, select_in, select_null
 from .errors import ExecutionError
 from .executor import Executor, Relation, RowT, _hashable, _mirror_op
-from .expressions import ExpressionCompiler, RowSchema
+from .expressions import RowSchema
 from .optimizer import canonical_predicate, scan_key
-from .plan import PlannedBlock, block_batch_eligible, compile_select
+from .plan import PlannedBlock
+
+# never called here (derived tables run the sub-plans their plan
+# carries); the e2e benchmark's tracer wraps the name in this module
+from .plan import compile_select  # noqa: F401
 
 #: shared-scan cache namespace for vectorized position lists (the row path
 #: stores row lists under the bare table name; the two must never mix)
@@ -213,50 +217,23 @@ class BatchRelation:
 class VectorizedExecutor(Executor):
     """Batch-at-a-time executor; falls back to the row path per block."""
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        # reduced-schema batch evaluation cache: (id(schema), id(expr)) ->
-        # (schema, expr, needed positions, compiled fn); identity-keyed
-        # with originals pinned, like the inherited compiled caches
-        self._batch_evals: Dict[
-            Tuple[int, int],
-            Tuple[RowSchema, Expr, List[int], Callable[[RowT], Any]],
-        ] = {}
-        # derived-table memo: id(node) -> {node, key, binding, plan,
-        # schema}; node pinned so the id stays valid while plans are cached
-        self._subquery_sources: Dict[int, Dict[str, Any]] = {}
-
     # ------------------------------------------------------------------
     # block dispatch
     # ------------------------------------------------------------------
 
-    def _execute_block(
-        self,
-        statement: SelectStatement,
-        planned: Optional[PlannedBlock] = None,
-    ) -> Tuple[List[str], List[RowT]]:
-        eligible = (
-            planned.batch_eligible
-            if planned is not None
-            else block_batch_eligible(statement)
-        )
-        if eligible:
+    def _execute_block(self, planned: PlannedBlock) -> Tuple[List[str], List[RowT]]:
+        if planned.batch_eligible:
             self.stats.batch_blocks += 1
-            return self._execute_block_batch(statement, planned)
+            return self._execute_block_batch(planned)
         self.stats.batch_fallbacks += 1
-        return super()._execute_block(statement, planned)
+        return super()._execute_block(planned)
 
     def _execute_block_batch(
-        self,
-        statement: SelectStatement,
-        planned: Optional[PlannedBlock],
+        self, planned: PlannedBlock
     ) -> Tuple[List[str], List[RowT]]:
         self._check_cancel()
-        where_conjuncts = (
-            planned.where_conjuncts
-            if planned is not None
-            else split_conjuncts(statement.where)
-        )
+        statement = planned.statement
+        where_conjuncts = planned.where_conjuncts
         relations: List[BatchRelation] = []
         join_conjuncts: List[Expr] = []
         assert statement.source is not None
@@ -286,13 +263,8 @@ class VectorizedExecutor(Executor):
         ]
         if remaining:
             relation = self._batch_filter(relation, remaining)
-        has_aggregates = (
-            planned.has_aggregates
-            if planned is not None
-            else self._statement_has_aggregates(statement)
-        )
         source_rows: Optional[List[RowT]] = None
-        if has_aggregates or statement.group_by:
+        if planned.has_aggregates or statement.group_by:
             reduced = self._reduced_relation(statement, relation)
             columns, rows = self._aggregate(statement, reduced)
             source_schema = reduced.schema
@@ -354,26 +326,16 @@ class VectorizedExecutor(Executor):
 
         OBDA-unfolded UCQs repeat the same derived table (a small UNION
         of base-table projections) verbatim across hundreds of
-        disjuncts.  The row path re-executes it per disjunct; here the
-        result is cached in the shared-scan context keyed by the
-        subquery's SQL text, so each distinct derived table is evaluated
+        disjuncts.  The row path re-executes its sub-plan per disjunct;
+        here the result is cached in the shared-scan context keyed by the
+        sub-plan's SQL text, so each distinct derived table is evaluated
         once per query execution.  The cached position list is identity-
         stable, which also lets hash-join builds over the derived leg be
         shared across disjuncts.
         """
-        memo_key = id(node)
-        entry = self._subquery_sources.get(memo_key)
-        if entry is None or entry["node"] is not node:
-            entry = {
-                "node": node,
-                "key": "vec-subq::" + node.query.to_sql(),
-                "binding": node.alias.lower(),
-                "plan": None,
-                "schema": None,
-            }
-            self._subquery_sources[memo_key] = entry
-        shared_key_text = entry["key"]
-        binding = entry["binding"]
+        subplan = self._subplan(node.query)
+        shared_key_text = "vec-subq::" + subplan.key
+        binding = node.alias.lower()
         shared = self._shared
         cached = (
             shared.lookup_scan((shared_key_text, frozenset()))
@@ -381,22 +343,13 @@ class VectorizedExecutor(Executor):
             else None
         )
         if cached is None:
-            plan = entry["plan"]
-            if plan is None:
-                # the AST is immutable and the blocks hold only logical
-                # analysis, so the compiled subquery plan never goes stale
-                plan = compile_select(node.query)
-                entry["plan"] = plan
-            result = self.execute_plan(plan)
+            result = self.execute_plan(subplan.plan)
             positions = range(len(result.rows))
             cached = (tuple(result.columns), result.rows, positions)
             if shared is not None:
                 shared.store_scan((shared_key_text, frozenset()), cached)
         columns, rows, positions = cached
-        schema = entry["schema"]
-        if schema is None:
-            schema = RowSchema([(binding, c) for c in columns])
-            entry["schema"] = schema
+        schema = RowSchema([(binding, c) for c in columns])
         self._trace(
             f"BatchSubqueryScan as {binding} ({len(rows)} rows)"
         )
@@ -544,10 +497,7 @@ class VectorizedExecutor(Executor):
     ) -> BatchRelation:
         """Compiled-expression fallback over one leg's gathered rows."""
         leg = relation.legs[0]
-        predicates = [
-            self._compile_cached(relation.schema, conjunct)
-            for conjunct in conjuncts
-        ]
+        predicates = self._compile_all(relation.schema, conjuncts)
         rows = leg.gather_rows()
         kept = [
             position
@@ -574,26 +524,14 @@ class VectorizedExecutor(Executor):
             if values is not None:
                 return values
         schema = relation.schema
-        needed: Optional[List[int]] = None
-        compiled: Optional[Callable[[RowT], Any]] = None
-        key = (id(schema), id(expr))
-        entry = self._batch_evals.get(key)
-        if entry is not None and entry[0] is schema and entry[1] is expr:
-            needed, compiled = entry[2], entry[3]
-        if compiled is None:
-            positions = set()
-            for ref in expr_columns(expr):
-                position = schema.try_resolve(ref)
-                if position is not None:
-                    positions.add(position)
-            needed = sorted(positions)
-            reduced = RowSchema([schema.fields[p] for p in needed])
-            compiled = ExpressionCompiler(
-                reduced, subquery_executor=self.run_subquery
-            ).compile(expr)
-            if len(self._batch_evals) >= self._COMPILE_CACHE_LIMIT:
-                self._batch_evals.clear()
-            self._batch_evals[key] = (schema, expr, needed, compiled)
+        positions = set()
+        for ref in expr_columns(expr):
+            position = schema.try_resolve(ref)
+            if position is not None:
+                positions.add(position)
+        needed = sorted(positions)
+        reduced = RowSchema([schema.fields[p] for p in needed])
+        compiled = self._compiler(reduced).compile(expr)
         if not needed:
             # no column references: the value is row-independent
             return [compiled(())] * relation.size
@@ -670,7 +608,7 @@ class VectorizedExecutor(Executor):
             # row relations of a fallback block keep the row operators
             return super()._inner_join(left, right, conjuncts, estimate)
         self._check_cancel()
-        schema = self._concat_schema(left.schema, right.schema)
+        schema = left.schema.concat(right.schema)
         left_keys, right_keys, _, residual = self._equi_keys(
             left, right, conjuncts
         )

@@ -105,7 +105,7 @@ def test_kernel_leaves_other_shapes_to_the_compiled_path(db):
     ):
         assert executor._batch_concat(relation, template) is None
         assert executor._batch_values(relation, template) == [
-            executor._compile_cached(relation.schema, template)(row)
+            executor._compiler(relation.schema).compile(template)(row)
             for row in relation.materialize()
         ]
 

@@ -110,18 +110,19 @@ class TestConcurrentDml:
             "CREATE TABLE t (id INTEGER PRIMARY KEY, grp VARCHAR(5), v INTEGER)"
         )
         db.insert_rows("t", [(i, "a", i) for i in range(200)])
-        # one compiled plan shared by every reader: each INSERT stales it,
-        # and whichever thread runs it next re-plans it in place
+        # one compiled plan shared by every reader, never re-planned:
+        # each execution sees the rows committed before it
         plan = db.compile("SELECT grp, COUNT(*) FROM t GROUP BY grp ORDER BY grp")
+        blocks = plan.blocks
         db.execute_plan(plan)
         generation = db.plan_generation
         failures: List[str] = []
         stop = threading.Event()
 
-        def reader():
+        def reader(executor):
             while not stop.is_set():
                 try:
-                    result = db.execute_plan(plan)
+                    result = db.execute_plan(plan, executor=executor)
                     # counts must always reflect a consistent snapshot:
                     # a torn read mid-insert would surface as an exception
                     # or an impossible negative/None count
@@ -132,7 +133,10 @@ class TestConcurrentDml:
                     failures.append(f"{type(exc).__name__}: {exc}")
                     return
 
-        readers = [threading.Thread(target=reader) for _ in range(3)]
+        readers = [
+            threading.Thread(target=reader, args=(executor,))
+            for executor in ("row", "vectorized", "row")
+        ]
         for thread in readers:
             thread.start()
         try:
@@ -143,10 +147,12 @@ class TestConcurrentDml:
             for thread in readers:
                 thread.join()
         assert failures == []
-        final = db.execute_plan(plan)
-        assert dict(final.rows) == {"a": 200, "b": 200}
+        for executor in ("row", "vectorized"):
+            final = db.execute_plan(plan, executor=executor)
+            assert dict(final.rows) == {"a": 200, "b": 200}
         assert db.plan_generation == generation + 200
-        assert plan.generation == db.plan_generation
+        assert plan.blocks is blocks
+        assert db.stats.plan_recompiles == 0
 
 
 class TestConcurrentSharedScans:

@@ -6,6 +6,8 @@ SQL execution -> result translation) on all 21 queries, and cross-check a
 subset against the materialize-then-rewrite triple store.
 """
 
+from collections import Counter
+
 import pytest
 
 from repro.mixer import Mixer, OBDASystemAdapter
@@ -56,6 +58,45 @@ class TestAllQueriesAnswer:
         result = npd_engine.unfold(npd_benchmark.queries["q6"].sparql)
         assert result.rewriting is not None
         assert result.rewriting.tree_witnesses >= 2
+
+
+class TestTruncationLabel:
+    """``rewriting_truncated`` means the ``max_ucq`` cap dropped a disjunct,
+    not that the rewriting reached the cap."""
+
+    @pytest.fixture(scope="class")
+    def capped(self, npd_benchmark):
+        return OBDAEngine(
+            npd_benchmark.database,
+            npd_benchmark.ontology,
+            npd_benchmark.mappings,
+            max_ucq=1,
+        )
+
+    @pytest.mark.parametrize("qid", ["q1", "q3", "q14"])
+    def test_complete_ucq_at_the_cap_is_not_truncated(
+        self, qid, capped, npd_benchmark, npd_engine
+    ):
+        sparql = npd_benchmark.queries[qid].sparql
+        result = capped.execute(sparql)
+        assert not result.metrics.rewriting_truncated
+        assert Counter(result.rows) == Counter(npd_engine.execute(sparql).rows)
+
+    def test_ucq_beyond_the_cap_is_truncated_and_labelled(
+        self, capped, npd_benchmark
+    ):
+        from repro.server import ServerConfig
+        from repro.server.app import SparqlEndpoint
+
+        sparql = npd_benchmark.queries["q12"].sparql
+        assert capped.execute(sparql).metrics.rewriting_truncated
+        endpoint = SparqlEndpoint(capped, ServerConfig(workers=1))
+        try:
+            response = endpoint.handle_query(sparql)
+        finally:
+            endpoint.shutdown()
+        assert response.status == 200
+        assert dict(response.headers)["X-Rewriting-Truncated"] == "1"
 
 
 class TestHierarchyCompleteness:

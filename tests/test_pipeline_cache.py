@@ -1,9 +1,11 @@
-"""The compile cache and the plan lifecycle: hits, staleness, correctness.
+"""The compile cache and the plan lifecycle: hits, fresh rows, correctness.
 
 Covers the one compile cache (the OBDA engine's query cache) and the
-one lifecycle of a compiled SQL plan: DML, ``CREATE INDEX`` and
-``set_profile`` after ``compile()`` must make the held plan re-plan itself
-inside ``execute_plan`` and produce fresh, correct results.
+one lifecycle of a compiled SQL plan: compiled once, never re-planned.
+DML, ``CREATE INDEX`` and ``set_profile`` after ``compile()`` leave the
+held plan untouched, and executing it returns fresh, correct rows on
+both executors.  (Some test names keep the older "stales" wording: a
+mutation outdates the rows a plan returned before, never the plan.)
 """
 
 from __future__ import annotations
@@ -21,28 +23,28 @@ def rows(result):
     return list(result.rows)
 
 
-def run_stale(db, plan):
-    """Execute a plan that a mutation event outdated: it must re-plan
-    itself exactly once and carry the new generation afterwards."""
-    assert plan.generation != db.plan_generation or plan.profile_name != db.profile.name
-    recompiles = db.stats.plan_recompiles
-    result = db.execute_plan(plan)
-    assert db.stats.plan_recompiles == recompiles + 1
-    assert plan.generation == db.plan_generation
-    assert plan.profile_name == db.profile.name
-    return rows(result)
+def run_held(db, plan):
+    """Execute a held plan after a mutation on both executors: equal
+    rows from each, and the plan object itself unchanged."""
+    blocks = plan.blocks
+    row_path = rows(db.execute_plan(plan))
+    assert rows(db.execute_plan(plan, executor="vectorized")) == row_path
+    assert plan.blocks is blocks
+    assert db.stats.plan_recompiles == 0
+    return row_path
 
 
 class TestPlanLifecycle:
-    """Compile once, execute many: every mutation event bumps
-    ``plan_generation`` and the held plan heals inside ``execute_plan``."""
+    """Compile once, execute many: data changes bump ``plan_generation``,
+    index and profile changes do not, and the held plan always serves
+    the current rows."""
 
     def test_fresh_plan_is_not_recompiled(self, example_db):
         plan = example_db.compile(SELECT_EMP)
         first = rows(example_db.execute_plan(plan))
         second = rows(example_db.execute_plan(plan))
         assert first == second
-        assert example_db.stats.plan_recompiles == 0
+        assert run_held(example_db, plan) == first
 
     def test_insert_stales_plan_and_serves_fresh_rows(self, example_db):
         plan = example_db.compile(SELECT_EMP)
@@ -50,7 +52,7 @@ class TestPlanLifecycle:
         generation = example_db.plan_generation
         example_db.execute("INSERT INTO temployee VALUES (3, 'Mia', 'B2')")
         assert example_db.plan_generation == generation + 1
-        after = run_stale(example_db, plan)
+        after = run_held(example_db, plan)
         assert len(after) == len(before) + 1
         assert after[-1][:2] == (3, "Mia")
 
@@ -59,20 +61,20 @@ class TestPlanLifecycle:
         example_db.execute_plan(plan)
         example_db.execute("DELETE FROM tsellsproduct WHERE id = 2")
         example_db.execute("DELETE FROM temployee WHERE id = 2")
-        assert run_stale(example_db, plan) == [(1, "John")]
+        assert run_held(example_db, plan) == [(1, "John")]
 
     def test_update_stales_plan_and_serves_fresh_rows(self, example_db):
         plan = example_db.compile(SELECT_EMP)
         example_db.execute_plan(plan)
         example_db.execute("UPDATE temployee SET name = 'Johnny' WHERE id = 1")
-        assert run_stale(example_db, plan)[0] == (1, "Johnny")
+        assert run_held(example_db, plan)[0] == (1, "Johnny")
 
     def test_insert_rows_stales_plan(self, example_db):
         plan = example_db.compile(SELECT_EMP)
         generation = example_db.plan_generation
         example_db.insert_rows("temployee", [(7, "Zoe", "B2")])
         assert example_db.plan_generation > generation
-        after = run_stale(example_db, plan)
+        after = run_held(example_db, plan)
         assert (7, "Zoe") in [row[:2] for row in after]
 
     def test_create_index_stales_plan(self, example_db):
@@ -80,15 +82,16 @@ class TestPlanLifecycle:
         before = rows(example_db.execute_plan(plan))
         generation = example_db.plan_generation
         example_db.execute("CREATE INDEX idx_branch ON temployee (branch)")
-        assert example_db.plan_generation > generation
-        assert run_stale(example_db, plan) == before
+        assert example_db.plan_generation == generation  # no row changed
+        assert run_held(example_db, plan) == before
 
-    def test_set_profile_stales_plan_and_recompiles(self, example_db):
+    def test_set_profile_keeps_plan_and_rows(self, example_db):
         plan = example_db.compile(SELECT_EMP)
         before = rows(example_db.execute_plan(plan))
+        generation = example_db.plan_generation
         example_db.set_profile(mysql_profile())
-        assert run_stale(example_db, plan) == before
-        assert plan.profile_name == "mysql"
+        assert example_db.plan_generation == generation  # no row changed
+        assert run_held(example_db, plan) == before
 
 
 class TestExplainPlanLines:
@@ -98,12 +101,125 @@ class TestExplainPlanLines:
         assert first[-1].startswith("Result: ")
         assert example_db.explain(SELECT_EMP) == first
 
-    def test_mutation_shows_in_plan_key(self, example_db):
+    def test_plan_key_survives_mutation(self, example_db):
         before = example_db.explain(SELECT_EMP)
         example_db.execute("INSERT INTO temployee VALUES (5, 'Kim', 'B2')")
         again = example_db.explain(SELECT_EMP)
-        assert again[0] != before[0]
-        assert again[0].endswith(f"generation={example_db.plan_generation}")
+        # the key names the plan (text digest, blocks), not the data
+        assert again[0] == before[0]
+        assert again[0].endswith(" blocks=1")
+        assert again[-1] != before[-1]
+
+
+class TestGenerationCountsDataChanges:
+    """Only a data change moves ``plan_generation``: an index or a profile
+    swap keeps verified facts/constraints and ANALYZE statistics."""
+
+    QUERY = "PREFIX : <http://ex.org/> SELECT ?e WHERE { ?e :assignedTo ?t }"
+
+    def test_index_and_profile_keep_evidence_and_statistics(
+        self, example_db, example_ontology, example_mappings
+    ):
+        from collections import Counter
+
+        from repro.analysis import analyze
+        from repro.obda import OBDAEngine
+
+        report = analyze(example_db, example_ontology, example_mappings, perf=False)
+        engine = OBDAEngine(
+            example_db,
+            example_ontology,
+            example_mappings,
+            factbase=report.factbase,
+            constraints=report.constraints.constraints,
+        )
+        engine.analyze_database()
+        before = Counter(engine.execute(self.QUERY).rows)
+        example_db.execute("CREATE INDEX idx_branch ON temployee (branch)")
+        example_db.set_profile(mysql_profile())
+        assert Counter(engine.execute(self.QUERY).rows) == before
+        assert engine.factbase is report.factbase
+        assert engine.constraints is report.constraints.constraints
+        assert engine.stale_findings == []
+        assert example_db.statistics_fresh
+        # a data change still demotes both
+        example_db.execute("INSERT INTO temployee VALUES (3, 'Ann', 'B1')")
+        engine.execute(self.QUERY)
+        assert engine.factbase is None and engine.constraints is None
+        assert not example_db.statistics_fresh
+
+
+def _compile_spy(monkeypatch):
+    """Count every ``compile_select`` call, whichever module makes it."""
+    import repro.sql.engine as engine_module
+    import repro.sql.executor as executor_module
+    import repro.sql.plan as plan_module
+    import repro.sql.vectorized as vectorized_module
+
+    calls = []
+    for module in (plan_module, engine_module, executor_module, vectorized_module):
+        original = module.compile_select
+
+        def spy(*args, _original=original, **kwargs):
+            calls.append(args[0])
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, "compile_select", spy)
+    return calls
+
+
+def _footprint(executor):
+    """Each instance attribute, with the length of the sized ones."""
+    return {
+        name: len(value) if hasattr(value, "__len__") else type(value).__name__
+        for name, value in vars(executor).items()
+    }
+
+
+class TestCompileOnce:
+    """Derived tables and subqueries are compiled with their plan, once;
+    the executors keep no compile state between executions."""
+
+    def test_warm_q6_on_the_row_executor_compiles_nothing(
+        self, npd_benchmark, npd_engine, monkeypatch
+    ):
+        from collections import Counter
+
+        sparql = npd_benchmark.queries["q6"].sparql
+        plan = npd_benchmark.database.compile(npd_engine.unfold(sparql).sql_text)
+        assert any(block.subplans for block in plan.blocks)  # derived tables
+        cold = npd_engine.execute(sparql)
+        calls = _compile_spy(monkeypatch)
+        warm = npd_engine.execute(sparql)
+        assert calls == []
+        assert Counter(warm.rows) == Counter(cold.rows)
+
+    def test_never_repeated_queries_leave_executors_unchanged(self):
+        db = Database()
+        db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, grp VARCHAR(5), v INTEGER)")
+        db.execute("CREATE TABLE u (id INTEGER PRIMARY KEY, t_id INTEGER)")
+        db.insert_rows("t", [(i, "abc"[i % 3], i * 7 % 50) for i in range(60)])
+        db.insert_rows("u", [(i, i * 3 % 60) for i in range(40)])
+
+        def query(i):
+            return (
+                f"SELECT a.id, d.n FROM t a JOIN (SELECT grp, COUNT(*) AS n "
+                f"FROM t WHERE v > {i % 40} GROUP BY grp) d ON a.grp = d.grp "
+                f"WHERE a.v <> {i} AND a.id IN (SELECT t_id FROM u WHERE id > {i % 7}) "
+                f"UNION SELECT id, v + {i} FROM t "
+                f"WHERE CONCAT(grp, '{i}') <> 'a1' AND v < {i}"
+            )
+
+        executors = {"row": db._executor, "vectorized": db._vectorized}
+        for name in executors:
+            db.execute_plan(db.compile(query(-1)), executor=name)
+        before = {name: _footprint(e) for name, e in executors.items()}
+        for i in range(200):
+            plan = db.compile(query(i))
+            assert db.execute_plan(plan, executor="vectorized").rows == (
+                db.execute_plan(plan).rows
+            )
+        assert {name: _footprint(e) for name, e in executors.items()} == before
 
 
 class TestSortedIndexBatching:
