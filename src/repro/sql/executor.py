@@ -329,15 +329,17 @@ class Executor:
         rows = _apply_limit(rows, head.limit, head.offset)
         return QueryResult(first_columns, rows)
 
-    def _subplan(self, statement: SelectStatement) -> SubPlan:
-        """The running block's sub-plan for a derived table or subquery.
+    def _subplan(self, node: Any) -> SubPlan:
+        """The running block's sub-plan for a derived table (*node* is its
+        ``SubquerySource``) or an IN/EXISTS subquery (its statement).
 
         A statement outside any plan (a DML WHERE clause, a whole-UNION
         ORDER BY) is compiled for this one use.
         """
         subplans = getattr(self._local, "subplans", None)
-        subplan = subplans.get(id(statement)) if subplans else None
+        subplan = subplans.get(id(node)) if subplans else None
         if subplan is None:
+            statement = node.query if isinstance(node, SubquerySource) else node
             subplan = SubPlan(statement.to_sql(), compile_select(statement))
         return subplan
 
@@ -576,9 +578,12 @@ class Executor:
             self._trace(f"SeqScan {table.name} as {binding} ({len(rows)} rows)")
             return Relation(schema, rows, binding, table)
         if isinstance(node, SubquerySource):
-            result = self.execute_plan(self._subplan(node.query).plan)
+            subplan = self._subplan(node)
+            result = self.execute_plan(subplan.plan)
             binding = node.alias.lower()
-            schema = RowSchema([(binding, c) for c in result.columns])
+            schema = subplan.schema
+            if schema is None:
+                schema = RowSchema([(binding, c) for c in result.columns])
             return Relation(schema, result.rows, binding)
         raise ExecutionError(f"cannot scan {node!r}")
 

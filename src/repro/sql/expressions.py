@@ -48,14 +48,15 @@ class RowSchema:
             for qualifier, name in fields
         )
         self._by_key: Dict[Tuple[str, str], int] = {}
-        self._by_name: Dict[str, List[int]] = {}
         for position, (qualifier, name) in enumerate(self.fields):
             if qualifier is not None:
                 self._by_key[(qualifier, name)] = position
-            self._by_name.setdefault(name, []).append(position)
+        # bare name -> positions, built on the first bare-name lookup
+        # (unfolded SQL qualifies almost every reference)
+        self._by_name: Optional[Dict[str, List[int]]] = None
         # lookup memo, including misses; fields are immutable so entries
         # never go stale.  Join ordering resolves the same refs against
-        # the same schemas on every execution of a cached plan.
+        # the same schema many times in one execution.
         self._memo: Dict[Tuple[Optional[str], str], Optional[int]] = {}
 
     def __len__(self) -> int:
@@ -83,13 +84,34 @@ class RowSchema:
             # Ambiguity is tolerated when all candidate positions are join-
             # equal duplicates of the same column name (NATURAL JOIN output);
             # we pick the first, matching common engine behaviour.
-            positions = self._by_name.get(name)
+            by_name = self._by_name
+            if by_name is None:
+                by_name = {}
+                for index, (_, field_name) in enumerate(self.fields):
+                    by_name.setdefault(field_name, []).append(index)
+                self._by_name = by_name  # published whole: readers share it
+            positions = by_name.get(name)
             position = positions[0] if positions else None
         memo[key] = position
         return position
 
     def concat(self, other: "RowSchema") -> "RowSchema":
-        return RowSchema(self.fields + other.fields)
+        """*self*'s fields, then *other*'s.
+
+        Join outputs are built on every execution, so the fields (already
+        normalized) are not normalized again: the qualified lookup tables
+        are merged, *other*'s later positions winning as in ``__init__``.
+        """
+        schema = RowSchema.__new__(RowSchema)
+        schema.fields = self.fields + other.fields
+        by_key = self._by_key.copy()
+        offset = len(self.fields)
+        for key, position in other._by_key.items():
+            by_key[key] = position + offset
+        schema._by_key = by_key
+        schema._by_name = None
+        schema._memo = {}
+        return schema
 
     def names(self) -> List[str]:
         return [name for _, name in self.fields]

@@ -38,11 +38,13 @@ from .ast import (
     Join,
     NamedTable,
     SelectStatement,
+    Star,
     SubquerySource,
     TableRef,
     split_conjuncts,
     walk_expr,
 )
+from .expressions import RowSchema
 
 
 def statement_has_aggregates(statement: SelectStatement) -> bool:
@@ -65,13 +67,17 @@ def statement_has_aggregates(statement: SelectStatement) -> bool:
 class SubPlan:
     """A derived table or IN/EXISTS subquery, compiled once per plan.
 
-    ``key`` is the statement's SQL text: equal texts share one sub-plan,
-    and the vectorized executor keys a derived table's result by it in
-    the per-query shared-scan context.
+    ``key`` is the statement's SQL text: equal texts share one compiled
+    plan, and the vectorized executor keys a derived table's result by
+    it in the per-query shared-scan context.  ``schema`` is the row
+    schema a derived table exposes under its alias, when its select list
+    names every column (a ``*`` is resolved against the catalog at
+    execution).
     """
 
     key: str
     plan: "CompiledPlan"
+    schema: Optional[RowSchema] = None
 
 
 @dataclass
@@ -83,9 +89,10 @@ class PlannedBlock:
     where_conjuncts: List[Expr]
     has_aggregates: bool
     batch_eligible: bool = False
-    # id() of each derived-table or subquery statement of the branch ->
-    # its sub-plan; the branch's AST pins those statements, so the ids
-    # stay valid for as long as the plan lives
+    # id() of each derived table (its SubquerySource) and IN/EXISTS
+    # subquery (its statement) of the branch -> its sub-plan; the
+    # branch's AST pins those nodes, so the ids stay valid for as long as
+    # the plan lives
     subplans: Dict[int, SubPlan] = field(default_factory=dict)
 
 
@@ -109,13 +116,23 @@ def _batch_eligible_source(source: Optional[TableRef]) -> bool:
     return False  # LEFT/NATURAL join trees stay on the row path
 
 
-def _derived_statements(source: Optional[TableRef]) -> Iterator[SelectStatement]:
-    """The statement of every derived table in a FROM tree."""
+def _derived_tables(source: Optional[TableRef]) -> Iterator[SubquerySource]:
+    """Every derived table in a FROM tree."""
     if isinstance(source, SubquerySource):
-        yield source.query
+        yield source
     elif isinstance(source, Join):
-        yield from _derived_statements(source.left)
-        yield from _derived_statements(source.right)
+        yield from _derived_tables(source.left)
+        yield from _derived_tables(source.right)
+
+
+def _derived_schema(node: SubquerySource) -> Optional[RowSchema]:
+    """The columns a derived table exposes, when its select list names
+    them all (its first branch's, for a UNION)."""
+    items = node.query.items
+    if any(isinstance(item.expr, Star) for item in items):
+        return None
+    binding = node.alias.lower()
+    return RowSchema([(binding, item.output_name) for item in items])
 
 
 def _predicate_statements(statement: SelectStatement) -> Iterator[SelectStatement]:
@@ -164,7 +181,7 @@ class CompiledPlan:
 
 def _decompose(statement: SelectStatement) -> Tuple[List[PlannedBlock], bool]:
     blocks: List[PlannedBlock] = []
-    compiled: Dict[str, SubPlan] = {}  # one sub-plan per distinct text
+    compiled: Dict[str, SubPlan] = {}  # one compiled plan per distinct text
     node: Optional[SelectStatement] = statement
     dedup_needed = False
     while node is not None:
@@ -172,12 +189,13 @@ def _decompose(statement: SelectStatement) -> Tuple[List[PlannedBlock], bool]:
         block = node.without_union()
         predicates = list(_predicate_statements(block))
         subplans: Dict[int, SubPlan] = {}
-        for sub in [*_derived_statements(block.source), *predicates]:
-            key = sub.to_sql()
-            subplan = compiled.get(key)
-            if subplan is None:
-                subplan = compiled[key] = SubPlan(key, compile_select(sub))
-            subplans[id(sub)] = subplan
+        for sub in predicates:
+            subplans[id(sub)] = _subplan_of_text(sub, compiled)
+        for derived in _derived_tables(block.source):
+            text_plan = _subplan_of_text(derived.query, compiled)
+            subplans[id(derived)] = SubPlan(
+                text_plan.key, text_plan.plan, _derived_schema(derived)
+            )
         blocks.append(
             PlannedBlock(
                 statement=block,
@@ -195,6 +213,15 @@ def _decompose(statement: SelectStatement) -> Tuple[List[PlannedBlock], bool]:
             dedup_needed = True
         node = tail.query if tail else None
     return blocks, dedup_needed
+
+
+def _subplan_of_text(sub: SelectStatement, compiled: Dict[str, SubPlan]) -> SubPlan:
+    """The sub-plan of *sub*'s text, compiled on its first occurrence."""
+    key = sub.to_sql()
+    subplan = compiled.get(key)
+    if subplan is None:
+        subplan = compiled[key] = SubPlan(key, compile_select(sub))
+    return subplan
 
 
 def compile_select(

@@ -333,29 +333,29 @@ class VectorizedExecutor(Executor):
         stable, which also lets hash-join builds over the derived leg be
         shared across disjuncts.
         """
-        subplan = self._subplan(node.query)
-        shared_key_text = "vec-subq::" + subplan.key
+        subplan = self._subplan(node)
+        # the SQL text starts with SELECT, so it never names a table: the
+        # sub-plan's own string is the key, its hash computed once
+        shared_key = (subplan.key, frozenset())
         binding = node.alias.lower()
         shared = self._shared
-        cached = (
-            shared.lookup_scan((shared_key_text, frozenset()))
-            if shared is not None
-            else None
-        )
+        cached = shared.lookup_scan(shared_key) if shared is not None else None
         if cached is None:
             result = self.execute_plan(subplan.plan)
             positions = range(len(result.rows))
             cached = (tuple(result.columns), result.rows, positions)
             if shared is not None:
-                shared.store_scan((shared_key_text, frozenset()), cached)
+                shared.store_scan(shared_key, cached)
         columns, rows, positions = cached
-        schema = RowSchema([(binding, c) for c in columns])
+        schema = subplan.schema
+        if schema is None:
+            schema = RowSchema([(binding, c) for c in columns])
         self._trace(
             f"BatchSubqueryScan as {binding} ({len(rows)} rows)"
         )
         return BatchRelation(
             schema,
-            [_DerivedLeg(rows, positions, len(columns), shared_key_text)],
+            [_DerivedLeg(rows, positions, len(columns), subplan.key)],
         )
 
     def _batch_filter_leg(

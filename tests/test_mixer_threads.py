@@ -195,3 +195,72 @@ class TestConcurrentSharedScans:
         for thread in threads:
             thread.join(timeout=120)
         assert failures == []
+
+
+class TestConcurrentSubPlans:
+    def test_threads_each_run_their_own_blocks_sub_plans(self, monkeypatch):
+        """The running block's sub-plans are per thread.
+
+        One executor serves every request thread; if the block a thread
+        is running were instance state, another thread's block would
+        replace it mid-execution and the lookup would miss (and compile)
+        or find the wrong sub-plan.
+        """
+        import sys
+
+        import repro.sql.executor as executor_module
+
+        db = Database()
+        db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, grp VARCHAR(5), v INTEGER)")
+        db.insert_rows("t", [(i, "abcd"[i % 4], i * 7 % 31) for i in range(120)])
+        texts = [
+            f"SELECT a.id, d.n FROM t a JOIN (SELECT grp, COUNT(*) AS n FROM t "
+            f"WHERE v > {k} GROUP BY grp) d ON a.grp = d.grp "
+            f"WHERE a.id IN (SELECT id FROM t WHERE v < {k + 9}) "
+            f"UNION SELECT id, v FROM (SELECT id, v FROM t WHERE grp = '{'abcd'[k]}') s"
+            for k in range(4)
+        ]
+        plans = [db.compile(text) for text in texts]
+        expected = {
+            (k, executor): db.execute_plan(plan, executor=executor).rows
+            for k, plan in enumerate(plans)
+            for executor in ("row", "vectorized")
+        }
+        compiles: List[object] = []
+        original = executor_module.compile_select
+
+        def spy(*args, **kwargs):
+            compiles.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(executor_module, "compile_select", spy)
+        failures: List[str] = []
+
+        def hammer(k: int, executor: str) -> None:
+            for _ in range(15):
+                try:
+                    rows = db.execute_plan(plans[k], executor=executor).rows
+                except Exception as exc:  # noqa: BLE001
+                    failures.append(f"{k}/{executor}: {type(exc).__name__}: {exc}")
+                    return
+                if rows != expected[(k, executor)]:
+                    failures.append(f"{k}/{executor}: rows diverged")
+                    return
+
+        threads = [
+            threading.Thread(target=hammer, args=(k, executor))
+            for k in range(4)
+            for executor in ("row", "vectorized")
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        assert compiles == []
