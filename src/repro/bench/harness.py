@@ -14,6 +14,7 @@ from typing import Dict, Mapping, Optional
 from ..mixer import Mixer, MixReport, OBDASystemAdapter
 from ..npd import Benchmark, build_benchmark
 from ..obda import OBDAEngine, materialize
+from ..server.http import collector_policy
 from ..sql import Database, EngineProfile
 from ..sql.ast import Join, SelectStatement, SubquerySource, TableRef
 from ..vig import VIG
@@ -76,13 +77,15 @@ class BenchContext:
     ) -> MixReport:
         """One Mixer run of *queries*, without warm-up, on a fresh engine
         over the shared data: every query compiles cold, whatever ran in
-        this process before."""
+        this process before.  The run is under the server's collector
+        policy, so no collection walks the session's loaded instances."""
         engine = OBDAEngine(
             self.database(growth, profile),
             self.benchmark.ontology,
             self.benchmark.mappings,
         )
-        return Mixer(OBDASystemAdapter(engine), queries, warmup_runs=0).run(runs=1)
+        with collector_policy():
+            return Mixer(OBDASystemAdapter(engine), queries, warmup_runs=0).run(runs=1)
 
     def triples(self, growth: float) -> int:
         instance = self.instance(growth)

@@ -15,6 +15,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from ..npd import build_benchmark
 from ..npd.seed import SeedProfile
+from ..vig import VIG
 from .fuzzer import QueryFuzzer
 from .oracle import (
     CONFIGS_BY_NAME,
@@ -23,6 +24,10 @@ from .oracle import (
     EngineConfig,
     OracleReport,
 )
+
+
+#: the VIG seed the benchmark harness grows its NPD<n> instances with
+VIG_SEED = 13
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -56,6 +61,14 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=0.25,
         help="data scale factor for the generated database (default 0.25)",
+    )
+    parser.add_argument(
+        "--growth",
+        type=float,
+        default=1.0,
+        metavar="N",
+        help="grow the generated database N-fold with VIG (seed 13, as the "
+        "benchmark harness does) before checking (default 1: no growth)",
     )
     parser.add_argument(
         "--configs",
@@ -127,11 +140,15 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if not args.catalogue and args.fuzz <= 0:
         build_parser().error("nothing to do: pass --catalogue and/or --fuzz N")
+    if args.growth < 1:
+        build_parser().error("--growth must be at least 1")
     configs = resolve_configs(args.configs)
 
     benchmark = build_benchmark(
         seed=args.db_seed, profile=SeedProfile().scaled(args.scale)
     )
+    if args.growth != 1:
+        VIG(benchmark.database, seed=VIG_SEED).grow(args.growth)
     if args.lint:
         from ..analysis import analyze
 
@@ -168,7 +185,9 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     header = (
         f"differential oracle: {len(selected)} queries x "
         f"{len(configs)} configs ({', '.join(c.name for c in configs)}) "
-        f"db-seed={args.db_seed} scale={args.scale:g} fuzz-seed={args.seed}\n\n"
+        f"db-seed={args.db_seed} scale={args.scale:g}"
+        + (f" growth={args.growth:g}" if args.growth != 1 else "")
+        + f" fuzz-seed={args.seed}\n\n"
     )
     text = header + report.describe()
     sys.stdout.write(text)

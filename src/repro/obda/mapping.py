@@ -497,7 +497,7 @@ def _build_source(sql: str) -> MappingSource:
     branches: List[SourceBranch] = []
     blocks: List[SourceBranch] = []
     for top in statement.union_branches():
-        top = _unwrap(top)
+        top = unwrap(top)
         profiles = _flatten(top)
         blocks.extend(profiles)
         branches.append(SourceBranch() if top.union is not None else profiles[0])
@@ -518,7 +518,7 @@ def _build_source(sql: str) -> MappingSource:
 def _flatten(statement: SelectStatement) -> List[SourceBranch]:
     blocks: List[SourceBranch] = []
     for block in statement.union_branches():
-        block = _unwrap(block)
+        block = unwrap(block)
         if block.union is None:
             blocks.append(_profile_block(block))
         else:
@@ -537,7 +537,7 @@ def _canonical(text: str) -> str:
     )
 
 
-def _unwrap(statement: SelectStatement) -> SelectStatement:
+def unwrap(statement: SelectStatement) -> SelectStatement:
     """Strip transparent ``SELECT * FROM (X) alias`` wrappers."""
     while (
         statement.union is None

@@ -95,6 +95,8 @@ class QualityMetrics:
     tree_witnesses: int = 0
     ucq_size: int = 0
     sql_union_blocks: int = 0
+    #: union blocks left out because an earlier block repeats them
+    sql_duplicate_blocks: int = 0
     sql_characters: int = 0
     pruned_combinations: int = 0
     #: the rewriter's max_ucq safety valve fired (answers may be missing)
@@ -469,6 +471,7 @@ class OBDAEngine:
             ),
             ucq_size=unfolded.rewriting.ucq_size if unfolded.rewriting else 1,
             sql_union_blocks=unfolded.union_blocks,
+            sql_duplicate_blocks=unfolded.duplicate_blocks,
             sql_characters=len(unfolded.sql_text),
             pruned_combinations=unfolded.pruned_combinations,
             rewriting_truncated=unfolded.rewriting_truncated,
@@ -527,6 +530,7 @@ class OBDAEngine:
             )
         lines.append(
             f"unfolding: union_blocks={unfolded.union_blocks}"
+            f" duplicate_blocks={unfolded.duplicate_blocks}"
             f" sql_characters={len(unfolded.sql_text)}"
             f" pruned={unfolded.pruned_combinations}"
             f" merged_self_joins={unfolded.merged_self_joins}"

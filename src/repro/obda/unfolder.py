@@ -41,8 +41,11 @@ A BGP is lowered in three steps, expand -> passes -> emit:
   5. ``_null_guards`` -- ``IS NOT NULL`` on every term-map column that may
      be NULL; the declared schema elides guards, and with a FactBase so
      do verified not-null facts.
-* **Emit** (``_emit``) builds the SELECT block and commits the block's
-  counters and licensing labels to the per-query ``_Unfolding``.
+* **Emit** (``_emit``) builds the SELECT block.  The BGP's union keeps
+  only the first block of each ``_block_key`` -- the block up to the
+  names of its aliases; a later twin adds no row to the UNION -- and
+  commits the counters and licensing labels of the blocks it keeps to
+  the per-query ``_Unfolding``.
 
 Under ``enable_sqo`` expand also drops CQs subsumed by another CQ of the
 union (``prune_redundant_cqs``) and, with a ConstraintSet and the raw
@@ -98,6 +101,7 @@ from .mapping import (
     MappingCollection,
     TermMap,
     assertion_body_key,
+    unwrap,
 )
 from .rewriter import RewritingResult, TreeWitnessRewriter, merge_rewritings
 
@@ -160,6 +164,9 @@ class UnfoldResult:
     union_blocks: int
     pruned_combinations: int
     merged_self_joins: int
+    #: union blocks dropped because an earlier block of the same UNION
+    #: repeats them up to alias names (not counted in ``union_blocks``)
+    duplicate_blocks: int = 0
     #: some BGP's rewriting hit the UCQ cap -- the SQL answers a sound
     #: but possibly incomplete UCQ prefix
     rewriting_truncated: bool = False
@@ -206,6 +213,7 @@ class _Unfolding:
     #: one rewriting per BGP; the query reports their merge
     rewritings: List[RewritingResult] = field(default_factory=list)
     union_blocks: int = 0
+    duplicate_blocks: int = 0
     pruned: int = 0
     merged: int = 0
     vfd_merged: int = 0
@@ -219,6 +227,15 @@ class _Unfolding:
         """Record a licensing label; *kind* is "fact" or "constraint"."""
         labels = self.fired_constraints if kind == "constraint" else self.fired_facts
         labels.setdefault(label)
+
+    def commit(self, block: "_Block") -> None:
+        """Count an emitted block's merges and record its labels."""
+        self.merged += block.merged
+        self.vfd_merged += block.vfd_merged
+        self.eliminated_joins += len(block.dropped)
+        self.elided_guards += block.elided
+        for kind, label in block.fired:
+            self.fire(kind, label)
 
     def result(
         self,
@@ -237,6 +254,7 @@ class _Unfolding:
             union_blocks=self.union_blocks,
             pruned_combinations=self.pruned,
             merged_self_joins=self.merged,
+            duplicate_blocks=self.duplicate_blocks,
             rewriting_truncated=rewriting is not None and rewriting.truncated,
             elided_null_guards=self.elided_guards,
             eliminated_joins=self.eliminated_joins,
@@ -274,9 +292,9 @@ class _Block:
     """One mapping combination of a CQ on its way to a SELECT block.
 
     Expand sets ``cq``, ``combination`` and ``unfolding``; the passes fill
-    in the rest.  The counters and ``fired`` labels are pending: ``_emit``
-    commits them to the ``_Unfolding`` only when the block reaches the
-    SQL, so EXPLAIN reports what the SQL holds.
+    in the rest.  The counters and ``fired`` labels are pending: they are
+    committed to the ``_Unfolding`` only when the block reaches the SQL,
+    so EXPLAIN reports what the SQL holds.
     """
 
     cq: ConjunctiveQuery
@@ -515,38 +533,43 @@ class Unfolder:
             cqs = rewriting.cqs
         else:
             cqs = [cq]
-        branches: List[Tuple[sql.SelectStatement, Dict[sp.Var, VarMeta]]] = []
+        blocks: List[_Block] = []
         for candidate in self._prune_ucq(cqs):
-            branches.extend(self._unfold_cq(candidate, answer_vars, unfolding))
-        unfolding.union_blocks += len(branches)
-        if not branches:
+            blocks.extend(self._unfold_cq(candidate, unfolding))
+        if not blocks:
             return Fragment(None, {var: VarMeta("iri") for var in answer_vars})
-        # merge metadata across branches
+        # The union is a set: a block that repeats an earlier one up to
+        # alias names adds no row, so only the first of each key is kept
+        # and committed.  Metadata merges over every block, so term
+        # translation does not depend on which twin was kept.
+        kept: Dict[str, sql.SelectStatement] = {}
         merged_meta: Dict[sp.Var, VarMeta] = {}
-        for _, meta in branches:
+        for block in blocks:
+            statement, meta = _emit(block, answer_vars)
             for var, var_meta in meta.items():
                 merged_meta[var] = (
                     merged_meta[var].merge(var_meta) if var in merged_meta else var_meta
                 )
-        statement = _chain_union([stmt for stmt, _ in branches], dedup=True)
-        return Fragment(statement, merged_meta)
+            if kept.setdefault(_block_key(statement), statement) is not statement:
+                unfolding.duplicate_blocks += 1
+                continue
+            unfolding.commit(block)
+        unfolding.union_blocks += len(kept)
+        return Fragment(_chain_union(list(kept.values()), dedup=True), merged_meta)
 
-    def _unfold_cq(
-        self,
-        cq: ConjunctiveQuery,
-        answer_vars: Sequence[sp.Var],
-        unfolding: _Unfolding,
-    ) -> List[Tuple[sql.SelectStatement, Dict[sp.Var, VarMeta]]]:
+    def _unfold_cq(self, cq: ConjunctiveQuery, unfolding: _Unfolding) -> List[_Block]:
+        """The blocks of *cq*'s combinations that pass every pass, in
+        product order."""
         candidate_lists = self._candidate_lists(cq, unfolding)
         if candidate_lists is None:
             return []
-        branches = []
+        blocks = []
         for combination in _viable_combinations(cq.atoms, candidate_lists):
             block = self._run_passes(_Block(cq, combination, unfolding))
             if block is not None:
-                branches.append(_emit(block, answer_vars))
-        unfolding.pruned += math.prod(map(len, candidate_lists)) - len(branches)
-        return branches
+                blocks.append(block)
+        unfolding.pruned += math.prod(map(len, candidate_lists)) - len(blocks)
+        return blocks
 
     def _run_passes(self, block: _Block) -> Optional[_Block]:
         for run in self.passes:
@@ -1267,17 +1290,18 @@ def _join_equalities(block: _Block) -> Optional[_Block]:
 def _emit(
     block: _Block, answer_vars: Sequence[sp.Var]
 ) -> Tuple[sql.SelectStatement, Dict[sp.Var, VarMeta]]:
-    """The SELECT block of a block that passed every pass; commits its
-    counters and licensing labels to the query's ``_Unfolding``."""
+    """The SELECT block of a block that passed every pass, and the
+    metadata of its answer variables."""
     # aliases merged across different source texts get a synthesized bare
-    # scan projecting every column any member needs
+    # scan projecting every column any member needs; a source's
+    # transparent ``SELECT * FROM (X) sub`` wrappers are left out
     source: Optional[sql.TableRef] = None
     for alias, assertion in block.scans:
         group = block.shared.get(alias)
         if group is not None and len(group.sources) > 1:
             table_ref = sql.SubquerySource(group.scan_statement(), alias)
         else:
-            table_ref = sql.SubquerySource(assertion.parsed_source(), alias)
+            table_ref = sql.SubquerySource(unwrap(assertion.parsed_source()), alias)
         source = table_ref if source is None else sql.Join("INNER", source, table_ref)
     # a variable bound three times repeats the first-vs-other equality
     where = sql.conjunction(list(dict.fromkeys(block.conditions)))
@@ -1295,14 +1319,80 @@ def _emit(
         items.append(sql.SelectItem(expression, var_column(var)))
     if not items:
         items.append(sql.SelectItem(sql.LiteralValue(1), "one"))
-    unfolding = block.unfolding
-    unfolding.merged += block.merged
-    unfolding.vfd_merged += block.vfd_merged
-    unfolding.eliminated_joins += len(block.dropped)
-    unfolding.elided_guards += block.elided
-    for kind, label in block.fired:
-        unfolding.fire(kind, label)
     return sql.SelectStatement(items=tuple(items), source=source, where=where), meta
+
+
+def _block_key(block: sql.SelectStatement) -> str:
+    """What two emitted blocks share exactly when they differ only in
+    the names of their aliases.
+
+    The aliases the block's FROM clause binds are renamed ``m0``, ``m1``,
+    ... in order of appearance, on the AST (a string literal that reads
+    like an alias is left alone), and the renamed block is rendered:
+    the text, unlike dataclass equality, tells ``1`` from ``1.0`` and
+    ``TRUE``.  Emitted blocks have only a select list, FROM and WHERE.
+    """
+    names: Dict[str, str] = {}
+    source = _rename_aliases(block.source, names)
+
+    def rename(expr: Optional[sql.Expr]) -> Optional[sql.Expr]:
+        return _rename_qualifiers(expr, names)
+
+    return replace(
+        block,
+        items=tuple(replace(item, expr=rename(item.expr)) for item in block.items),
+        source=source,
+        where=rename(block.where),
+    ).to_sql()
+
+
+def _rename_aliases(
+    ref: Optional[sql.TableRef], names: Dict[str, str]
+) -> Optional[sql.TableRef]:
+    """*ref* with its derived-table aliases renamed, recording the new
+    name of each in *names*."""
+    if isinstance(ref, sql.SubquerySource):
+        return sql.SubquerySource(ref.query, names.setdefault(ref.alias, f"m{len(names)}"))
+    if isinstance(ref, sql.Join):
+        left = _rename_aliases(ref.left, names)
+        right = _rename_aliases(ref.right, names)
+        return sql.Join(ref.kind, left, right, _rename_qualifiers(ref.condition, names))
+    return ref
+
+
+def _rename_qualifiers(
+    expr: Optional[sql.Expr], names: Dict[str, str]
+) -> Optional[sql.Expr]:
+    """*expr* with the qualifiers listed in *names* renamed.
+
+    The shapes the passes and ``_emit`` build are rebuilt directly; any
+    other goes through ``sql.replace_expr``, which hashes every subtree.
+    """
+    if isinstance(expr, sql.ColumnRef):
+        name = names.get(expr.qualifier)
+        return expr if name is None else sql.ColumnRef(expr.name, name)
+    if isinstance(expr, sql.BinaryOp):
+        return sql.BinaryOp(
+            expr.op,
+            _rename_qualifiers(expr.left, names),
+            _rename_qualifiers(expr.right, names),
+        )
+    if isinstance(expr, sql.IsNull):
+        return sql.IsNull(_rename_qualifiers(expr.operand, names), expr.negated)
+    if isinstance(expr, sql.FunctionCall):
+        return sql.FunctionCall(
+            expr.name,
+            tuple(_rename_qualifiers(arg, names) for arg in expr.args),
+            expr.distinct,
+        )
+    if expr is None or isinstance(expr, sql.LiteralValue):
+        return expr
+    renamed = {
+        ref: sql.ColumnRef(ref.name, names[ref.qualifier])
+        for ref in sql.expr_columns(expr)
+        if ref.qualifier in names
+    }
+    return sql.replace_expr(expr, renamed) if renamed else expr
 
 
 # ---------------------------------------------------------------------------

@@ -436,7 +436,13 @@ class SelectStatement:
         return " ".join(parts)
 
     def to_sql(self) -> str:
-        # iterate the union chain: an unoptimized UCQ can have hundreds
+        return self._text
+
+    @cached_property
+    def _text(self) -> str:
+        # rendered once, like ColumnRef.key: the statement is immutable,
+        # and one mapping source is the derived table of many UCQ blocks.
+        # Iterate the union chain: an unoptimized UCQ can have hundreds
         # of branches, deeper than Python's recursion limit
         segments = [self._block_sql()]
         tail = self.union

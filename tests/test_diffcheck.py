@@ -418,3 +418,24 @@ class TestOracleNPD:
             for _ in range(2)
         ]
         assert batches[0] == batches[1]
+
+
+class TestCliGrowth:
+    def test_grown_instance_checked(self, capsys):
+        from repro.diffcheck.cli import run
+
+        argv = ["--fuzz", "2", "--scale", "0.1", "--configs", "default", "--no-lint"]
+        assert run(argv + ["--growth", "2"]) == 0
+        grown = capsys.readouterr().out
+        assert "scale=0.1 growth=2 fuzz-seed=0" in grown
+        assert "VERDICT: agree" in grown
+        # without --growth the header reads as before
+        assert run(argv) == 0
+        assert "scale=0.1 fuzz-seed=0" in capsys.readouterr().out
+
+    def test_growth_below_one_rejected(self):
+        from repro.diffcheck.cli import run
+
+        with pytest.raises(SystemExit) as raised:
+            run(["--fuzz", "1", "--growth", "0.5"])
+        assert raised.value.code == 2

@@ -9,6 +9,12 @@ and fired-fact labels are pinned to what they were before the residue was
 removed; the counters count only merges that reach the SQL, which an
 oracle re-derives from the plain cross-product loop running every
 combination through the whole pass list (``_run_passes``).
+
+A BGP's union keeps the first block of each ``_block_key`` (the block up
+to alias names) and drops its later twins; the oracle checks that the
+kept blocks are exactly the first of each key of the full product
+enumeration, and engine answers are checked against the SPARQL
+evaluator over the saturated graph.
 """
 
 from __future__ import annotations
@@ -24,12 +30,18 @@ import pytest
 
 from repro.analysis import analyze
 from repro.diffcheck.fuzzer import QueryFuzzer
+from repro.diffcheck.normalize import canonical_bag
+from repro.mixer import Mixer, OBDASystemAdapter
 from repro.npd import build_benchmark
 from repro.npd.queries import build_query_set
 from repro.npd.seed import SeedProfile
 from repro.obda import OBDAEngine, parse_obda
+from repro.obda import unfolder as unfolder_module
 from repro.obda.materializer import materialize
-from repro.obda.unfolder import _Block, _emit, _shape_key, _term_map_equality
+from repro.obda.unfolder import _Block, _block_key, _shape_key, _term_map_equality
+from repro.owl.abox import saturate_graph
+from repro.owl.reasoner import QLReasoner
+from repro.sparql.evaluator import query_graph
 from repro.sql import ast as sql
 
 SCALE = 0.1
@@ -47,16 +59,17 @@ BULK_QUERIES = {
 }
 
 #: (merged_self_joins, elided_null_guards, merged_vfd_joins) per query,
-#: where not all zero; merges are counted in emitted union blocks only
+#: where not all zero; merges are counted in emitted union blocks only,
+#: so a block dropped as a repeat of an earlier one counts none
 COUNTERS = {
     "best": {
-        "q1": (0, 30, 0), "q2": (0, 45, 0), "q3": (0, 84, 0),
-        "q4": (0, 264, 48), "q5": (0, 11, 1), "q6": (0, 162, 18),
+        "q1": (0, 5, 0), "q2": (0, 15, 0), "q3": (0, 7, 0),
+        "q4": (0, 264, 48), "q5": (0, 11, 1), "q6": (0, 27, 3),
         "q7": (0, 12, 6), "q8": (0, 38, 25), "q9": (0, 6, 0),
-        "q10": (0, 30, 3), "q11": (0, 9, 3), "q12": (0, 2, 1),
-        "q13": (0, 9, 3), "q14": (0, 3, 0), "q15": (0, 6, 0),
-        "q16": (0, 26, 8), "q17": (0, 16, 0), "q18": (0, 24, 0),
-        "q19": (0, 4, 2), "q20": (2, 4, 2), "q21": (0, 9, 3),
+        "q10": (0, 10, 1), "q11": (0, 9, 3), "q12": (0, 2, 1),
+        "q13": (0, 3, 1), "q14": (0, 3, 0), "q15": (0, 3, 0),
+        "q16": (0, 26, 8), "q17": (0, 4, 0), "q18": (0, 12, 0),
+        "q19": (0, 4, 2), "q20": (2, 4, 2), "q21": (0, 3, 1),
         "b1": (1, 2, 2), "b2": (0, 2, 2),
     },
     "default": {"q20": (2, 0, 0), "b1": (1, 0, 0)},
@@ -74,12 +87,14 @@ FUZZ_SEED = 0
 FUZZ_COUNT = 100
 #: SHA-1 over ``"{query}:{sql sha1}:{pruned}:{union blocks}\n"`` in query
 #: order for the catalogue, bulk and fuzzer queries, where ``sql sha1`` is
-#: over the alias-normalised SQL text; captured once each FILTER was ANDed
-#: into every UCQ block it filters (``_push_filter``); the enumeration and
-#: the cross-product loop emit the same SQL
+#: over the alias-normalised SQL text; captured once each BGP union kept
+#: only the first block of each key and mapping sources were emitted
+#: without their ``SELECT * FROM (X) sub`` wrappers, after
+#: ``test_union_keeps_first_block_of_each_key`` passed; the enumeration
+#: and the cross-product loop emit the same SQL
 SQL_GOLDEN_SHA1 = {
-    "best": "dcb3e1f1bb6e634377ff1e3c75fa8f730626e222",
-    "default": "06ee70a38877beca7e74d2e5428cb83de4dbc577",
+    "best": "f0e0a391411e57c7023f6f563d7b5c211c04ac4f",
+    "default": "5795ff2c438818fa05f03f4282097125ac2e12ba",
 }
 
 
@@ -185,7 +200,7 @@ class TestUnfolderResidue:
 _COUNTERS = ("merged", "vfd_merged", "eliminated_joins", "elided_guards")
 
 
-def _product_unfold_cq(self, cq, answer_vars, unfolding):
+def _product_unfold_cq(self, cq, unfolding):
     """The cross-product loop: the whole pass list on every combination.
 
     A block some pass drops must leave the query's counters and fired
@@ -194,7 +209,7 @@ def _product_unfold_cq(self, cq, answer_vars, unfolding):
     candidate_lists = self._candidate_lists(cq, unfolding)
     if candidate_lists is None:
         return []
-    branches = []
+    blocks = []
     for combination in itertools.product(*candidate_lists):
         saved = [getattr(unfolding, name) for name in _COUNTERS]
         facts = dict(unfolding.fired_facts)
@@ -208,8 +223,8 @@ def _product_unfold_cq(self, cq, answer_vars, unfolding):
                 constraints,
             )
             continue
-        branches.append(_emit(block, answer_vars))
-    return branches
+        blocks.append(block)
+    return blocks
 
 
 def _unfold_by_product(engine, text, monkeypatch):
@@ -238,6 +253,7 @@ def _summary(unfolded):
         _normalise_aliases(unfolded.sql_text),
         unfolded.pruned_combinations,
         unfolded.union_blocks,
+        unfolded.duplicate_blocks,
         unfolded.merged_self_joins,
         unfolded.elided_null_guards,
         unfolded.merged_vfd_joins,
@@ -263,8 +279,9 @@ def test_enumeration_matches_product_oracle(engines, queries, config, monkeypatc
         with monkeypatch.context() as patch:
             patch.setattr(engine.unfolder, "_run_passes", counting_run_passes)
             enumerated = engine.unfold(text)
-        # no NPD term map is a constant: every composition is emitted
-        assert len(composed) == enumerated.union_blocks, name
+        # no NPD term map is a constant: every composition is emitted or
+        # repeats an emitted one
+        assert len(composed) == enumerated.union_blocks + enumerated.duplicate_blocks, name
         product = _unfold_by_product(engine, text, monkeypatch)
         assert _summary(enumerated) == _summary(product), name
         triple = (
@@ -309,6 +326,171 @@ def test_shape_keys_decide_term_map_compatibility(engines):
         != (_term_map_equality(first, "a", second, "b") is not None)
     ]
     assert mismatched == []
+
+
+def _union_chains(engine, text, monkeypatch):
+    """*text* unfolded by the cross-product loop and, per BGP, every
+    block emitted (the full product enumeration) and the blocks its
+    union kept."""
+    chains = []
+    emit, chain_union = unfolder_module._emit, unfolder_module._chain_union
+    unfold_bgp = engine.unfolder._unfold_bgp
+
+    def recording_unfold_bgp(*args):
+        chains.append(([], []))
+        return unfold_bgp(*args)
+
+    def recording_emit(block, answer_vars):
+        statement, meta = emit(block, answer_vars)
+        chains[-1][0].append(statement)
+        return statement, meta
+
+    def recording_chain_union(statements, dedup):
+        if dedup:  # a BGP's union; a SPARQL UNION is never deduplicated
+            chains[-1][1].extend(statements)
+        return chain_union(statements, dedup)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(unfolder_module, "_emit", recording_emit)
+        patch.setattr(unfolder_module, "_chain_union", recording_chain_union)
+        patch.setattr(engine.unfolder, "_unfold_bgp", recording_unfold_bgp)
+        unfolded = _unfold_by_product(engine, text, patch)
+    return unfolded, chains
+
+
+@pytest.mark.parametrize("config", ["best", "default"])
+def test_union_keeps_first_block_of_each_key(
+    engines, queries, fuzz_queries, config, monkeypatch
+):
+    """The kept blocks' keys are pairwise distinct and are the key set of
+    the full product enumeration; each kept block is the first of its key."""
+    engine = engines[config]
+    for name, text in {**queries, **fuzz_queries}.items():
+        unfolded, chains = _union_chains(engine, text, monkeypatch)
+        emitted_total = kept_total = 0
+        for emitted, kept in chains:
+            first = {}
+            for statement in emitted:
+                first.setdefault(_block_key(statement), statement)
+            kept_keys = [_block_key(statement) for statement in kept]
+            assert len(set(kept_keys)) == len(kept_keys), name
+            assert set(kept_keys) == set(first), name
+            assert [id(s) for s in kept] == [id(s) for s in first.values()], name
+            emitted_total += len(emitted)
+            kept_total += len(kept)
+        assert unfolded.union_blocks == kept_total, name
+        assert unfolded.duplicate_blocks == emitted_total - kept_total, name
+
+
+def test_block_key_renames_aliases_on_the_ast():
+    table = sql.SelectStatement(
+        items=(sql.SelectItem(sql.ColumnRef("id")),), source=sql.NamedTable("t")
+    )
+
+    def block(first, second, literal, read=None):
+        return sql.SelectStatement(
+            items=(
+                sql.SelectItem(sql.ColumnRef("id", read or first), "v_x"),
+                sql.SelectItem(sql.LiteralValue(literal), "v_y"),
+            ),
+            source=sql.Join(
+                "INNER", sql.SubquerySource(table, first), sql.SubquerySource(table, second)
+            ),
+            where=sql.BinaryOp("=", sql.ColumnRef("id", first), sql.ColumnRef("id", second)),
+        )
+
+    key = _block_key(block("m3", "m7", 1))
+    assert key == _block_key(block("m0", "m1", 1)) == _block_key(block("m7", "m3", 1))
+    # which scan a column reads is kept
+    assert key != _block_key(block("m3", "m7", 1, read="m7"))
+    # a string literal is not an alias, and 1, 1.0 and TRUE differ
+    assert _block_key(block("m3", "m7", "m3")) != _block_key(block("m0", "m1", "m0"))
+    assert len({key, _block_key(block("m3", "m7", 1.0)), _block_key(block("m3", "m7", True))}) == 3
+
+
+@pytest.fixture(scope="module")
+def saturated(bench):
+    graph = materialize(bench.database, bench.mappings).graph
+    saturate_graph(graph, QLReasoner.of(bench.ontology))
+    return graph
+
+
+#: a SPARQL UNION has bag semantics: its two equal sides are both kept
+DOUBLED_UNION = _PREFIX + (
+    "SELECT ?x WHERE { { ?x a npdv:Field } UNION { ?x a npdv:Field } }"
+)
+#: q6's pattern and filter under multiplicity-sensitive aggregates
+Q6_AGGREGATE = (
+    "PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>\n"
+    "PREFIX xsd: <http://www.w3.org/2001/XMLSchema#>\n"
+    + _PREFIX
+    + """SELECT (COUNT(*) AS ?n) (SUM(?length) AS ?total) WHERE {
+  ?wc npdv:coreForWellbore [
+        rdf:type npdv:Wellbore ;
+        npdv:name ?wellbore ;
+        npdv:wellboreCompletionYear ?year ;
+        npdv:drillingOperatorCompany [ npdv:name ?company ]
+      ] .
+  { ?wc npdv:coresTotalLength ?length }
+  FILTER(?year >= "2008"^^xsd:integer && ?length > 50)
+}"""
+)
+
+
+def _bag(result):
+    """The answer bag, numerals compared by value (as diffcheck does:
+    the engine types a SUM of decimals xsd:decimal, the evaluator
+    xsd:double)."""
+    return canonical_bag(result.variables, result.rows)
+
+
+@pytest.mark.parametrize("config", ["best", "default"])
+def test_sparql_union_keeps_every_row_twice(engines, saturated, config):
+    result = engines[config].execute(DOUBLED_UNION)
+    assert _bag(result) == _bag(query_graph(saturated, DOUBLED_UNION))
+    counts = Counter(result.rows)
+    assert counts and set(counts.values()) == {2}
+
+
+@pytest.mark.parametrize("config", ["best", "default"])
+def test_aggregates_over_deduplicated_union(engines, saturated, config):
+    engine = engines[config]
+    assert engine.unfold(Q6_AGGREGATE).duplicate_blocks > 0
+    expected = query_graph(saturated, Q6_AGGREGATE)
+    assert expected.rows[0][0].to_python() > 0  # some cored wellbore matches
+    assert _bag(engine.execute(Q6_AGGREGATE)) == _bag(expected)
+
+
+#: (union_blocks, duplicate_blocks) of the catalogue queries that repeat
+#: the most blocks
+BLOCK_COUNTS = {
+    "best": {"q1": (1, 5), "q3": (1, 11), "q6": (3, 15)},
+    "default": {"q1": (23, 49), "q3": (23, 121), "q6": (69, 147)},
+}
+
+
+@pytest.mark.parametrize("config", ["best", "default"])
+def test_repeated_blocks_are_dropped(engines, queries, config):
+    counts = {}
+    for name in BLOCK_COUNTS[config]:
+        unfolded = engines[config].unfold(queries[name])
+        counts[name] = (unfolded.union_blocks, unfolded.duplicate_blocks)
+    assert counts == BLOCK_COUNTS[config]
+
+
+def test_duplicate_blocks_shown_in_explain_and_mixer(engines, queries):
+    engine = engines["default"]
+    union_blocks, duplicate_blocks = BLOCK_COUNTS["default"]["q6"]
+    line = f"unfolding: union_blocks={union_blocks} duplicate_blocks={duplicate_blocks} "
+    assert any(text.startswith(line) for text in engine.explain(queries["q6"]))
+    report = Mixer(OBDASystemAdapter(engine), {"q6": queries["q6"]}, warmup_runs=0).run(
+        runs=1
+    )
+    quality = report.per_query["q6"].quality
+    assert (quality["sql_union_blocks"], quality["sql_duplicate_blocks"]) == (
+        union_blocks,
+        duplicate_blocks,
+    )
 
 
 CONSTANT_OBJECT_OBDA = """
