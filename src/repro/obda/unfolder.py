@@ -1334,16 +1334,11 @@ def _block_key(block: sql.SelectStatement) -> str:
     """
     names: Dict[str, str] = {}
     source = _rename_aliases(block.source, names)
-
-    def rename(expr: Optional[sql.Expr]) -> Optional[sql.Expr]:
-        return _rename_qualifiers(expr, names)
-
-    return replace(
-        block,
-        items=tuple(replace(item, expr=rename(item.expr)) for item in block.items),
-        source=source,
-        where=rename(block.where),
-    ).to_sql()
+    items = tuple(
+        replace(item, expr=_rename_qualifiers(item.expr, names)) for item in block.items
+    )
+    where = _rename_qualifiers(block.where, names)
+    return replace(block, items=items, source=source, where=where).to_sql()
 
 
 def _rename_aliases(
