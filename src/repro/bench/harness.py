@@ -78,7 +78,7 @@ class BenchContext:
         """One Mixer run of *queries*, without warm-up, on a fresh engine
         over the shared data: every query compiles cold, whatever ran in
         this process before.  The run is under the server's collector
-        policy, so no collection walks the session's loaded instances."""
+        policy, so no collection walks the process's loaded instances."""
         engine = OBDAEngine(
             self.database(growth, profile),
             self.benchmark.ontology,
