@@ -43,9 +43,10 @@ A BGP is lowered in three steps, expand -> passes -> emit:
      do verified not-null facts.
 * **Emit** (``_emit``) builds the SELECT block.  The BGP's union keeps
   only the first block of each ``_block_key`` -- the block up to the
-  names of its aliases; a later twin adds no row to the UNION -- and
-  commits the counters and licensing labels of the blocks it keeps to
-  the per-query ``_Unfolding``.
+  names of its aliases; a later twin adds no row to the UNION; a union
+  left with one block is emitted DISTINCT -- and commits the counters
+  and licensing labels of the blocks it keeps to the per-query
+  ``_Unfolding``.
 
 Under ``enable_sqo`` expand also drops CQs subsumed by another CQ of the
 union (``prune_redundant_cqs``) and, with a ConstraintSet and the raw
@@ -541,7 +542,8 @@ class Unfolder:
         # The union is a set: a block that repeats an earlier one up to
         # alias names adds no row, so only the first of each key is kept
         # and committed.  Metadata merges over every block, so term
-        # translation does not depend on which twin was kept.
+        # translation does not depend on which twin was kept.  A union
+        # that collapses to one block keeps its set semantics as DISTINCT.
         kept: Dict[str, sql.SelectStatement] = {}
         merged_meta: Dict[sp.Var, VarMeta] = {}
         for block in blocks:
@@ -555,7 +557,10 @@ class Unfolder:
                 continue
             unfolding.commit(block)
         unfolding.union_blocks += len(kept)
-        return Fragment(_chain_union(list(kept.values()), dedup=True), merged_meta)
+        statement = _chain_union(list(kept.values()), dedup=True)
+        if len(kept) == 1 < len(blocks):
+            statement = replace(statement, distinct=True)
+        return Fragment(statement, merged_meta)
 
     def _unfold_cq(self, cq: ConjunctiveQuery, unfolding: _Unfolding) -> List[_Block]:
         """The blocks of *cq*'s combinations that pass every pass, in
@@ -1358,30 +1363,9 @@ def _rename_aliases(
 def _rename_qualifiers(
     expr: Optional[sql.Expr], names: Dict[str, str]
 ) -> Optional[sql.Expr]:
-    """*expr* with the qualifiers listed in *names* renamed.
-
-    The shapes the passes and ``_emit`` build are rebuilt directly; any
-    other goes through ``sql.replace_expr``, which hashes every subtree.
-    """
-    if isinstance(expr, sql.ColumnRef):
-        name = names.get(expr.qualifier)
-        return expr if name is None else sql.ColumnRef(expr.name, name)
-    if isinstance(expr, sql.BinaryOp):
-        return sql.BinaryOp(
-            expr.op,
-            _rename_qualifiers(expr.left, names),
-            _rename_qualifiers(expr.right, names),
-        )
-    if isinstance(expr, sql.IsNull):
-        return sql.IsNull(_rename_qualifiers(expr.operand, names), expr.negated)
-    if isinstance(expr, sql.FunctionCall):
-        return sql.FunctionCall(
-            expr.name,
-            tuple(_rename_qualifiers(arg, names) for arg in expr.args),
-            expr.distinct,
-        )
-    if expr is None or isinstance(expr, sql.LiteralValue):
-        return expr
+    """*expr* with the qualifiers listed in *names* renamed."""
+    if expr is None:
+        return None
     renamed = {
         ref: sql.ColumnRef(ref.name, names[ref.qualifier])
         for ref in sql.expr_columns(expr)

@@ -424,14 +424,30 @@ class TestCliGrowth:
     def test_grown_instance_checked(self, capsys):
         from repro.diffcheck.cli import run
 
-        argv = ["--fuzz", "2", "--scale", "0.1", "--configs", "default", "--no-lint"]
+        argv = ["--fuzz", "2", "--scale", "0.1", "--configs", "default"]
         assert run(argv + ["--growth", "2"]) == 0
-        grown = capsys.readouterr().out
-        assert "scale=0.1 growth=2 fuzz-seed=0" in grown
-        assert "VERDICT: agree" in grown
+        grown = capsys.readouterr()
+        assert "scale=0.1 growth=2 fuzz-seed=0" in grown.out
+        assert "VERDICT: agree" in grown.out
+        # VIG's dangling foreign keys are reported, not fatal
+        assert "SCH_FK_VIOLATED" in grown.err
         # without --growth the header reads as before
-        assert run(argv) == 0
+        assert run(argv + ["--no-lint"]) == 0
         assert "scale=0.1 fuzz-seed=0" in capsys.readouterr().out
+
+    def test_grown_pre_flight_aborts_on_other_errors(self, monkeypatch, capsys):
+        import repro.analysis
+        from repro.analysis.model import AnalysisReport, Finding, Severity
+        from repro.diffcheck.cli import run
+
+        def finding(code):
+            return Finding(code, Severity.ERROR, "schema", "t", "injected")
+
+        report = AnalysisReport([finding("SCH_FK_VIOLATED"), finding("MAP_UNKNOWN_TABLE")])
+        monkeypatch.setattr(repro.analysis, "analyze", lambda *a, **k: report)
+        argv = ["--fuzz", "1", "--scale", "0.1", "--configs", "default", "--growth", "2"]
+        assert run(argv) == 2
+        assert "failed with 1 error(s)" in capsys.readouterr().err
 
     def test_growth_below_one_rejected(self):
         from repro.diffcheck.cli import run

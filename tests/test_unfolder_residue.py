@@ -13,8 +13,9 @@ combination through the whole pass list (``_run_passes``).
 A BGP's union keeps the first block of each ``_block_key`` (the block up
 to alias names) and drops its later twins; the oracle checks that the
 kept blocks are exactly the first of each key of the full product
-enumeration, and engine answers are checked against the SPARQL
-evaluator over the saturated graph.
+enumeration and answer the same rows as the union of every block, and
+engine answers are checked against the SPARQL evaluator over the
+saturated graph.
 """
 
 from __future__ import annotations
@@ -89,12 +90,13 @@ FUZZ_COUNT = 100
 #: order for the catalogue, bulk and fuzzer queries, where ``sql sha1`` is
 #: over the alias-normalised SQL text; captured once each BGP union kept
 #: only the first block of each key and mapping sources were emitted
-#: without their ``SELECT * FROM (X) sub`` wrappers, after
+#: without their ``SELECT * FROM (X) sub`` wrappers, and a union left
+#: with one block was emitted DISTINCT, after
 #: ``test_union_keeps_first_block_of_each_key`` passed; the enumeration
 #: and the cross-product loop emit the same SQL
 SQL_GOLDEN_SHA1 = {
-    "best": "f0e0a391411e57c7023f6f563d7b5c211c04ac4f",
-    "default": "5795ff2c438818fa05f03f4282097125ac2e12ba",
+    "best": "933caaede1a438be979a354955ca45f57093e392",
+    "default": "220dab55b4c090db78352f9d950e2cccfe224875",
 }
 
 
@@ -330,24 +332,27 @@ def test_shape_keys_decide_term_map_compatibility(engines):
 
 def _union_chains(engine, text, monkeypatch):
     """*text* unfolded by the cross-product loop and, per BGP, every
-    block emitted (the full product enumeration) and the blocks its
-    union kept."""
+    block emitted (the full product enumeration), the blocks its union
+    kept and the statement the BGP unfolded to."""
     chains = []
     emit, chain_union = unfolder_module._emit, unfolder_module._chain_union
     unfold_bgp = engine.unfolder._unfold_bgp
 
     def recording_unfold_bgp(*args):
-        chains.append(([], []))
-        return unfold_bgp(*args)
+        chain = {"emitted": [], "kept": []}
+        chains.append(chain)
+        fragment = unfold_bgp(*args)
+        chain["statement"] = fragment.statement
+        return fragment
 
     def recording_emit(block, answer_vars):
         statement, meta = emit(block, answer_vars)
-        chains[-1][0].append(statement)
+        chains[-1]["emitted"].append(statement)
         return statement, meta
 
     def recording_chain_union(statements, dedup):
         if dedup:  # a BGP's union; a SPARQL UNION is never deduplicated
-            chains[-1][1].extend(statements)
+            chains[-1]["kept"].extend(statements)
         return chain_union(statements, dedup)
 
     with monkeypatch.context() as patch:
@@ -363,12 +368,18 @@ def test_union_keeps_first_block_of_each_key(
     engines, queries, fuzz_queries, config, monkeypatch
 ):
     """The kept blocks' keys are pairwise distinct and are the key set of
-    the full product enumeration; each kept block is the first of its key."""
+    the full product enumeration; each kept block is the first of its key.
+
+    The key is also checked against answers rather than against itself:
+    where a BGP dropped blocks, the UNION of every emitted block and the
+    statement the BGP unfolded to return the same row list.
+    """
     engine = engines[config]
     for name, text in {**queries, **fuzz_queries}.items():
         unfolded, chains = _union_chains(engine, text, monkeypatch)
         emitted_total = kept_total = 0
-        for emitted, kept in chains:
+        for chain in chains:
+            emitted, kept = chain["emitted"], chain["kept"]
             first = {}
             for statement in emitted:
                 first.setdefault(_block_key(statement), statement)
@@ -376,6 +387,12 @@ def test_union_keeps_first_block_of_each_key(
             assert len(set(kept_keys)) == len(kept_keys), name
             assert set(kept_keys) == set(first), name
             assert [id(s) for s in kept] == [id(s) for s in first.values()], name
+            if len(kept) < len(emitted):
+                every_block = unfolder_module._chain_union(emitted, dedup=True)
+                assert (
+                    engine.database.query(chain["statement"]).rows
+                    == engine.database.query(every_block).rows
+                ), name
             emitted_total += len(emitted)
             kept_total += len(kept)
         assert unfolded.union_blocks == kept_total, name
@@ -450,6 +467,24 @@ def test_sparql_union_keeps_every_row_twice(engines, saturated, config):
     assert _bag(result) == _bag(query_graph(saturated, DOUBLED_UNION))
     counts = Counter(result.rows)
     assert counts and set(counts.values()) == {2}
+
+
+#: a projection whose BGP union collapses to one block: each wellbore's
+#: purpose assertion has a twin that repeats it up to alias names
+TWINNED_PROJECTION = _PREFIX + "SELECT ?purpose WHERE { ?w npdv:wellborePurpose ?purpose }"
+
+
+@pytest.mark.parametrize("config", ["best", "default"])
+def test_collapsed_union_keeps_set_semantics(engines, saturated, config):
+    """With every block but one dropped, the one left is DISTINCT: the
+    answers are the set the UNION of the twins returned, not the graph's
+    bag, which repeats a purpose once per wellbore."""
+    engine = engines[config]
+    unfolded = engine.unfold(TWINNED_PROJECTION)
+    assert (unfolded.union_blocks, unfolded.duplicate_blocks) == (1, 1)
+    expected = _bag(query_graph(saturated, TWINNED_PROJECTION))
+    assert sum(expected.values()) > len(expected)
+    assert _bag(engine.execute(TWINNED_PROJECTION)) == Counter(set(expected))
 
 
 @pytest.mark.parametrize("config", ["best", "default"])
