@@ -1371,7 +1371,7 @@ def _rename_qualifiers(
         for ref in sql.expr_columns(expr)
         if ref.qualifier in names
     }
-    return sql.replace_expr(expr, renamed) if renamed else expr
+    return sql.replace_expr(expr, renamed)
 
 
 # ---------------------------------------------------------------------------

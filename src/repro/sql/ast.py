@@ -220,36 +220,41 @@ def split_conjuncts(expr: Optional[Expr]) -> List[Expr]:
 
 
 def walk_expr(expr: Expr) -> Iterator[Expr]:
-    """Yield *expr* and every sub-expression, depth first."""
-    yield expr
-    if isinstance(expr, UnaryOp):
-        yield from walk_expr(expr.operand)
-    elif isinstance(expr, BinaryOp):
-        yield from walk_expr(expr.left)
-        yield from walk_expr(expr.right)
-    elif isinstance(expr, IsNull):
-        yield from walk_expr(expr.operand)
-    elif isinstance(expr, InList):
-        yield from walk_expr(expr.operand)
-        for item in expr.items:
-            yield from walk_expr(item)
-    elif isinstance(expr, InSubquery):
-        yield from walk_expr(expr.operand)
-    elif isinstance(expr, Between):
-        yield from walk_expr(expr.operand)
-        yield from walk_expr(expr.low)
-        yield from walk_expr(expr.high)
-    elif isinstance(expr, FunctionCall):
-        for arg in expr.args:
-            yield from walk_expr(arg)
-    elif isinstance(expr, Cast):
-        yield from walk_expr(expr.operand)
-    elif isinstance(expr, CaseWhen):
-        for condition, result in expr.branches:
-            yield from walk_expr(condition)
-            yield from walk_expr(result)
+    """Yield *expr* and every sub-expression, depth first.
+
+    An explicit stack, not nested generators: a ``yield from`` chain
+    costs every yielded node one resume per level above it.
+    """
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        yield node
+        children = _subexpressions(node)
+        if children:
+            stack.extend(reversed(children))
+
+
+def _subexpressions(expr: Expr) -> Tuple[Expr, ...]:
+    """The direct sub-expressions of *expr*, left to right (a subquery
+    is not entered)."""
+    if isinstance(expr, (ColumnRef, LiteralValue)):
+        return ()
+    if isinstance(expr, BinaryOp):
+        return (expr.left, expr.right)
+    if isinstance(expr, FunctionCall):
+        return expr.args
+    if isinstance(expr, (UnaryOp, IsNull, InSubquery, Cast)):
+        return (expr.operand,)
+    if isinstance(expr, InList):
+        return (expr.operand, *expr.items)
+    if isinstance(expr, Between):
+        return (expr.operand, expr.low, expr.high)
+    if isinstance(expr, CaseWhen):
+        parts = [part for branch in expr.branches for part in branch]
         if expr.default is not None:
-            yield from walk_expr(expr.default)
+            parts.append(expr.default)
+        return tuple(parts)
+    return ()
 
 
 def expr_columns(expr: Expr) -> List[ColumnRef]:
@@ -261,48 +266,60 @@ def replace_expr(expr: Expr, mapping: Mapping[Expr, Expr]) -> Expr:
     """Structurally replace subtrees listed in *mapping* (by equality).
 
     Subquery expressions are not entered: only a listed subquery node
-    itself is replaced.
+    itself is replaced.  A node is looked up only when *mapping* has a
+    key of its type (nodes of different types are never equal), so an
+    operator node is not hashed, subtree and all, at every level.
     """
-    if expr in mapping:
+    if not mapping:
+        return expr
+    return _replace(expr, mapping, frozenset(type(key) for key in mapping))
+
+
+def _replace(
+    expr: Expr, mapping: Mapping[Expr, Expr], key_types: "frozenset[type]"
+) -> Expr:
+    if type(expr) in key_types and expr in mapping:
         return mapping[expr]
+    if isinstance(expr, (ColumnRef, LiteralValue)):
+        return expr
     if isinstance(expr, UnaryOp):
-        return UnaryOp(expr.op, replace_expr(expr.operand, mapping))
+        return UnaryOp(expr.op, _replace(expr.operand, mapping, key_types))
     if isinstance(expr, BinaryOp):
         return BinaryOp(
             expr.op,
-            replace_expr(expr.left, mapping),
-            replace_expr(expr.right, mapping),
+            _replace(expr.left, mapping, key_types),
+            _replace(expr.right, mapping, key_types),
         )
     if isinstance(expr, IsNull):
-        return IsNull(replace_expr(expr.operand, mapping), expr.negated)
+        return IsNull(_replace(expr.operand, mapping, key_types), expr.negated)
     if isinstance(expr, InList):
         return InList(
-            replace_expr(expr.operand, mapping),
-            tuple(replace_expr(item, mapping) for item in expr.items),
+            _replace(expr.operand, mapping, key_types),
+            tuple(_replace(item, mapping, key_types) for item in expr.items),
             expr.negated,
         )
     if isinstance(expr, Between):
         return Between(
-            replace_expr(expr.operand, mapping),
-            replace_expr(expr.low, mapping),
-            replace_expr(expr.high, mapping),
+            _replace(expr.operand, mapping, key_types),
+            _replace(expr.low, mapping, key_types),
+            _replace(expr.high, mapping, key_types),
             expr.negated,
         )
     if isinstance(expr, FunctionCall):
         return FunctionCall(
             expr.name,
-            tuple(replace_expr(arg, mapping) for arg in expr.args),
+            tuple(_replace(arg, mapping, key_types) for arg in expr.args),
             expr.distinct,
         )
     if isinstance(expr, Cast):
-        return Cast(replace_expr(expr.operand, mapping), expr.target)
+        return Cast(_replace(expr.operand, mapping, key_types), expr.target)
     if isinstance(expr, CaseWhen):
         return CaseWhen(
             tuple(
-                (replace_expr(c, mapping), replace_expr(r, mapping))
+                (_replace(c, mapping, key_types), _replace(r, mapping, key_types))
                 for c, r in expr.branches
             ),
-            replace_expr(expr.default, mapping) if expr.default else None,
+            _replace(expr.default, mapping, key_types) if expr.default else None,
         )
     return expr
 
