@@ -14,9 +14,9 @@ row-verified against the data (layer ``schema``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
-from ..obda.containment import source_contains
+from ..obda.containment import covering
 from ..obda.mapping import (
     IriTermMap,
     LiteralTermMap,
@@ -474,33 +474,22 @@ def _check_term_maps(
     return findings
 
 
-def _term_map_signature(term_map) -> Tuple:
-    if isinstance(term_map, IriTermMap):
-        return ("iri", term_map.template.pattern)
-    if isinstance(term_map, LiteralTermMap):
-        return ("lit", term_map.column, term_map.datatype)
-    return ("const", str(term_map))
-
-
 def _check_redundancy(mappings: MappingCollection) -> List[Finding]:
-    """Duplicate / subsumed assertions per entity, via source containment."""
+    """Duplicate / subsumed assertions per entity, by the containment rule
+    T-mapping compilation drops them with."""
     findings: List[Finding] = []
-    groups: Dict[Tuple, List[MappingAssertion]] = {}
+    groups: Dict[str, List[MappingAssertion]] = {}
     for assertion in _all_assertions(mappings):
-        key = (
-            assertion.entity,
-            _term_map_signature(assertion.subject),
-            _term_map_signature(assertion.object),
-        )
-        groups.setdefault(key, []).append(assertion)
+        groups.setdefault(assertion.entity, []).append(assertion)
     for group in groups.values():
         if len(group) < 2:
             continue
+        covers = covering(group)
         for i, first in enumerate(group):
-            needed = first.referenced_columns()
-            for second in group[i + 1 :]:
-                forward = source_contains(second.source, first.source, needed)
-                backward = source_contains(first.source, second.source, needed)
+            for j in range(i + 1, len(group)):
+                second = group[j]
+                forward = j in covers[i]
+                backward = i in covers[j]
                 if forward and backward:
                     findings.append(
                         Finding(

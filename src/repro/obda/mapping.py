@@ -446,8 +446,11 @@ class MappingSource:
     #: identity of the text: identifiers and keywords folded to lower
     #: case, whitespace normalised, string literals exactly as written
     key: str
-    #: one profile per top-level UNION branch; a UNION nested inside a
-    #: wrapper stays one opaque branch, an unparseable text is one too
+    #: one profile per top-level UNION branch, after transparent
+    #: wrappers around the whole statement are stripped (so
+    #: ``SELECT * FROM (A UNION B) s`` has the branches A and B); a UNION
+    #: nested inside a wrapper around one branch stays one opaque branch,
+    #: an unparseable text is one too
     branches: Tuple[SourceBranch, ...]
     #: one profile per SELECT block, nested UNIONs flattened
     blocks: Tuple[SourceBranch, ...]
@@ -496,7 +499,7 @@ def _build_source(sql: str) -> MappingSource:
         return MappingSource(None, exc, sql.strip(), opaque, opaque, ())
     branches: List[SourceBranch] = []
     blocks: List[SourceBranch] = []
-    for top in statement.union_branches():
+    for top in unwrap(statement).union_branches():
         top = unwrap(top)
         profiles = _flatten(top)
         blocks.extend(profiles)

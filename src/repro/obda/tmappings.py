@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Sequence, Set, Tuple
+from typing import Set, Tuple
 
 from ..owl.model import (
     ClassConcept,
@@ -24,14 +24,13 @@ from ..owl.model import (
 )
 from ..owl.reasoner import QLReasoner
 from ..rdf.terms import IRI
-from .containment import source_contains
+from .containment import covering
 from .mapping import (
     ConstantTermMap,
     LiteralTermMap,
     MappingAssertion,
     MappingCollection,
     MappingError,
-    MappingSource,
     RDF_TYPE_IRI,
     TermMap,
     assertion_body_key,
@@ -53,11 +52,13 @@ class TMappingCompiler:
     """Compiles a mapping collection against an ontology.
 
     With ``optimize=True`` (the default, matching Ontop) a containment
-    pass removes assertions whose source is provably subsumed by another
-    assertion of the same entity with the same term maps -- e.g. the
-    filtered ``WildcatWellbore`` mapping inside the saturated ``Wellbore``
-    entity, or the gratuitously nested redundant twins the NPD mappings
-    contain on purpose.
+    pass removes assertions whose triples another assertion of the same
+    entity provably yields too (:mod:`repro.obda.containment`) -- e.g.
+    the filtered ``WildcatWellbore`` mapping inside the saturated
+    ``Wellbore`` entity, the wrapped status-class unions over the same
+    sheets, the ``name_col`` renamings of a sub-property's source, or the
+    gratuitously nested redundant twins the NPD mappings contain on
+    purpose.
     """
 
     def __init__(self, reasoner: QLReasoner, optimize: bool = True):
@@ -149,19 +150,20 @@ class TMappingCompiler:
 def _containment_pass(
     mappings: MappingCollection,
 ) -> Tuple[MappingCollection, int]:
-    """Drop assertions provably subsumed by a sibling of the same entity."""
+    """Drop assertions provably covered by a sibling of the same entity."""
     optimized = MappingCollection()
     removed = 0
     for entity in mappings.entities():
         assertions = mappings.for_entity(entity)
-        term_maps = [(repr(a.subject), repr(a.object)) for a in assertions]
-        for candidate, candidate_maps in zip(assertions, term_maps):
-            needed = candidate.referenced_columns()
+        covers = covering(assertions)
+        ranks = [_rank(assertion) for assertion in assertions]
+        for position, candidate in enumerate(assertions):
+            # break ties between mutually covering (equivalent) assertions
+            # on a total order of their bodies, never on emission order:
+            # keep the simpler one
             if any(
-                other is not candidate
-                and other_maps == candidate_maps
-                and _makes_redundant(other, candidate, needed)
-                for other, other_maps in zip(assertions, term_maps)
+                position not in covers[other] or ranks[other] < ranks[position]
+                for other in covers[position]
             ):
                 removed += 1
             else:
@@ -169,22 +171,17 @@ def _containment_pass(
     return optimized, removed
 
 
-def _makes_redundant(
-    other: MappingAssertion, candidate: MappingAssertion, needed: Sequence[str]
-) -> bool:
-    if not source_contains(other.source, candidate.source, needed):
-        return False
-    # break ties between mutually-containing (equivalent) assertions on
-    # the sources themselves, never on emission order: keep the simpler
-    # one.  Equal ranks mean equal keys, which deduplication already merged.
-    return not (
-        source_contains(candidate.source, other.source, needed)
-        and _rank(candidate.source) < _rank(other.source)
+def _rank(assertion: MappingAssertion) -> Tuple[int, int, str, str, str]:
+    # the term maps are part of the order: two renamed twins over one
+    # source text tie on the source alone
+    source = assertion.source
+    return (
+        len(source.branches),
+        len(source.key),
+        source.key,
+        repr(assertion.subject),
+        repr(assertion.object),
     )
-
-
-def _rank(source: MappingSource) -> Tuple[int, int, str]:
-    return (len(source.branches), len(source.key), source.key)
 
 
 def compile_tmappings(

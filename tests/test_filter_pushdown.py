@@ -32,9 +32,18 @@ EXECUTORS = ("row", "vectorized")
 #: catalogue queries with a top-level FILTER over their UCQ
 FILTERED = ("q3", "q4", "q6", "q8", "q10", "q16", "q20", "q21")
 #: the declined form's join_rows over the pushed form's, at most, at
-#: SCALE: measured 3.1-3.3 (q3), 1.41-1.49 (q6) and 2.8 (q20) on the
-#: best and default engines, identical on both executors
-JOIN_ROWS_FACTOR = {"q3": 3.0, "q6": 1.4, "q20": 2.5}
+#: SCALE: measured 2.97-3.33 (q3), 1.41-1.43 (q6) and 2.8 (q20) on the
+#: best and default engines, identical on both executors.  Before
+#: load-time containment dropped the assertions a sibling covers, the
+#: default engine's q3 read 1 368/437 = 3.13 and q6 6 378/4 293 = 1.49;
+#: it now reads 561/189 = 2.97 and 1 822/1 274 = 1.43, so q3's bound is
+#: 2.9 and the pushed join rows themselves are pinned below
+JOIN_ROWS_FACTOR = {"q3": 2.9, "q6": 1.4, "q20": 2.5}
+#: the pushed form's join_rows at SCALE, on both executors
+PUSHED_JOIN_ROWS = {
+    "best": {"q3": 27, "q6": 162, "q20": 216},
+    "default": {"q3": 189, "q6": 1274, "q20": 432},
+}
 
 
 @pytest.fixture(scope="module")
@@ -123,6 +132,7 @@ def test_join_rows_fall(bench, engines, config, monkeypatch):
             pushed_bag, pushed_rows = _run(bench.database, pushed, executor)
             declined_bag, declined_rows = _run(bench.database, declined, executor)
             assert pushed_bag == declined_bag, (name, executor)
+            assert pushed_rows == PUSHED_JOIN_ROWS[config][name], (name, executor)
             assert declined_rows >= factor * pushed_rows > 0, (
                 name,
                 executor,

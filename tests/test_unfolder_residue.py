@@ -42,6 +42,7 @@ from repro.obda.materializer import materialize
 from repro.obda.unfolder import _Block, _block_key, _shape_key, _term_map_equality
 from repro.owl.abox import saturate_graph
 from repro.owl.reasoner import QLReasoner
+from repro.rdf.terms import XSD_INTEGER
 from repro.sparql.evaluator import query_graph
 from repro.sql import ast as sql
 
@@ -61,23 +62,27 @@ BULK_QUERIES = {
 
 #: (merged_self_joins, elided_null_guards, merged_vfd_joins) per query,
 #: where not all zero; merges are counted in emitted union blocks only,
-#: so a block dropped as a repeat of an earlier one counts none
+#: so a block dropped as a repeat of an earlier one counts none, and
+#: neither does an assertion T-mapping containment dropped at load time
+#: (recomputed when containment began to see through wrappers and column
+#: renamings, after ``test_enumeration_matches_product_oracle``'s
+#: ``_summary`` equality passed)
 COUNTERS = {
     "best": {
-        "q1": (0, 5, 0), "q2": (0, 15, 0), "q3": (0, 7, 0),
-        "q4": (0, 264, 48), "q5": (0, 11, 1), "q6": (0, 27, 3),
-        "q7": (0, 12, 6), "q8": (0, 38, 25), "q9": (0, 6, 0),
-        "q10": (0, 10, 1), "q11": (0, 9, 3), "q12": (0, 2, 1),
-        "q13": (0, 3, 1), "q14": (0, 3, 0), "q15": (0, 3, 0),
-        "q16": (0, 26, 8), "q17": (0, 4, 0), "q18": (0, 12, 0),
-        "q19": (0, 4, 2), "q20": (2, 4, 2), "q21": (0, 3, 1),
+        "q1": (0, 5, 0), "q2": (0, 10, 0), "q3": (0, 7, 0),
+        "q4": (0, 88, 28), "q5": (0, 7, 1), "q6": (0, 18, 2),
+        "q7": (0, 3, 2), "q8": (0, 19, 13), "q9": (0, 4, 0),
+        "q10": (0, 5, 1), "q11": (0, 6, 2), "q12": (0, 2, 1),
+        "q13": (0, 3, 1), "q14": (0, 2, 0), "q15": (0, 3, 0),
+        "q16": (0, 13, 7), "q17": (0, 4, 0), "q18": (0, 8, 0),
+        "q19": (0, 2, 1), "q20": (1, 2, 1), "q21": (0, 3, 1),
         "b1": (1, 2, 2), "b2": (0, 2, 2),
     },
-    "default": {"q20": (2, 0, 0), "b1": (1, 0, 0)},
+    "default": {"q20": (1, 0, 0), "b1": (1, 0, 0)},
 }
 #: SHA-1 over ``"{query}:{fired_facts}:{fired_constraints}\n"`` in query order
 FIRED_LABELS_SHA1 = {
-    "best": "9cc39827cc721bb0a12f752cfb0231cdbedf6ce2",
+    "best": "6e95604d3ad4ad15f9fe7a307ece1f10c0d90d96",
     "default": "421c181efd9d95ec531b45e8129246e251e43f39",
 }
 
@@ -92,11 +97,13 @@ FUZZ_COUNT = 100
 #: only the first block of each key and mapping sources were emitted
 #: without their ``SELECT * FROM (X) sub`` wrappers, and a union left
 #: with one block was emitted DISTINCT, after
-#: ``test_union_keeps_first_block_of_each_key`` passed; the enumeration
-#: and the cross-product loop emit the same SQL
+#: ``test_union_keeps_first_block_of_each_key`` passed; recaptured when
+#: T-mapping containment began to drop wrapped unions and renamed
+#: columns, after the product oracle's ``_summary`` equality passed; the
+#: enumeration and the cross-product loop emit the same SQL
 SQL_GOLDEN_SHA1 = {
-    "best": "933caaede1a438be979a354955ca45f57093e392",
-    "default": "220dab55b4c090db78352f9d950e2cccfe224875",
+    "best": "f1e6878730f46af253eb9fd0299a7d2c9bbb8413",
+    "default": "101e288a0b06ae09d81f6eca3a1363eb3b4638c3",
 }
 
 
@@ -436,28 +443,28 @@ def saturated(bench):
 DOUBLED_UNION = _PREFIX + (
     "SELECT ?x WHERE { { ?x a npdv:Field } UNION { ?x a npdv:Field } }"
 )
-#: q6's pattern and filter under multiplicity-sensitive aggregates
-Q6_AGGREGATE = (
-    "PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>\n"
-    "PREFIX xsd: <http://www.w3.org/2001/XMLSchema#>\n"
-    + _PREFIX
-    + """SELECT (COUNT(*) AS ?n) (SUM(?length) AS ?total) WHERE {
-  ?wc npdv:coreForWellbore [
-        rdf:type npdv:Wellbore ;
-        npdv:name ?wellbore ;
-        npdv:wellboreCompletionYear ?year ;
-        npdv:drillingOperatorCompany [ npdv:name ?company ]
-      ] .
-  { ?wc npdv:coresTotalLength ?length }
-  FILTER(?year >= "2008"^^xsd:integer && ?length > 50)
-}"""
+#: probes whose BGP union still drops a block as a repeat: the
+#: ``LicenseeCompany`` mapping is a join, which load-time containment
+#: cannot see into, and its ``SELECT * FROM (join) sub`` twin unfolds to
+#: the same block
+LICENSEE_NATIONS = _PREFIX + (
+    "SELECT ?n WHERE { ?c a npdv:LicenseeCompany . ?c npdv:nationCode ?n }"
+)
+#: multiplicity-sensitive aggregates over that union
+LICENSEE_INTEREST = _PREFIX + (
+    "SELECT (COUNT(*) AS ?n) (MAX(?i) AS ?top) (SUM(?i) AS ?total) "
+    "(AVG(?i) AS ?mean) WHERE { ?c a npdv:LicenseeCompany ; npdv:licenseeInterest ?i }"
+)
+#: an aggregate per integer-typed value: SUM and MIN keep xsd:integer,
+#: and COUNT is xsd:integer
+LICENCE_YEARS = _PREFIX + (
+    "SELECT (COUNT(*) AS ?n) (SUM(?y) AS ?total) (MIN(?y) AS ?first) "
+    "WHERE { ?l a npdv:ProductionLicence ; npdv:yearLicenceGranted ?y }"
 )
 
 
 def _bag(result):
-    """The answer bag, numerals compared by value (as diffcheck does:
-    the engine types a SUM of decimals xsd:decimal, the evaluator
-    xsd:double)."""
+    """The answer bag, numerals compared by value (as diffcheck does)."""
     return canonical_bag(result.variables, result.rows)
 
 
@@ -469,59 +476,84 @@ def test_sparql_union_keeps_every_row_twice(engines, saturated, config):
     assert counts and set(counts.values()) == {2}
 
 
-#: a projection whose BGP union collapses to one block: each wellbore's
-#: purpose assertion has a twin that repeats it up to alias names
+#: a projection whose purpose mapping, a union over two wellbore sheets,
+#: has a ``SELECT * FROM (union) sub`` twin: load-time containment sees
+#: through the wrapper and keeps one of the two
 TWINNED_PROJECTION = _PREFIX + "SELECT ?purpose WHERE { ?w npdv:wellborePurpose ?purpose }"
+
+
+@pytest.mark.parametrize("config", ["best", "default"])
+def test_contained_twins_answer_the_graphs_bag(engines, saturated, config):
+    """T-mapping containment leaves one assertion and so one bare block:
+    the answers are the graph's bag, which repeats a purpose once per
+    wellbore."""
+    engine = engines[config]
+    unfolded = engine.unfold(TWINNED_PROJECTION)
+    assert (unfolded.union_blocks, unfolded.duplicate_blocks) == (1, 0)
+    expected = _bag(query_graph(saturated, TWINNED_PROJECTION))
+    assert sum(expected.values()) > len(expected)
+    assert _bag(engine.execute(TWINNED_PROJECTION)) == expected
 
 
 @pytest.mark.parametrize("config", ["best", "default"])
 def test_collapsed_union_keeps_set_semantics(engines, saturated, config):
     """With every block but one dropped, the one left is DISTINCT: the
     answers are the set the UNION of the twins returned, not the graph's
-    bag, which repeats a purpose once per wellbore."""
+    bag, which repeats a nation code once per company."""
     engine = engines[config]
-    unfolded = engine.unfold(TWINNED_PROJECTION)
+    unfolded = engine.unfold(LICENSEE_NATIONS)
     assert (unfolded.union_blocks, unfolded.duplicate_blocks) == (1, 1)
-    expected = _bag(query_graph(saturated, TWINNED_PROJECTION))
+    expected = _bag(query_graph(saturated, LICENSEE_NATIONS))
     assert sum(expected.values()) > len(expected)
-    assert _bag(engine.execute(TWINNED_PROJECTION)) == Counter(set(expected))
+    assert _bag(engine.execute(LICENSEE_NATIONS)) == Counter(set(expected))
 
 
 @pytest.mark.parametrize("config", ["best", "default"])
 def test_aggregates_over_deduplicated_union(engines, saturated, config):
     engine = engines[config]
-    assert engine.unfold(Q6_AGGREGATE).duplicate_blocks > 0
-    expected = query_graph(saturated, Q6_AGGREGATE)
-    assert expected.rows[0][0].to_python() > 0  # some cored wellbore matches
-    assert _bag(engine.execute(Q6_AGGREGATE)) == _bag(expected)
+    assert engine.unfold(LICENSEE_INTEREST).duplicate_blocks > 0
+    expected = query_graph(saturated, LICENSEE_INTEREST)
+    assert expected.rows[0][0].to_python() > 0  # some licensee matches
+    # the same terms, datatypes included: COUNT is xsd:integer, and MAX,
+    # SUM and AVG of xsd:double values are xsd:double
+    assert engine.execute(LICENSEE_INTEREST).rows == expected.rows
 
 
-#: (union_blocks, duplicate_blocks) of the catalogue queries that repeat
-#: the most blocks
+@pytest.mark.parametrize("config", ["best", "default"])
+def test_aggregates_keep_their_argument_type(engines, saturated, config):
+    (row,) = engines[config].execute(LICENCE_YEARS).rows
+    assert row == query_graph(saturated, LICENCE_YEARS).rows[0]
+    assert {term.datatype for term in row} == {XSD_INTEGER}
+
+
+#: (union_blocks, duplicate_blocks) of the catalogue queries that
+#: repeated the most blocks before load-time containment, and of the
+#: probe that still repeats one
 BLOCK_COUNTS = {
-    "best": {"q1": (1, 5), "q3": (1, 11), "q6": (3, 15)},
-    "default": {"q1": (23, 49), "q3": (23, 121), "q6": (69, 147)},
+    "best": {"q1": (1, 0), "q3": (1, 0), "q6": (2, 0), "licensee": (1, 1)},
+    "default": {"q1": (8, 0), "q3": (8, 0), "q6": (16, 0), "licensee": (1, 1)},
 }
 
 
 @pytest.mark.parametrize("config", ["best", "default"])
 def test_repeated_blocks_are_dropped(engines, queries, config):
+    texts = {**queries, "licensee": LICENSEE_NATIONS}
     counts = {}
     for name in BLOCK_COUNTS[config]:
-        unfolded = engines[config].unfold(queries[name])
+        unfolded = engines[config].unfold(texts[name])
         counts[name] = (unfolded.union_blocks, unfolded.duplicate_blocks)
     assert counts == BLOCK_COUNTS[config]
 
 
-def test_duplicate_blocks_shown_in_explain_and_mixer(engines, queries):
+def test_duplicate_blocks_shown_in_explain_and_mixer(engines):
     engine = engines["default"]
-    union_blocks, duplicate_blocks = BLOCK_COUNTS["default"]["q6"]
+    union_blocks, duplicate_blocks = BLOCK_COUNTS["default"]["licensee"]
     line = f"unfolding: union_blocks={union_blocks} duplicate_blocks={duplicate_blocks} "
-    assert any(text.startswith(line) for text in engine.explain(queries["q6"]))
-    report = Mixer(OBDASystemAdapter(engine), {"q6": queries["q6"]}, warmup_runs=0).run(
-        runs=1
-    )
-    quality = report.per_query["q6"].quality
+    assert any(text.startswith(line) for text in engine.explain(LICENSEE_NATIONS))
+    report = Mixer(
+        OBDASystemAdapter(engine), {"licensee": LICENSEE_NATIONS}, warmup_runs=0
+    ).run(runs=1)
+    quality = report.per_query["licensee"].quality
     assert (quality["sql_union_blocks"], quality["sql_duplicate_blocks"]) == (
         union_blocks,
         duplicate_blocks,
