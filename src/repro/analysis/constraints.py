@@ -54,7 +54,6 @@ from typing import (
 from ..obda.mapping import IriTermMap, LiteralTermMap, Template
 from ..owl.model import (
     ClassConcept,
-    DataPropertyRef,
     DataSomeValues,
     Ontology,
     Role,
@@ -63,6 +62,7 @@ from ..owl.model import (
 from ..owl.reasoner import QLReasoner
 from ..rdf.terms import IRI
 from ..sql.errors import SqlError
+from .facts import ENTITY_KINDS, MappedGenerators, ontology_entities
 from .model import Finding, Severity
 
 CON_EXACT_VIOLATED = "CON_EXACT_VIOLATED"
@@ -310,28 +310,6 @@ def parse_declarations(text: str) -> List[Declaration]:
 # ---------------------------------------------------------------------------
 
 
-def _mapped_entities(mappings) -> Tuple[Set[str], Set[str]]:
-    classes: Set[str] = set()
-    predicates: Set[str] = set()
-    for assertion in mappings.class_assertions():
-        classes.add(assertion.entity)
-    for assertion in mappings.property_assertions():
-        predicates.add(assertion.entity)
-    return classes, predicates
-
-
-def _generator_mapped(
-    concept, mapped_classes: Set[str], mapped_predicates: Set[str]
-) -> bool:
-    if isinstance(concept, ClassConcept):
-        return concept.iri in mapped_classes
-    if isinstance(concept, SomeValues):
-        return concept.role.iri in mapped_predicates
-    if isinstance(concept, DataSomeValues):
-        return concept.prop.iri in mapped_predicates
-    return True  # unknown concept forms: assume populated (stay sound)
-
-
 @dataclass(frozen=True)
 class _ExactCandidate:
     """An exact-mapping candidate plus the proper generators to check."""
@@ -341,7 +319,7 @@ class _ExactCandidate:
 
 
 def infer_exact_candidates(
-    ontology: Ontology, mappings, reasoner: QLReasoner
+    ontology: Ontology, generators: MappedGenerators
 ) -> List[_ExactCandidate]:
     """Exact-mapping candidates for every mapped entity.
 
@@ -350,51 +328,14 @@ def infer_exact_candidates(
     sub-entities become ``inferred`` candidates whose proper generators
     must be data-checked for containment in the entity's own extension.
     """
-    mapped_classes, mapped_predicates = _mapped_entities(mappings)
     candidates: List[_ExactCandidate] = []
-    for cls in sorted(ontology.classes):
-        if cls not in mapped_classes:
+    for kind, entity in ontology_entities(ontology):
+        if not generators.mapped(kind, entity):
             continue
-        generators = reasoner.subconcepts_of(ClassConcept(cls))
-        proper = tuple(
-            g
-            for g in generators
-            if not (isinstance(g, ClassConcept) and g.iri == cls)
-            and _generator_mapped(g, mapped_classes, mapped_predicates)
-        )
+        proper = generators.proper(kind, entity)
         origin = "static" if not proper else "inferred"
         candidates.append(
-            _ExactCandidate(
-                ExactMappingConstraint(cls, "class", origin), proper
-            )
-        )
-    for prop in sorted(ontology.object_properties):
-        if prop not in mapped_predicates:
-            continue
-        subroles = reasoner.subroles_of(Role(prop))
-        proper = tuple(
-            r
-            for r in subroles
-            if r != Role(prop) and r.iri in mapped_predicates
-        )
-        origin = "static" if not proper else "inferred"
-        candidates.append(
-            _ExactCandidate(
-                ExactMappingConstraint(prop, "object-property", origin), proper
-            )
-        )
-    for prop in sorted(ontology.data_properties):
-        if prop not in mapped_predicates:
-            continue
-        subprops = reasoner.sub_data_properties_of(DataPropertyRef(prop))
-        proper = tuple(
-            p for p in subprops if p.iri != prop and p.iri in mapped_predicates
-        )
-        origin = "static" if not proper else "inferred"
-        candidates.append(
-            _ExactCandidate(
-                ExactMappingConstraint(prop, "data-property", origin), proper
-            )
+            _ExactCandidate(ExactMappingConstraint(entity, kind, origin), proper)
         )
     return candidates
 
@@ -692,47 +633,21 @@ class ConstraintReport:
 
 
 def _declared_exact_candidate(
-    declaration: Declaration,
-    ontology: Ontology,
-    mappings,
-    reasoner: QLReasoner,
+    declaration: Declaration, ontology: Ontology, generators: MappedGenerators
 ) -> Optional[_ExactCandidate]:
     """Build the verification obligation for a declared exact constraint."""
     entity = declaration.entity
-    mapped_classes, mapped_predicates = _mapped_entities(mappings)
-    if entity in ontology.classes:
-        kind = "class"
-        if entity not in mapped_classes:
-            return None
-        generators = reasoner.subconcepts_of(ClassConcept(entity))
-        proper = tuple(
-            g
-            for g in generators
-            if not (isinstance(g, ClassConcept) and g.iri == entity)
-            and _generator_mapped(g, mapped_classes, mapped_predicates)
-        )
-    elif entity in ontology.object_properties:
-        kind = "object-property"
-        if entity not in mapped_predicates:
-            return None
-        proper = tuple(
-            r
-            for r in reasoner.subroles_of(Role(entity))
-            if r != Role(entity) and r.iri in mapped_predicates
-        )
-    elif entity in ontology.data_properties:
-        kind = "data-property"
-        if entity not in mapped_predicates:
-            return None
-        proper = tuple(
-            p
-            for p in reasoner.sub_data_properties_of(DataPropertyRef(entity))
-            if p.iri != entity and p.iri in mapped_predicates
-        )
-    else:
+    kind = next(
+        (kind for kind, members in ENTITY_KINDS if entity in getattr(ontology, members)),
+        None,
+    )
+    if kind is None:
         raise KeyError(f"unknown entity {entity!r}")
+    if not generators.mapped(kind, entity):
+        return None
     return _ExactCandidate(
-        ExactMappingConstraint(entity, kind, "declared"), proper
+        ExactMappingConstraint(entity, kind, "declared"),
+        generators.proper(kind, entity),
     )
 
 
@@ -762,7 +677,9 @@ def build_constraints(
     vfd_out: List[VfdConstraint] = []
 
     have_assets = ontology is not None and mappings is not None
-    reasoner = QLReasoner.of(ontology) if ontology is not None else None
+    generators = (
+        MappedGenerators(mappings, QLReasoner.of(ontology)) if have_assets else None
+    )
     cache = (
         _ExtensionCache(database, mappings)
         if database is not None and mappings is not None
@@ -788,9 +705,7 @@ def build_constraints(
             )
             continue
         try:
-            candidate = _declared_exact_candidate(
-                declaration, ontology, mappings, reasoner
-            )
+            candidate = _declared_exact_candidate(declaration, ontology, generators)
         except KeyError:
             findings.append(
                 Finding(
@@ -815,7 +730,7 @@ def build_constraints(
             continue
         exact_candidates.append(candidate)
     if have_assets:
-        for candidate in infer_exact_candidates(ontology, mappings, reasoner):
+        for candidate in infer_exact_candidates(ontology, generators):
             if candidate.constraint.entity in declared_exact_entities:
                 continue  # the declaration's obligation supersedes
             exact_candidates.append(candidate)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..owl.model import (
     ClassConcept,
@@ -217,68 +217,75 @@ class FactBase:
         return payload
 
 
-def _mapped_entities(mappings) -> Tuple[Set[str], Set[str]]:
-    """(class IRIs with mappings, predicate IRIs with mappings)."""
-    classes: Set[str] = set()
-    predicates: Set[str] = set()
-    for assertion in mappings.class_assertions():
-        classes.add(assertion.entity)
-    for assertion in mappings.property_assertions():
-        predicates.add(assertion.entity)
-    return classes, predicates
+#: the ontology's entity kinds, each with the ``Ontology`` attribute that
+#: lists its members
+ENTITY_KINDS = (
+    ("class", "classes"),
+    ("object-property", "object_properties"),
+    ("data-property", "data_properties"),
+)
 
 
-def _generator_mapped(
-    concept, mapped_classes: Set[str], mapped_predicates: Set[str]
-) -> bool:
-    """Can this basic concept produce at least one individual from data?"""
-    if isinstance(concept, ClassConcept):
-        return concept.iri in mapped_classes
-    if isinstance(concept, SomeValues):
-        # an R triple populates both ∃R and ∃R⁻, so direction is irrelevant
-        return concept.role.iri in mapped_predicates
-    if isinstance(concept, DataSomeValues):
-        return concept.prop.iri in mapped_predicates
-    return True  # unknown concept forms: assume populated (stay sound)
+def ontology_entities(ontology: Ontology) -> Iterator[Tuple[str, str]]:
+    """(kind, IRI) of every ontology entity, kind by kind, IRIs sorted."""
+    for kind, members in ENTITY_KINDS:
+        for entity in sorted(getattr(ontology, members)):
+            yield kind, entity
+
+
+class MappedGenerators:
+    """Which entities the mappings populate, and per ontology entity the
+    mapped generators the reasoner puts strictly below it."""
+
+    def __init__(self, mappings, reasoner: QLReasoner) -> None:
+        self.classes: Set[str] = {a.entity for a in mappings.class_assertions()}
+        self.predicates: Set[str] = {a.entity for a in mappings.property_assertions()}
+        self.reasoner = reasoner
+
+    def mapped(self, kind: str, entity: str) -> bool:
+        """Does some assertion populate *entity* itself?"""
+        return entity in (self.classes if kind == "class" else self.predicates)
+
+    def proper(self, kind: str, entity: str) -> Tuple[object, ...]:
+        """The generators strictly below *entity* that can produce data."""
+        if kind == "class":
+            below = self.reasoner.subconcepts_of(ClassConcept(entity), reflexive=False)
+        elif kind == "object-property":
+            below = self.reasoner.subroles_of(Role(entity), reflexive=False)
+        else:
+            below = self.reasoner.sub_data_properties_of(
+                DataPropertyRef(entity), reflexive=False
+            )
+        return tuple(g for g in below if self._generates(g))
+
+    def _generates(self, generator) -> bool:
+        if isinstance(generator, ClassConcept):
+            return generator.iri in self.classes
+        if isinstance(generator, SomeValues):
+            # an R triple populates both ∃R and ∃R⁻, so direction is irrelevant
+            return generator.role.iri in self.predicates
+        if isinstance(generator, DataSomeValues):
+            return generator.prop.iri in self.predicates
+        if isinstance(generator, (Role, DataPropertyRef)):
+            return generator.iri in self.predicates
+        return True  # unknown concept forms: assume populated (stay sound)
 
 
 def _empty_entity_facts(
     ontology: Ontology, mappings, reasoner: QLReasoner
 ) -> Tuple[List[EmptyEntityFact], List[ExactMappingFact]]:
-    mapped_classes, mapped_predicates = _mapped_entities(mappings)
+    """An entity no mapped generator populates is empty; a mapped one
+    with no mapped generator strictly below it is exact."""
+    generators = MappedGenerators(mappings, reasoner)
     empties: List[EmptyEntityFact] = []
     exacts: List[ExactMappingFact] = []
-    for cls in sorted(ontology.classes):
-        generators = reasoner.subconcepts_of(ClassConcept(cls))
-        mapped = [
-            g
-            for g in generators
-            if _generator_mapped(g, mapped_classes, mapped_predicates)
-        ]
-        if not mapped:
-            empties.append(EmptyEntityFact(cls, "class"))
-        elif cls in mapped_classes and all(
-            isinstance(g, ClassConcept) and g.iri == cls for g in mapped
-        ):
-            exacts.append(ExactMappingFact(cls, "class"))
-    for prop in sorted(ontology.object_properties):
-        subroles = reasoner.subroles_of(Role(prop))
-        mapped_subroles = [r for r in subroles if r.iri in mapped_predicates]
-        if not mapped_subroles:
-            empties.append(EmptyEntityFact(prop, "object-property"))
-        elif prop in mapped_predicates and all(
-            r.iri == prop for r in mapped_subroles
-        ):
-            exacts.append(ExactMappingFact(prop, "object-property"))
-    for prop in sorted(ontology.data_properties):
-        subprops = reasoner.sub_data_properties_of(DataPropertyRef(prop))
-        mapped_subprops = [p for p in subprops if p.iri in mapped_predicates]
-        if not mapped_subprops:
-            empties.append(EmptyEntityFact(prop, "data-property"))
-        elif prop in mapped_predicates and all(
-            p.iri == prop for p in mapped_subprops
-        ):
-            exacts.append(ExactMappingFact(prop, "data-property"))
+    for kind, entity in ontology_entities(ontology):
+        if generators.proper(kind, entity):
+            continue
+        if generators.mapped(kind, entity):
+            exacts.append(ExactMappingFact(entity, kind))
+        else:
+            empties.append(EmptyEntityFact(entity, kind))
     return empties, exacts
 
 

@@ -114,7 +114,6 @@ class OBDASystemAdapter:
                 "tree_witnesses": result.metrics.tree_witnesses,
                 "ucq_size": result.metrics.ucq_size,
                 "sql_union_blocks": result.metrics.sql_union_blocks,
-                "sql_duplicate_blocks": result.metrics.sql_duplicate_blocks,
                 "sql_characters": result.metrics.sql_characters,
                 "weight_of_r_u": result.timings.weight_of_r_u,
                 "compile_cache_hit": int(result.metrics.compile_cache_hit),

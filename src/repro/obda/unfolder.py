@@ -41,12 +41,11 @@ A BGP is lowered in three steps, expand -> passes -> emit:
   5. ``_null_guards`` -- ``IS NOT NULL`` on every term-map column that may
      be NULL; the declared schema elides guards, and with a FactBase so
      do verified not-null facts.
-* **Emit** (``_emit``) builds the SELECT block.  The BGP's union keeps
-  only the first block of each ``_block_key`` -- the block up to the
-  names of its aliases; a later twin adds no row to the UNION; a union
-  left with one block is emitted DISTINCT -- and commits the counters
-  and licensing labels of the blocks it keeps to the per-query
-  ``_Unfolding``.
+* **Emit** (``_emit``) builds the SELECT block of every surviving
+  combination and commits its counters and licensing labels to the
+  per-query ``_Unfolding``.  The BGP's union is the UNION of every
+  block: UNION already answers the set, so two blocks that repeat each
+  other (twins of one join source) cost a scan but change no answer.
 
 Under ``enable_sqo`` expand also drops CQs subsumed by another CQ of the
 union (``prune_redundant_cqs``) and, with a ConstraintSet and the raw
@@ -166,9 +165,6 @@ class UnfoldResult:
     union_blocks: int
     pruned_combinations: int
     merged_self_joins: int
-    #: union blocks dropped because an earlier block of the same UNION
-    #: repeats them up to alias names (not counted in ``union_blocks``)
-    duplicate_blocks: int = 0
     #: some BGP's rewriting hit the UCQ cap -- the SQL answers a sound
     #: but possibly incomplete UCQ prefix
     rewriting_truncated: bool = False
@@ -215,7 +211,6 @@ class _Unfolding:
     #: one rewriting per BGP; the query reports their merge
     rewritings: List[RewritingResult] = field(default_factory=list)
     union_blocks: int = 0
-    duplicate_blocks: int = 0
     pruned: int = 0
     merged: int = 0
     vfd_merged: int = 0
@@ -256,7 +251,6 @@ class _Unfolding:
             union_blocks=self.union_blocks,
             pruned_combinations=self.pruned,
             merged_self_joins=self.merged,
-            duplicate_blocks=self.duplicate_blocks,
             rewriting_truncated=rewriting is not None and rewriting.truncated,
             elided_null_guards=self.elided_guards,
             eliminated_joins=self.eliminated_joins,
@@ -540,12 +534,9 @@ class Unfolder:
             blocks.extend(self._unfold_cq(candidate, unfolding))
         if not blocks:
             return Fragment(None, {var: VarMeta("iri") for var in answer_vars})
-        # The union is a set: a block that repeats an earlier one up to
-        # alias names adds no row, so only the first of each key is kept
-        # and committed.  Metadata merges over every block, so term
-        # translation does not depend on which twin was kept.  A union
-        # that collapses to one block keeps its set semantics as DISTINCT.
-        kept: Dict[str, sql.SelectStatement] = {}
+        # Metadata merges over every block, so term translation sees
+        # every term map a variable may come from.
+        statements: List[sql.SelectStatement] = []
         merged_meta: Dict[sp.Var, VarMeta] = {}
         for block in blocks:
             statement, meta = _emit(block, answer_vars)
@@ -553,14 +544,10 @@ class Unfolder:
                 merged_meta[var] = (
                     merged_meta[var].merge(var_meta) if var in merged_meta else var_meta
                 )
-            if kept.setdefault(_block_key(statement), statement) is not statement:
-                unfolding.duplicate_blocks += 1
-                continue
+            statements.append(statement)
             unfolding.commit(block)
-        unfolding.union_blocks += len(kept)
-        statement = _chain_union(list(kept.values()), dedup=True)
-        if len(kept) == 1 < len(blocks):
-            statement = replace(statement, distinct=True)
+        unfolding.union_blocks += len(statements)
+        statement = _chain_union(statements, dedup=True)
         return Fragment(statement, merged_meta)
 
     def _unfold_cq(self, cq: ConjunctiveQuery, unfolding: _Unfolding) -> List[_Block]:
@@ -1340,53 +1327,6 @@ def _emit(
     if not items:
         items.append(sql.SelectItem(sql.LiteralValue(1), "one"))
     return sql.SelectStatement(items=tuple(items), source=source, where=where), meta
-
-
-def _block_key(block: sql.SelectStatement) -> str:
-    """What two emitted blocks share exactly when they differ only in
-    the names of their aliases.
-
-    The aliases the block's FROM clause binds are renamed ``m0``, ``m1``,
-    ... in order of appearance, on the AST (a string literal that reads
-    like an alias is left alone), and the renamed block is rendered:
-    the text, unlike dataclass equality, tells ``1`` from ``1.0`` and
-    ``TRUE``.  Emitted blocks have only a select list, FROM and WHERE.
-    """
-    names: Dict[str, str] = {}
-    source = _rename_aliases(block.source, names)
-    items = tuple(
-        replace(item, expr=_rename_qualifiers(item.expr, names)) for item in block.items
-    )
-    where = _rename_qualifiers(block.where, names)
-    return replace(block, items=items, source=source, where=where).to_sql()
-
-
-def _rename_aliases(
-    ref: Optional[sql.TableRef], names: Dict[str, str]
-) -> Optional[sql.TableRef]:
-    """*ref* with its derived-table aliases renamed, recording the new
-    name of each in *names*."""
-    if isinstance(ref, sql.SubquerySource):
-        return sql.SubquerySource(ref.query, names.setdefault(ref.alias, f"m{len(names)}"))
-    if isinstance(ref, sql.Join):
-        left = _rename_aliases(ref.left, names)
-        right = _rename_aliases(ref.right, names)
-        return sql.Join(ref.kind, left, right, _rename_qualifiers(ref.condition, names))
-    return ref
-
-
-def _rename_qualifiers(
-    expr: Optional[sql.Expr], names: Dict[str, str]
-) -> Optional[sql.Expr]:
-    """*expr* with the qualifiers listed in *names* renamed."""
-    if expr is None:
-        return None
-    renamed = {
-        ref: sql.ColumnRef(ref.name, names[ref.qualifier])
-        for ref in sql.expr_columns(expr)
-        if ref.qualifier in names
-    }
-    return sql.replace_expr(expr, renamed)
 
 
 # ---------------------------------------------------------------------------

@@ -451,7 +451,7 @@ def _const(term: Term) -> Expression:
 
 
 def _compute_aggregate(expr: AggregateExpr, members: List[Solution]) -> Term:
-    from ..rdf.terms import XSD_DOUBLE, XSD_INTEGER
+    from ..rdf.terms import XSD_DECIMAL, XSD_DOUBLE, XSD_INTEGER
 
     values: List[Term] = []
     if expr.argument is not None:
@@ -480,13 +480,16 @@ def _compute_aggregate(expr: AggregateExpr, members: List[Solution]) -> Term:
 
     if expr.name in ("SUM", "AVG"):
         numbers = [_numeric_value(value) for value in values]
-        if any(isinstance(number, float) for number in numbers):
-            # fsum is exact, hence independent of summation order
-            total = math.fsum(numbers)
-        else:
-            total = sum(numbers)
+        integral = not any(isinstance(number, float) for number in numbers)
+        # fsum is exact, hence independent of summation order
+        total = sum(numbers) if integral else math.fsum(numbers)
         if expr.name == "AVG":
             total = total / len(numbers)
+            if integral:
+                # the mean of integers is a decimal (XPath op:numeric-divide),
+                # an integral one written without a fraction
+                lexical = str(int(total)) if total.is_integer() else repr(total)
+                return Literal(lexical, XSD_DECIMAL)
         if isinstance(total, int):
             return Literal(str(total), XSD_INTEGER)
         return Literal(repr(total), XSD_DOUBLE)

@@ -1612,10 +1612,14 @@ def _evaluate_aggregate(
         values = unique
     if not values:
         return None
-    if name == "SUM":
-        return _stable_sum(values)
-    if name == "AVG":
-        return _stable_sum(values) / len(values)
+    if name in ("SUM", "AVG"):
+        try:
+            total = _stable_sum(values)
+        except TypeError:
+            # a value that is not a number: the sum is an error, which
+            # reads NULL (SPARQL's unbound), not a crash
+            return None
+        return total if name == "SUM" else total / len(values)
     if name == "MIN":
         return min(values, key=_sortable)
     if name == "MAX":

@@ -13,6 +13,7 @@ from repro.diffcheck import (
     MISMATCH,
     OracleReport,
     QueryFuzzer,
+    SET_MATCH,
     canonical_iri,
     canonical_term,
     compare_bags,
@@ -383,6 +384,13 @@ def npd_oracle(npd_benchmark, npd_engine):
     return oracle
 
 
+#: the queries whose pipelines agree only as sets (same answers, other
+#: multiplicities); ``set-match`` counts as agreement, so these pins are
+#: what makes a change that moves an answer bag fail here
+CATALOGUE_SET_MATCHES: tuple = ()
+FUZZ_SET_MATCHES = ("fz0",)
+
+
 class TestOracleNPD:
     @pytest.mark.parametrize("query_id", sorted(
         build_query_set(), key=lambda q: int(q[1:])
@@ -392,6 +400,9 @@ class TestOracleNPD:
             query_id, npd_benchmark.queries[query_id].sparql, shrink=False
         )
         assert verdict.ok, verdict.describe()
+        assert (verdict.status == SET_MATCH) == (
+            query_id in CATALOGUE_SET_MATCHES
+        ), verdict.describe()
 
     def test_fuzz_batch_agreement(self, npd_oracle, npd_benchmark):
         fuzzer = QueryFuzzer(
@@ -406,6 +417,8 @@ class TestOracleNPD:
                 npd_oracle.check(fuzzed.id, fuzzed.sparql, shrink=False)
             )
         assert report.ok, report.describe()
+        set_matches = [v.query_id for v in report.verdicts if v.status == SET_MATCH]
+        assert set_matches == list(FUZZ_SET_MATCHES), report.describe()
 
     def test_npd_fuzzer_deterministic(self, npd_benchmark):
         batches = [

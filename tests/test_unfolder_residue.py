@@ -10,12 +10,11 @@ removed; the counters count only merges that reach the SQL, which an
 oracle re-derives from the plain cross-product loop running every
 combination through the whole pass list (``_run_passes``).
 
-A BGP's union keeps the first block of each ``_block_key`` (the block up
-to alias names) and drops its later twins; the oracle checks that the
-kept blocks are exactly the first of each key of the full product
-enumeration and answer the same rows as the union of every block, and
-engine answers are checked against the SPARQL evaluator over the
-saturated graph.
+A BGP's union is the UNION of every block the enumeration emits; the
+oracle checks that every composition is emitted, and engine answers are
+checked against the SPARQL evaluator over the saturated graph.  Twin
+blocks of one join source, which load-time containment cannot see into,
+are both emitted: UNION answers the set either way.
 """
 
 from __future__ import annotations
@@ -37,12 +36,11 @@ from repro.npd import build_benchmark
 from repro.npd.queries import build_query_set
 from repro.npd.seed import SeedProfile
 from repro.obda import OBDAEngine, parse_obda
-from repro.obda import unfolder as unfolder_module
 from repro.obda.materializer import materialize
-from repro.obda.unfolder import _Block, _block_key, _shape_key, _term_map_equality
+from repro.obda.unfolder import _Block, _shape_key, _term_map_equality
 from repro.owl.abox import saturate_graph
 from repro.owl.reasoner import QLReasoner
-from repro.rdf.terms import XSD_INTEGER
+from repro.rdf.terms import XSD_DECIMAL, XSD_INTEGER
 from repro.sparql.evaluator import query_graph
 from repro.sql import ast as sql
 
@@ -62,8 +60,7 @@ BULK_QUERIES = {
 
 #: (merged_self_joins, elided_null_guards, merged_vfd_joins) per query,
 #: where not all zero; merges are counted in emitted union blocks only,
-#: so a block dropped as a repeat of an earlier one counts none, and
-#: neither does an assertion T-mapping containment dropped at load time
+#: so an assertion T-mapping containment dropped at load time counts none
 #: (recomputed when containment began to see through wrappers and column
 #: renamings, after ``test_enumeration_matches_product_oracle``'s
 #: ``_summary`` equality passed)
@@ -93,17 +90,16 @@ FUZZ_SEED = 0
 FUZZ_COUNT = 100
 #: SHA-1 over ``"{query}:{sql sha1}:{pruned}:{union blocks}\n"`` in query
 #: order for the catalogue, bulk and fuzzer queries, where ``sql sha1`` is
-#: over the alias-normalised SQL text; captured once each BGP union kept
-#: only the first block of each key and mapping sources were emitted
-#: without their ``SELECT * FROM (X) sub`` wrappers, and a union left
-#: with one block was emitted DISTINCT, after
-#: ``test_union_keeps_first_block_of_each_key`` passed; recaptured when
-#: T-mapping containment began to drop wrapped unions and renamed
-#: columns, after the product oracle's ``_summary`` equality passed; the
+#: over the alias-normalised SQL text; captured once mapping sources were
+#: emitted without their ``SELECT * FROM (X) sub`` wrappers; recaptured
+#: when T-mapping containment began to drop wrapped unions and renamed
+#: columns, and again when a BGP's union began to keep every block (only
+#: the ``LicenseeCompany`` twin probes fz26/36/55/71/72/76 moved), each
+#: time after the product oracle's ``_summary`` equality passed; the
 #: enumeration and the cross-product loop emit the same SQL
 SQL_GOLDEN_SHA1 = {
-    "best": "f1e6878730f46af253eb9fd0299a7d2c9bbb8413",
-    "default": "101e288a0b06ae09d81f6eca3a1363eb3b4638c3",
+    "best": "9ca3303be5ee470132353a35d652363110700c62",
+    "default": "5b5b04eb8db27c72a38423d047faddb4ac024fee",
 }
 
 
@@ -262,7 +258,6 @@ def _summary(unfolded):
         _normalise_aliases(unfolded.sql_text),
         unfolded.pruned_combinations,
         unfolded.union_blocks,
-        unfolded.duplicate_blocks,
         unfolded.merged_self_joins,
         unfolded.elided_null_guards,
         unfolded.merged_vfd_joins,
@@ -288,9 +283,8 @@ def test_enumeration_matches_product_oracle(engines, queries, config, monkeypatc
         with monkeypatch.context() as patch:
             patch.setattr(engine.unfolder, "_run_passes", counting_run_passes)
             enumerated = engine.unfold(text)
-        # no NPD term map is a constant: every composition is emitted or
-        # repeats an emitted one
-        assert len(composed) == enumerated.union_blocks + enumerated.duplicate_blocks, name
+        # no NPD term map is a constant: every composition is emitted
+        assert len(composed) == enumerated.union_blocks, name
         product = _unfold_by_product(engine, text, monkeypatch)
         assert _summary(enumerated) == _summary(product), name
         triple = (
@@ -337,101 +331,6 @@ def test_shape_keys_decide_term_map_compatibility(engines):
     assert mismatched == []
 
 
-def _union_chains(engine, text, monkeypatch):
-    """*text* unfolded by the cross-product loop and, per BGP, every
-    block emitted (the full product enumeration), the blocks its union
-    kept and the statement the BGP unfolded to."""
-    chains = []
-    emit, chain_union = unfolder_module._emit, unfolder_module._chain_union
-    unfold_bgp = engine.unfolder._unfold_bgp
-
-    def recording_unfold_bgp(*args):
-        chain = {"emitted": [], "kept": []}
-        chains.append(chain)
-        fragment = unfold_bgp(*args)
-        chain["statement"] = fragment.statement
-        return fragment
-
-    def recording_emit(block, answer_vars):
-        statement, meta = emit(block, answer_vars)
-        chains[-1]["emitted"].append(statement)
-        return statement, meta
-
-    def recording_chain_union(statements, dedup):
-        if dedup:  # a BGP's union; a SPARQL UNION is never deduplicated
-            chains[-1]["kept"].extend(statements)
-        return chain_union(statements, dedup)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(unfolder_module, "_emit", recording_emit)
-        patch.setattr(unfolder_module, "_chain_union", recording_chain_union)
-        patch.setattr(engine.unfolder, "_unfold_bgp", recording_unfold_bgp)
-        unfolded = _unfold_by_product(engine, text, patch)
-    return unfolded, chains
-
-
-@pytest.mark.parametrize("config", ["best", "default"])
-def test_union_keeps_first_block_of_each_key(
-    engines, queries, fuzz_queries, config, monkeypatch
-):
-    """The kept blocks' keys are pairwise distinct and are the key set of
-    the full product enumeration; each kept block is the first of its key.
-
-    The key is also checked against answers rather than against itself:
-    where a BGP dropped blocks, the UNION of every emitted block and the
-    statement the BGP unfolded to return the same row list.
-    """
-    engine = engines[config]
-    for name, text in {**queries, **fuzz_queries}.items():
-        unfolded, chains = _union_chains(engine, text, monkeypatch)
-        emitted_total = kept_total = 0
-        for chain in chains:
-            emitted, kept = chain["emitted"], chain["kept"]
-            first = {}
-            for statement in emitted:
-                first.setdefault(_block_key(statement), statement)
-            kept_keys = [_block_key(statement) for statement in kept]
-            assert len(set(kept_keys)) == len(kept_keys), name
-            assert set(kept_keys) == set(first), name
-            assert [id(s) for s in kept] == [id(s) for s in first.values()], name
-            if len(kept) < len(emitted):
-                every_block = unfolder_module._chain_union(emitted, dedup=True)
-                assert (
-                    engine.database.query(chain["statement"]).rows
-                    == engine.database.query(every_block).rows
-                ), name
-            emitted_total += len(emitted)
-            kept_total += len(kept)
-        assert unfolded.union_blocks == kept_total, name
-        assert unfolded.duplicate_blocks == emitted_total - kept_total, name
-
-
-def test_block_key_renames_aliases_on_the_ast():
-    table = sql.SelectStatement(
-        items=(sql.SelectItem(sql.ColumnRef("id")),), source=sql.NamedTable("t")
-    )
-
-    def block(first, second, literal, read=None):
-        return sql.SelectStatement(
-            items=(
-                sql.SelectItem(sql.ColumnRef("id", read or first), "v_x"),
-                sql.SelectItem(sql.LiteralValue(literal), "v_y"),
-            ),
-            source=sql.Join(
-                "INNER", sql.SubquerySource(table, first), sql.SubquerySource(table, second)
-            ),
-            where=sql.BinaryOp("=", sql.ColumnRef("id", first), sql.ColumnRef("id", second)),
-        )
-
-    key = _block_key(block("m3", "m7", 1))
-    assert key == _block_key(block("m0", "m1", 1)) == _block_key(block("m7", "m3", 1))
-    # which scan a column reads is kept
-    assert key != _block_key(block("m3", "m7", 1, read="m7"))
-    # a string literal is not an alias, and 1, 1.0 and TRUE differ
-    assert _block_key(block("m3", "m7", "m3")) != _block_key(block("m0", "m1", "m0"))
-    assert len({key, _block_key(block("m3", "m7", 1.0)), _block_key(block("m3", "m7", True))}) == 3
-
-
 @pytest.fixture(scope="module")
 def saturated(bench):
     graph = materialize(bench.database, bench.mappings).graph
@@ -443,10 +342,9 @@ def saturated(bench):
 DOUBLED_UNION = _PREFIX + (
     "SELECT ?x WHERE { { ?x a npdv:Field } UNION { ?x a npdv:Field } }"
 )
-#: probes whose BGP union still drops a block as a repeat: the
-#: ``LicenseeCompany`` mapping is a join, which load-time containment
-#: cannot see into, and its ``SELECT * FROM (join) sub`` twin unfolds to
-#: the same block
+#: probes whose BGP union holds two twin blocks: the ``LicenseeCompany``
+#: mapping is a join, which load-time containment cannot see into, and
+#: its ``SELECT * FROM (join) sub`` twin unfolds to the same block
 LICENSEE_NATIONS = _PREFIX + (
     "SELECT ?n WHERE { ?c a npdv:LicenseeCompany . ?c npdv:nationCode ?n }"
 )
@@ -455,10 +353,15 @@ LICENSEE_INTEREST = _PREFIX + (
     "SELECT (COUNT(*) AS ?n) (MAX(?i) AS ?top) (SUM(?i) AS ?total) "
     "(AVG(?i) AS ?mean) WHERE { ?c a npdv:LicenseeCompany ; npdv:licenseeInterest ?i }"
 )
+#: SUM and AVG over text values are errors, so unbound, beside COUNT
+LICENSEE_ORG_NUMBERS = _PREFIX + (
+    "SELECT (SUM(?o) AS ?t) (AVG(?o) AS ?m) (COUNT(*) AS ?n) "
+    "WHERE { ?c a npdv:LicenseeCompany ; npdv:orgNumber ?o }"
+)
 #: an aggregate per integer-typed value: SUM and MIN keep xsd:integer,
-#: and COUNT is xsd:integer
+#: COUNT is xsd:integer, and AVG of integers is xsd:decimal
 LICENCE_YEARS = _PREFIX + (
-    "SELECT (COUNT(*) AS ?n) (SUM(?y) AS ?total) (MIN(?y) AS ?first) "
+    "SELECT (COUNT(*) AS ?n) (SUM(?y) AS ?total) (MIN(?y) AS ?first) (AVG(?y) AS ?mean) "
     "WHERE { ?l a npdv:ProductionLicence ; npdv:yearLicenceGranted ?y }"
 )
 
@@ -489,20 +392,19 @@ def test_contained_twins_answer_the_graphs_bag(engines, saturated, config):
     wellbore."""
     engine = engines[config]
     unfolded = engine.unfold(TWINNED_PROJECTION)
-    assert (unfolded.union_blocks, unfolded.duplicate_blocks) == (1, 0)
+    assert unfolded.union_blocks == 1
     expected = _bag(query_graph(saturated, TWINNED_PROJECTION))
     assert sum(expected.values()) > len(expected)
     assert _bag(engine.execute(TWINNED_PROJECTION)) == expected
 
 
 @pytest.mark.parametrize("config", ["best", "default"])
-def test_collapsed_union_keeps_set_semantics(engines, saturated, config):
-    """With every block but one dropped, the one left is DISTINCT: the
-    answers are the set the UNION of the twins returned, not the graph's
-    bag, which repeats a nation code once per company."""
+def test_union_of_twins_answers_the_set(engines, saturated, config):
+    """Both twin blocks are emitted and their UNION answers a set, not
+    the graph's bag, which repeats a nation code once per company."""
     engine = engines[config]
     unfolded = engine.unfold(LICENSEE_NATIONS)
-    assert (unfolded.union_blocks, unfolded.duplicate_blocks) == (1, 1)
+    assert unfolded.union_blocks == 2
     expected = _bag(query_graph(saturated, LICENSEE_NATIONS))
     assert sum(expected.values()) > len(expected)
     assert _bag(engine.execute(LICENSEE_NATIONS)) == Counter(set(expected))
@@ -511,7 +413,7 @@ def test_collapsed_union_keeps_set_semantics(engines, saturated, config):
 @pytest.mark.parametrize("config", ["best", "default"])
 def test_aggregates_over_deduplicated_union(engines, saturated, config):
     engine = engines[config]
-    assert engine.unfold(LICENSEE_INTEREST).duplicate_blocks > 0
+    assert engine.unfold(LICENSEE_INTEREST).union_blocks > 1
     expected = query_graph(saturated, LICENSEE_INTEREST)
     assert expected.rows[0][0].to_python() > 0  # some licensee matches
     # the same terms, datatypes included: COUNT is xsd:integer, and MAX,
@@ -519,45 +421,53 @@ def test_aggregates_over_deduplicated_union(engines, saturated, config):
     assert engine.execute(LICENSEE_INTEREST).rows == expected.rows
 
 
+@pytest.mark.parametrize("executor", ["row", "vectorized"])
+def test_sum_and_avg_of_text_are_unbound(bench, saturated, executor):
+    engine = OBDAEngine(bench.database, bench.ontology, bench.mappings, executor=executor)
+    expected = query_graph(saturated, LICENSEE_ORG_NUMBERS).rows
+    assert [row[:2] for row in expected] == [(None, None)]
+    assert expected[0][2].to_python() > 0
+    assert engine.execute(LICENSEE_ORG_NUMBERS).rows == expected
+
+
 @pytest.mark.parametrize("config", ["best", "default"])
 def test_aggregates_keep_their_argument_type(engines, saturated, config):
     (row,) = engines[config].execute(LICENCE_YEARS).rows
+    # Literal equality compares datatypes too
     assert row == query_graph(saturated, LICENCE_YEARS).rows[0]
-    assert {term.datatype for term in row} == {XSD_INTEGER}
+    assert [term.datatype for term in row] == [XSD_INTEGER] * 3 + [XSD_DECIMAL]
 
 
-#: (union_blocks, duplicate_blocks) of the catalogue queries that
-#: repeated the most blocks before load-time containment, and of the
-#: probe that still repeats one
+#: union_blocks of the catalogue queries that repeated the most blocks
+#: before load-time containment dropped the repeats, and of the probe
+#: whose join-source twins containment cannot see into
 BLOCK_COUNTS = {
-    "best": {"q1": (1, 0), "q3": (1, 0), "q6": (2, 0), "licensee": (1, 1)},
-    "default": {"q1": (8, 0), "q3": (8, 0), "q6": (16, 0), "licensee": (1, 1)},
+    "best": {"q1": 1, "q3": 1, "q6": 2, "licensee": 2},
+    "default": {"q1": 8, "q3": 8, "q6": 16, "licensee": 2},
 }
 
 
 @pytest.mark.parametrize("config", ["best", "default"])
 def test_repeated_blocks_are_dropped(engines, queries, config):
+    """Load-time containment drops the catalogue's repeated assertions,
+    so their blocks are gone; the join-source twins stay two blocks."""
     texts = {**queries, "licensee": LICENSEE_NATIONS}
     counts = {}
     for name in BLOCK_COUNTS[config]:
-        unfolded = engines[config].unfold(texts[name])
-        counts[name] = (unfolded.union_blocks, unfolded.duplicate_blocks)
+        counts[name] = engines[config].unfold(texts[name]).union_blocks
     assert counts == BLOCK_COUNTS[config]
 
 
-def test_duplicate_blocks_shown_in_explain_and_mixer(engines):
+def test_union_blocks_shown_in_explain_and_mixer(engines):
     engine = engines["default"]
-    union_blocks, duplicate_blocks = BLOCK_COUNTS["default"]["licensee"]
-    line = f"unfolding: union_blocks={union_blocks} duplicate_blocks={duplicate_blocks} "
+    union_blocks = BLOCK_COUNTS["default"]["licensee"]
+    line = f"unfolding: union_blocks={union_blocks} "
     assert any(text.startswith(line) for text in engine.explain(LICENSEE_NATIONS))
     report = Mixer(
         OBDASystemAdapter(engine), {"licensee": LICENSEE_NATIONS}, warmup_runs=0
     ).run(runs=1)
     quality = report.per_query["licensee"].quality
-    assert (quality["sql_union_blocks"], quality["sql_duplicate_blocks"]) == (
-        union_blocks,
-        duplicate_blocks,
-    )
+    assert quality["sql_union_blocks"] == union_blocks
 
 
 CONSTANT_OBJECT_OBDA = """
