@@ -33,6 +33,7 @@ from .types import (
     FloatColumn,
     IntColumn,
     ObjectColumn,
+    SqlType,
     column_codec_for,
 )
 
@@ -183,6 +184,26 @@ class ColumnStore:
 
 def _numeric_literal(value: Any) -> bool:
     return type(value) is int or type(value) is float
+
+
+def index_probe_fits(sql_type: SqlType, literal: Any) -> bool:
+    """Whether probing an index on a *sql_type* column with *literal*
+    answers as ``sql_compare`` would.
+
+    Hash and sorted indexes compare stored values with Python's ``==`` and
+    ``<``, which agree with ``sql_compare`` only within one kind of value
+    -- the kernels' gates: numeric columns against non-bool int/float
+    literals, booleans against bools, text and dates against strings.
+    ``id = '1'`` on an INTEGER column compares by numeric coercion, so it
+    must not probe (and ``id < '10'`` would raise inside the index).
+    """
+    if sql_type.is_numeric:
+        return _numeric_literal(literal)
+    if sql_type is SqlType.BOOLEAN:
+        return type(literal) is bool
+    if sql_type.is_textual or sql_type is SqlType.DATE:
+        return type(literal) is str
+    return False
 
 
 def select_eq(codec: ColumnCodec, positions: Positions, literal: Any, negated: bool = False):

@@ -58,6 +58,7 @@ from .ast import (
     walk_expr,
 )
 from .catalog import Catalog, Table
+from .columnar import index_probe_fits
 from .errors import ExecutionError
 from .expressions import ExpressionCompiler, RowSchema, sql_compare
 from .optimizer import CostModel, SharedScanContext, scan_key
@@ -678,19 +679,12 @@ class Executor:
     def _index_candidate(self, relation: Relation, conjunct: Expr) -> bool:
         """Whether an index access path exists for ``col OP literal``."""
         table = relation.base_table
-        if table is None or not isinstance(conjunct, BinaryOp):
+        probe = _column_literal(relation, conjunct) if table is not None else None
+        if probe is None:
             return False
-        left, right = conjunct.left, conjunct.right
-        if isinstance(right, ColumnRef) and isinstance(left, LiteralValue):
-            left, right = right, left
-            op = _mirror_op(conjunct.op)
-        else:
-            op = conjunct.op
-        if not (isinstance(left, ColumnRef) and isinstance(right, LiteralValue)):
+        column, op, value = probe
+        if not index_probe_fits(table.column(column).sql_type, value):
             return False
-        if relation.schema.try_resolve(left) is None:
-            return False
-        column = left.name.lower()
         if op == "=":
             return table.hash_index_for((column,)) is not None
         if op in ("<", "<=", ">", ">="):
@@ -717,22 +711,14 @@ class Executor:
         table = relation.base_table
         if table is None or len(relation.rows) != table.row_count:
             return None  # already filtered; index row ids would be stale
-        if not isinstance(conjunct, BinaryOp):
+        probe = _column_literal(relation, conjunct)
+        if probe is None:
             return None
-        left, right = conjunct.left, conjunct.right
-        if isinstance(right, ColumnRef) and isinstance(left, LiteralValue):
-            left, right = right, left
-            op = _mirror_op(conjunct.op)
-        else:
-            op = conjunct.op
-        if not (isinstance(left, ColumnRef) and isinstance(right, LiteralValue)):
-            return None
-        if relation.schema.try_resolve(left) is None:
-            return None
-        column = left.name.lower()
-        value = right.value
+        column, op, value = probe
         if value is None:
             return []
+        if not index_probe_fits(table.column(column).sql_type, value):
+            return None
         if op == "=":
             index = table.hash_index_for((column,))
             if index is None:
@@ -1625,6 +1611,26 @@ def _evaluate_aggregate(
     if name == "MAX":
         return max(values, key=_sortable)
     raise ExecutionError(f"unknown aggregate {name}")
+
+
+def _column_literal(
+    relation: Any, conjunct: Expr
+) -> Optional[Tuple[str, str, Any]]:
+    """``(column, op, literal)`` when *conjunct* compares a column of
+    *relation* with a literal, mirrored so the column is on the left."""
+    if not isinstance(conjunct, BinaryOp):
+        return None
+    left, right = conjunct.left, conjunct.right
+    if isinstance(right, ColumnRef) and isinstance(left, LiteralValue):
+        left, right = right, left
+        op = _mirror_op(conjunct.op)
+    else:
+        op = conjunct.op
+    if not (isinstance(left, ColumnRef) and isinstance(right, LiteralValue)):
+        return None
+    if relation.schema.try_resolve(left) is None:
+        return None
+    return left.name.lower(), op, right.value
 
 
 def _mirror_op(op: str) -> str:

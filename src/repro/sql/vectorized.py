@@ -58,9 +58,16 @@ from .ast import (
     walk_expr,
 )
 from .catalog import Table
-from .columnar import ColumnStore, select_cmp, select_eq, select_in, select_null
+from .columnar import (
+    ColumnStore,
+    index_probe_fits,
+    select_cmp,
+    select_eq,
+    select_in,
+    select_null,
+)
 from .errors import ExecutionError
-from .executor import Executor, Relation, RowT, _hashable, _mirror_op
+from .executor import Executor, Relation, RowT, _column_literal, _hashable, _mirror_op
 from .expressions import RowSchema
 from .optimizer import canonical_predicate, scan_key
 from .plan import PlannedBlock
@@ -456,22 +463,14 @@ class VectorizedExecutor(Executor):
         table = relation.base_table
         if table is None or relation.size != table.row_count:
             return None  # already filtered; index row ids would be stale
-        if not isinstance(conjunct, BinaryOp):
+        probe = _column_literal(relation, conjunct)
+        if probe is None:
             return None
-        left, right = conjunct.left, conjunct.right
-        if isinstance(right, ColumnRef) and isinstance(left, LiteralValue):
-            left, right = right, left
-            op = _mirror_op(conjunct.op)
-        else:
-            op = conjunct.op
-        if not (isinstance(left, ColumnRef) and isinstance(right, LiteralValue)):
-            return None
-        if relation.schema.try_resolve(left) is None:
-            return None
-        column = left.name.lower()
-        value = right.value
+        column, op, value = probe
         if value is None:
             return []
+        if not index_probe_fits(table.column(column).sql_type, value):
+            return None
         live = relation.legs[0].store.live
         if op == "=":
             index = table.hash_index_for((column,))

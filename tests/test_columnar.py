@@ -12,10 +12,17 @@ from __future__ import annotations
 
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sql.columnar import select_cmp, select_eq, select_in, select_null
+from repro.sql.columnar import (
+    index_probe_fits,
+    select_cmp,
+    select_eq,
+    select_in,
+    select_null,
+)
 from repro.sql.engine import Database
 from repro.sql.types import (
     BoolColumn,
@@ -23,6 +30,7 @@ from repro.sql.types import (
     FloatColumn,
     IntColumn,
     ObjectColumn,
+    SqlType,
 )
 
 
@@ -344,3 +352,55 @@ class TestSqlLevelProperties:
             assert row_db.execute(sql).rows == batch_query(vec_db, sql).rows == [
                 (1,)
             ], sql
+
+
+# ---------------------------------------------------------------------------
+# index access paths under the kernels' literal-type gate
+# ---------------------------------------------------------------------------
+
+
+#: three forms of one predicate on ``temployee.id`` (INTEGER PRIMARY KEY):
+#: the base-table scan may probe an index, the other two never can
+_INDEX_FORMS = (
+    "SELECT name FROM temployee WHERE {predicate}",
+    "SELECT name FROM temployee WHERE {computed}",
+    "SELECT name FROM (SELECT id, name FROM temployee) t WHERE t.{predicate}",
+)
+
+
+@pytest.mark.parametrize("executor", ["row", "vectorized"])
+@pytest.mark.parametrize(
+    "predicate, computed",
+    [
+        ("id = '1'", "id + 0 = '1'"),
+        ("id < '10'", "id + 0 < '10'"),
+        ("id >= '2'", "id + 0 >= '2'"),
+        ("id = 1", "id + 0 = 1"),
+        ("id < 2.5", "id + 0 < 2.5"),
+    ],
+)
+def test_index_probes_agree_with_the_compiled_comparison(
+    example_db, executor, predicate, computed
+):
+    """An index answers ``col OP literal`` only when the literal's type
+    matches the column's (``index_probe_fits``); ``id = '1'`` compares by
+    numeric coercion, as the computed and derived-table forms do."""
+    example_db.execute("CREATE INDEX ix_id ON temployee (id)")
+    answers = []
+    for form in _INDEX_FORMS:
+        text = form.format(predicate=predicate, computed=computed)
+        result = example_db.execute_plan(example_db.compile(text), executor=executor)
+        answers.append(sorted(result.rows))
+    assert answers[0] == answers[1] == answers[2] != []
+
+
+def test_index_probe_gate_follows_the_kernel_gates():
+    assert index_probe_fits(SqlType.INTEGER, 1)
+    assert index_probe_fits(SqlType.DOUBLE, 1.5)
+    assert not index_probe_fits(SqlType.INTEGER, "1")
+    assert not index_probe_fits(SqlType.INTEGER, True)
+    assert index_probe_fits(SqlType.BOOLEAN, False)
+    assert index_probe_fits(SqlType.VARCHAR, "a")
+    assert index_probe_fits(SqlType.DATE, "2014-01-01")
+    assert not index_probe_fits(SqlType.TEXT, 3)
+    assert not index_probe_fits(SqlType.GEOMETRY, "POINT(0 0)")
