@@ -278,50 +278,63 @@ def replace_expr(expr: Expr, mapping: Mapping[Expr, Expr]) -> Expr:
 def _replace(
     expr: Expr, mapping: Mapping[Expr, Expr], key_types: "frozenset[type]"
 ) -> Expr:
+    """*expr* with the listed subtrees replaced; a node none of whose
+    children changed is returned as it is, not rebuilt."""
     if type(expr) in key_types and expr in mapping:
         return mapping[expr]
     if isinstance(expr, (ColumnRef, LiteralValue)):
         return expr
-    if isinstance(expr, UnaryOp):
-        return UnaryOp(expr.op, _replace(expr.operand, mapping, key_types))
     if isinstance(expr, BinaryOp):
-        return BinaryOp(
-            expr.op,
-            _replace(expr.left, mapping, key_types),
-            _replace(expr.right, mapping, key_types),
-        )
+        left = _replace(expr.left, mapping, key_types)
+        right = _replace(expr.right, mapping, key_types)
+        if left is expr.left and right is expr.right:
+            return expr
+        return BinaryOp(expr.op, left, right)
     if isinstance(expr, IsNull):
-        return IsNull(_replace(expr.operand, mapping, key_types), expr.negated)
-    if isinstance(expr, InList):
-        return InList(
-            _replace(expr.operand, mapping, key_types),
-            tuple(_replace(item, mapping, key_types) for item in expr.items),
-            expr.negated,
-        )
-    if isinstance(expr, Between):
-        return Between(
-            _replace(expr.operand, mapping, key_types),
-            _replace(expr.low, mapping, key_types),
-            _replace(expr.high, mapping, key_types),
-            expr.negated,
-        )
-    if isinstance(expr, FunctionCall):
-        return FunctionCall(
-            expr.name,
-            tuple(_replace(arg, mapping, key_types) for arg in expr.args),
-            expr.distinct,
-        )
+        operand = _replace(expr.operand, mapping, key_types)
+        return expr if operand is expr.operand else IsNull(operand, expr.negated)
+    if isinstance(expr, UnaryOp):
+        operand = _replace(expr.operand, mapping, key_types)
+        return expr if operand is expr.operand else UnaryOp(expr.op, operand)
     if isinstance(expr, Cast):
-        return Cast(_replace(expr.operand, mapping, key_types), expr.target)
+        operand = _replace(expr.operand, mapping, key_types)
+        return expr if operand is expr.operand else Cast(operand, expr.target)
+    if isinstance(expr, FunctionCall):
+        args = _replace_all(expr.args, mapping, key_types)
+        return expr if args is expr.args else FunctionCall(expr.name, args, expr.distinct)
+    if isinstance(expr, InList):
+        operand = _replace(expr.operand, mapping, key_types)
+        items = _replace_all(expr.items, mapping, key_types)
+        if operand is expr.operand and items is expr.items:
+            return expr
+        return InList(operand, items, expr.negated)
+    if isinstance(expr, Between):
+        parts = (expr.operand, expr.low, expr.high)
+        replaced = _replace_all(parts, mapping, key_types)
+        return expr if replaced is parts else Between(*replaced, expr.negated)
     if isinstance(expr, CaseWhen):
-        return CaseWhen(
-            tuple(
-                (_replace(c, mapping, key_types), _replace(r, mapping, key_types))
-                for c, r in expr.branches
-            ),
-            _replace(expr.default, mapping, key_types) if expr.default else None,
+        branches = tuple(
+            (_replace(c, mapping, key_types), _replace(r, mapping, key_types))
+            for c, r in expr.branches
         )
+        default = _replace(expr.default, mapping, key_types) if expr.default else None
+        if default is expr.default and all(
+            new[0] is old[0] and new[1] is old[1]
+            for new, old in zip(branches, expr.branches)
+        ):
+            return expr
+        return CaseWhen(branches, default)
     return expr
+
+
+def _replace_all(
+    exprs: Tuple[Expr, ...], mapping: Mapping[Expr, Expr], key_types: "frozenset[type]"
+) -> Tuple[Expr, ...]:
+    """*exprs* replaced one by one; the same tuple when none changed."""
+    replaced = tuple(_replace(e, mapping, key_types) for e in exprs)
+    if all(new is old for new, old in zip(replaced, exprs)):
+        return exprs
+    return replaced
 
 
 # ---------------------------------------------------------------------------

@@ -26,11 +26,13 @@ from repro.sql import (
     TokenType,
     UnaryOp,
     UpdateStatement,
+    expr_columns,
     parse_select,
     parse_statement,
     parse_script,
     tokenize,
 )
+from repro.sql.ast import replace_expr
 
 
 class TestLexer:
@@ -286,3 +288,30 @@ class TestDdlDml:
     def test_script(self):
         statements = parse_script("SELECT 1; SELECT 2;; SELECT 3")
         assert len(statements) == 3
+
+
+class TestReplaceExpr:
+    SELECT = (
+        "SELECT CASE WHEN a BETWEEN 1 AND b THEN CAST(c AS INTEGER) ELSE -d END, "
+        "x IN (1, y), f(z) FROM t WHERE NOT (e IS NULL)"
+    )
+
+    def _exprs(self):
+        statement = parse_select(self.SELECT)
+        return [item.expr for item in statement.items] + [statement.where]
+
+    def test_an_unchanged_tree_is_returned_as_it_is(self):
+        for expr in self._exprs():
+            assert replace_expr(expr, {ColumnRef("q"): ColumnRef("r")}) is expr
+
+    def test_every_listed_ref_is_replaced(self):
+        renamed = [
+            replace_expr(expr, {ref: ColumnRef(ref.name, "m") for ref in expr_columns(expr)})
+            for expr in self._exprs()
+        ]
+        assert [expr.to_sql() for expr in renamed] == [
+            "CASE WHEN (m.a BETWEEN 1 AND m.b) THEN CAST(m.c AS INTEGER) ELSE (-m.d) END",
+            "(m.x IN (1, m.y))",
+            "F(m.z)",
+            "(NOT (m.e IS NULL))",
+        ]
