@@ -340,20 +340,21 @@ class MappingCollection:
     def property_assertions(self) -> List[MappingAssertion]:
         return [a for a in self._assertions if not a.is_class_assertion]
 
-    def validate(self) -> List[str]:
+    def validate(self, unparseable: bool = True) -> List[str]:
         """Check that every term-map column is produced by its source.
 
-        Returns a list of problem descriptions (empty when valid).
-        ``SELECT *`` sources cannot be checked without a catalog and are
-        skipped.
+        Returns a list of problem descriptions (empty when valid); with
+        ``unparseable=False``, the column problems only.  ``SELECT *``
+        sources cannot be checked without a catalog and are skipped.
         """
         problems: List[str] = []
         for assertion in self._assertions:
             source = assertion.source
             if source.statement is None:
-                problems.append(
-                    f"{assertion.id}: unparseable source ({source.error})"
-                )
+                if unparseable:
+                    problems.append(
+                        f"{assertion.id}: unparseable source ({source.error})"
+                    )
                 continue
             if any(block.star for block in source.blocks):
                 continue

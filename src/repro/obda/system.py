@@ -23,7 +23,7 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 from ..owl.model import Ontology
 from ..owl.reasoner import QLReasoner
@@ -33,6 +33,7 @@ from ..rdf.answers import (
     Answer,
     Column,
     Entry,
+    Form,
     check_iris,
     term_of,
 )
@@ -49,7 +50,7 @@ from ..sparql.ast import SelectQuery
 from ..sparql.parser import parse_query
 from ..sql.engine import Database
 from ..sql.plan import CompiledPlan
-from .mapping import MappingCollection
+from .mapping import MappingCollection, MappingError
 from .rewriter import TreeWitnessRewriter
 from .tmappings import TMappingResult, compile_tmappings
 from .unfolder import UnfoldResult, Unfolder, VarMeta
@@ -190,6 +191,14 @@ class OBDAEngine:
         executor: Optional[str] = None,
     ):
         started = time.perf_counter()
+        # a term map naming a column its source does not produce would
+        # fail only the queries that reach it, as an unknown SQL column
+        problems = mappings.validate(unparseable=False)
+        if problems:
+            raise MappingError(
+                "term maps name columns their sources do not produce: "
+                + "; ".join(problems)
+            )
         self.database = database
         #: execution path override for unfolded SQL ("row"/"vectorized");
         #: None runs the row executor
@@ -483,7 +492,7 @@ class OBDAEngine:
             constraints_fired=unfolded.fired_constraints,
         )
         if artifact.plan is None:
-            answer = _encode_answer([], unfolded.column_meta)
+            answer = _encode_answer([()] * len(unfolded.column_meta), 0, unfolded.column_meta)
             return OBDAResult(unfolded.columns, answer, timings, metrics, unfolded.sql_text)
         execution_started = time.perf_counter()
         result = self.database.execute_plan(
@@ -491,7 +500,9 @@ class OBDAEngine:
         )
         timings.execution = time.perf_counter() - execution_started
         translation_started = time.perf_counter()
-        answer = _encode_answer(result.rows, unfolded.column_meta, token)
+        answer = _encode_answer(
+            result.value_columns(), len(result), unfolded.column_meta, token
+        )
         timings.translation = time.perf_counter() - translation_started
         return OBDAResult(unfolded.columns, answer, timings, metrics, unfolded.sql_text)
 
@@ -582,17 +593,20 @@ _MEMO_TYPES = frozenset({type(None), str, int, bool, float})
 
 
 def _encode_answer(
-    values: List[Tuple[Any, ...]], column_meta: List[Optional[VarMeta]], token=None
+    columns: Sequence[Sequence[Any]],
+    size: int,
+    column_meta: List[Optional[VarMeta]],
+    token=None,
 ) -> Answer:
-    """Phase 4 for a whole result: each column dictionary-encoded once,
-    polling the cancellation token before every column."""
-    columns = list(zip(*values)) or [()] * len(column_meta)
+    """Phase 4 for a whole result of *size* rows, given column by column:
+    each column dictionary-encoded once, polling the cancellation token
+    before every column."""
     encoded = []
     for column, meta in zip(columns, column_meta):
         if token is not None:
             token.check()
         encoded.append(_encode_column(column, meta))
-    return Answer(encoded, len(values))
+    return Answer(encoded, size)
 
 
 def _encode_column(column: Sequence[Any], meta: Optional[VarMeta]) -> Column:
@@ -601,15 +615,22 @@ def _encode_column(column: Sequence[Any], meta: Optional[VarMeta]) -> Column:
     Values are keyed by type and value, so ``1``, ``1.0`` and ``True``
     (equal in Python) stay apart, and so do ``0.0`` and ``-0.0``; values of
     other types are never shared.  A column of one such type without a
-    float zero is keyed by its values alone.  A NaN key matches only the
-    very same object, and every NaN translates alike.
+    float zero is keyed by its values alone, and when that type's entries
+    share one form (:func:`_text_form`), the column keeps the form once
+    and the texts ``str`` gives.  A NaN key matches only the very same
+    object, and every NaN translates alike.
     """
     kinds = set(map(type, column))
-    keys = column
-    if len(kinds - {type(None)}) > 1 or not kinds <= _MEMO_TYPES or (
+    kinds.discard(type(None))
+    if len(kinds) > 1 or not kinds <= _MEMO_TYPES or (
         float in kinds and 0.0 in column
     ):
         keys = list(map(_value_key, column))
+    else:
+        keys = column
+        form = _text_form(kinds, meta)
+        if form is not None:
+            return _encode_texts(column, form, meta)
     index = dict.fromkeys(keys)
     distinct = index if keys is column else map(dict(zip(keys, column)).get, index)
     rule = _entry_rule(meta)
@@ -618,6 +639,43 @@ def _encode_column(column: Sequence[Any], meta: Optional[VarMeta]) -> Column:
         check_iris([entry[3] for entry in entries if entry is not None])
     index = dict(zip(index, range(len(index))))
     return Column(entries, list(map(index.__getitem__, keys)))
+
+
+def _encode_texts(column: Sequence[Any], form: Form, meta: Optional[VarMeta]) -> Column:
+    """A single-form column: one ``str`` per distinct value, the unbound
+    cell coded last."""
+    index = dict.fromkeys(column)
+    unbound = None in index
+    if unbound:
+        del index[None]
+    texts = list(map(str, index))
+    if meta is not None and meta.kind == "iri":
+        check_iris(texts)
+    if unbound:
+        index[None] = None
+    index = dict(zip(index, range(len(index))))
+    return Column.single_form(form, texts, list(map(index.__getitem__, column)), unbound)
+
+
+def _text_form(kinds: Set[type], meta: Optional[VarMeta]) -> Optional[Form]:
+    """The one form :func:`_entry_rule` gives every value of a column whose
+    bound values are all of the type in *kinds*, when each entry's text is
+    then ``str(value)``; None otherwise (bool, integral floats, an empty
+    column)."""
+    if len(kinds) != 1:
+        return None
+    (kind,) = kinds
+    if meta is not None and meta.kind == "iri":
+        return (URI, None, None)
+    if kind is bool:
+        return None
+    datatype = meta.datatype if meta is not None else XSD_STRING
+    if datatype == XSD_STRING:
+        refined = {str: XSD_STRING, int: XSD_INTEGER, float: XSD_DOUBLE}
+        return (LITERAL, refined[kind], None)
+    if kind is float and datatype in (XSD_INTEGER, XSD_DECIMAL):
+        return None
+    return (LITERAL, datatype, None)
 
 
 def _value_key(value: Any) -> Hashable:

@@ -27,14 +27,51 @@ BNODE = "bnode"
 LITERAL = "literal"
 
 Entry = Tuple[str, Optional[str], Optional[str], str]
+Form = Tuple[str, Optional[str], Optional[str]]
 
 
-@dataclass
 class Column:
-    """One answer column: its distinct entries and a code per row."""
+    """One answer column: its distinct entries and a code per row.
 
-    entries: List[Optional[Entry]]
-    codes: List[int]
+    A *single-form* column, one whose bound entries all share one form,
+    keeps that ``form`` once and the distinct texts in ``texts``; when
+    the column has an unbound cell, its code is the last, ``len(texts)``.
+    A mixed column (``form`` None) keeps whole entries.  ``entries`` is
+    the entry list in both cases (built on first use for a single-form
+    column).
+    """
+
+    __slots__ = ("codes", "form", "texts", "unbound", "_entries")
+
+    def __init__(self, entries: List[Optional[Entry]], codes: List[int]) -> None:
+        self.codes = codes
+        self.form: Optional[Form] = None
+        self.texts: List[str] = []
+        self.unbound = None in entries
+        self._entries: Optional[List[Optional[Entry]]] = entries
+
+    @classmethod
+    def single_form(
+        cls, form: Form, texts: List[str], codes: List[int], unbound: bool
+    ) -> "Column":
+        column = cls.__new__(cls)
+        column.codes = codes
+        column.form = form
+        column.texts = texts
+        column.unbound = unbound
+        column._entries = None
+        return column
+
+    @property
+    def entries(self) -> List[Optional[Entry]]:
+        entries = self._entries
+        if entries is None:
+            form = self.form
+            entries = [form + (text,) for text in self.texts]
+            if self.unbound:
+                entries.append(None)
+            self._entries = entries
+        return entries
 
 
 @dataclass
@@ -97,10 +134,16 @@ def encode_terms(width: int, rows: Iterable[Sequence[Optional[Term]]]) -> Answer
     return Answer(columns, len(rows))
 
 
+#: the characters ``IRI`` rejects, as UTF-8 bytes: all of them are ASCII,
+#: and no byte of another character's UTF-8 sequence is
+_IRI_FORBIDDEN = bytes(c for c in range(128) if _IRI_ESCAPE_RE.match(chr(c)))
+
+
 def check_iris(values: Sequence[str]) -> None:
     """Raise the :class:`~repro.rdf.terms.TermError` that ``IRI(value)``
     raises for the first invalid value; one scan when all are valid."""
-    if all(values) and not _IRI_ESCAPE_RE.search("".join(values)):
+    joined = "".join(values).encode("utf-8", "surrogatepass")
+    if all(values) and len(joined.translate(None, _IRI_FORBIDDEN)) == len(joined):
         return
     for value in values:
         IRI(value)

@@ -26,7 +26,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
 from xml.etree import ElementTree
 from xml.sax.saxutils import escape as xml_escape
 
-from ..rdf.answers import BNODE, LITERAL, URI, Answer, Entry, encode_terms
+from ..rdf.answers import BNODE, LITERAL, URI, Answer, Column, Entry, Form, encode_terms
 from ..rdf.ntriples import _parse_term
 from ..rdf.terms import (
     BNode,
@@ -125,7 +125,8 @@ def negotiate(accept: Optional[str], format_param: Optional[str] = None) -> str:
 
 RowsT = Union[Answer, Sequence[Tuple[Optional[Term], ...]]]
 
-_Renderer = Callable[[Optional[Entry]], str]
+#: the rendered text of each distinct entry of a column, by code
+_Renderer = Callable[[Column], List[str]]
 #: how one form (kind, datatype, language) renders: prefix, text escape, suffix
 _Affixes = Tuple[str, Callable[[str], str], str]
 
@@ -139,7 +140,7 @@ def _rendered_chunks(
 ) -> Iterator[Iterable[Tuple[str, ...]]]:
     """Up to CHUNK_ROWS rows at a time, each row as its rendered cells."""
     columns = [
-        (list(map(render, column.entries)), column.codes)
+        (render(column), column.codes)
         for render, column in zip(renderers, answer.columns)
     ]
     for start in range(0, len(answer), CHUNK_ROWS):
@@ -152,10 +153,11 @@ def _rendered_chunks(
 
 def _renderer(affixes: Callable[[str, Optional[str], Optional[str]], _Affixes]) -> _Renderer:
     """One format's renderer for one column: ``prefix + escape(text) +
-    suffix``, the affixes worked out once per form; unbound renders ""."""
-    known: Dict[Tuple[str, Optional[str], Optional[str]], _Affixes] = {}
+    suffix``, the affixes worked out once per form; unbound renders "".
+    A single-form column's texts render in one comprehension."""
+    known: Dict[Form, _Affixes] = {}
 
-    def render(entry: Optional[Entry]) -> str:
+    def render_entry(entry: Optional[Entry]) -> str:
         if entry is None:
             return ""
         form = entry[:3]
@@ -164,6 +166,18 @@ def _renderer(affixes: Callable[[str, Optional[str], Optional[str]], _Affixes]) 
             parts = known[form] = affixes(*form)
         prefix, escape, suffix = parts
         return prefix + escape(entry[3]) + suffix
+
+    def render(column: Column) -> List[str]:
+        if column.form is None:
+            return list(map(render_entry, column.entries))
+        prefix, escape, suffix = affixes(*column.form)
+        if escape is str:
+            rendered = [prefix + text + suffix for text in column.texts]
+        else:
+            rendered = [prefix + escape(text) + suffix for text in column.texts]
+        if column.unbound:
+            rendered.append("")
+        return rendered
 
     return render
 
@@ -202,7 +216,7 @@ def write_json(variables: Sequence[str], rows: RowsT) -> Iterator[bytes]:
     yield f'{{"head": {head}, "results": {{"bindings": ['.encode()
     renderers = [_json_cell(variable) for variable in variables]
     # an unbound cell renders "" and must not leave a stray separator
-    unbound = any(None in column.entries for column in answer.columns)
+    unbound = any(column.unbound for column in answer.columns)
     separator = "{"
     for chunk in _rendered_chunks(answer, renderers):
         if unbound:
@@ -234,7 +248,7 @@ def _csv(kind: str, datatype: Optional[str], language: Optional[str]) -> _Affixe
 def _csv_only_cell() -> _Renderer:
     render = _renderer(_csv)
     # like csv.writer, a row of one empty field is written as ""
-    return lambda entry: render(entry) or '""'
+    return lambda column: [text or '""' for text in render(column)]
 
 
 def write_csv(variables: Sequence[str], rows: RowsT) -> Iterator[bytes]:

@@ -27,8 +27,9 @@ import math
 import operator
 import threading
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .ast import (
     BinaryOp,
@@ -64,6 +65,7 @@ from .expressions import ExpressionCompiler, RowSchema, sql_compare
 from .optimizer import CostModel, SharedScanContext, scan_key
 from .plan import CompiledPlan, PlannedBlock, SubPlan, compile_select
 from .profiles import EngineProfile, postgresql_profile
+from .types import SqlType
 
 RowT = Tuple[Any, ...]
 
@@ -122,32 +124,106 @@ class Relation:
 
 
 class QueryResult:
-    """Column names + row tuples, with convenience accessors."""
+    """Column names + the answer rows, row-major or column-major.
 
-    __slots__ = ("columns", "rows")
+    The row executor, aggregates, UNION chains and a block with DISTINCT,
+    ORDER BY or LIMIT/OFFSET answer with row tuples.  The vectorized
+    executor answers any other block with its projected value columns
+    (:meth:`from_columns`): ``values`` holds them, to be read and never
+    mutated (a column may be a derived table's, shared by every leg that
+    scans it), and the row tuples are built the first time something
+    other than ``len`` reads ``rows``.
+    """
+
+    __slots__ = ("columns", "values", "_rows", "_size")
 
     def __init__(self, columns: List[str], rows: List[RowT]):
         self.columns = columns
-        self.rows = rows
+        #: the value columns of a column-major result; None when row-major
+        self.values: Optional[List[Sequence[Any]]] = None
+        self._rows: Optional[List[RowT]] = rows
+        self._size = 0
+
+    @classmethod
+    def from_columns(
+        cls, columns: List[str], values: List[Sequence[Any]], size: int
+    ) -> "QueryResult":
+        """A column-major result of *size* rows (*values* may be empty)."""
+        result = cls(columns, None)
+        result.values = values
+        result._size = size
+        return result
+
+    @property
+    def rows(self) -> Sequence[RowT]:
+        """The row tuples; of a column-major result, a view that answers
+        ``len`` from the size and builds them on any other use."""
+        rows = self._rows
+        return _RowView(self) if rows is None else rows
+
+    def row_list(self) -> List[RowT]:
+        """The row tuples as a list, built once from the value columns."""
+        rows = self._rows
+        if rows is None:
+            values = self.values
+            rows = self._rows = list(zip(*values)) if values else [()] * self._size
+        return rows
+
+    def value_columns(self) -> List[Sequence[Any]]:
+        """One value sequence per column: ``values``, or the rows transposed."""
+        if self.values is not None:
+            return self.values
+        return list(zip(*self._rows)) or [()] * len(self.columns)
 
     def __len__(self) -> int:
-        return len(self.rows)
+        rows = self._rows
+        return self._size if rows is None else len(rows)
 
     def __iter__(self) -> Iterator[RowT]:
-        return iter(self.rows)
+        return iter(self.row_list())
 
     def as_dicts(self) -> List[Dict[str, Any]]:
-        return [dict(zip(self.columns, row)) for row in self.rows]
+        return [dict(zip(self.columns, row)) for row in self.row_list()]
 
     def column(self, name: str) -> List[Any]:
         try:
             position = self.columns.index(name.lower())
         except ValueError as exc:
             raise ExecutionError(f"no result column {name!r}") from exc
-        return [row[position] for row in self.rows]
+        if self.values is not None:
+            return list(self.values[position])
+        return [row[position] for row in self._rows]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"QueryResult(columns={self.columns}, rows={len(self.rows)})"
+        return f"QueryResult(columns={self.columns}, rows={len(self)})"
+
+
+class _RowView(Sequence):
+    """``QueryResult.rows`` of a column-major result (see there)."""
+
+    __slots__ = ("_result",)
+
+    def __init__(self, result: QueryResult) -> None:
+        self._result = result
+
+    def __len__(self) -> int:
+        return len(self._result)
+
+    def __getitem__(self, index):
+        return self._result.row_list()[index]
+
+    def __iter__(self) -> Iterator[RowT]:
+        return iter(self._result.row_list())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, _RowView):
+            other = other._result.row_list()
+        return self._result.row_list() == other
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return repr(self._result.row_list())
 
 
 def _sort_key_function(
@@ -179,6 +255,68 @@ def _sort_key_function(
 
 def _hashable(value: Any) -> Any:
     return value if not isinstance(value, list) else tuple(value)
+
+
+#: declared types whose values ``sql_compare`` compares with text as floats
+_FLOAT_COMPARED = frozenset(
+    {SqlType.INTEGER, SqlType.BIGINT, SqlType.DOUBLE, SqlType.DECIMAL, SqlType.BOOLEAN}
+)
+_TEXT_TYPES = frozenset({SqlType.VARCHAR, SqlType.TEXT, SqlType.DATE})
+
+
+def _key_coercion(
+    left: RowSchema,
+    right: RowSchema,
+    left_keys: Sequence[int],
+    right_keys: Sequence[int],
+) -> Optional[Tuple[bool, ...]]:
+    """Which equi-join key pairs ``sql_compare`` compares as floats: a
+    number or a boolean against text, as in ``1 = '1'``.  None when no
+    pair does: every key then matches by Python equality, which is what
+    ``sql_compare`` does within one type class.  Decided from the declared
+    column types, once per join; a column without one (a derived table's)
+    matches by Python equality."""
+    if left.types is None or right.types is None:
+        return None
+    coerced = tuple(
+        (left_type in _TEXT_TYPES and right_type in _FLOAT_COMPARED)
+        or (left_type in _FLOAT_COMPARED and right_type in _TEXT_TYPES)
+        for left_type, right_type in zip(
+            map(left.types.__getitem__, left_keys),
+            map(right.types.__getitem__, right_keys),
+        )
+    )
+    return coerced if any(coerced) else None
+
+
+def _float_key(value: Any) -> Optional[float]:
+    """A key ``sql_compare`` compares as a float; None (no match) for NULL
+    or text that is not a number."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return None
+
+
+def _join_keys(
+    columns: Sequence[Iterable[Any]], coerced: Sequence[bool]
+) -> Iterator[Optional[Tuple[Any, ...]]]:
+    """The equi-join key of each row, given the key columns: a tuple of
+    the values, those of a *coerced* key as floats (:func:`_float_key`);
+    None for a row no key can match (a NULL part)."""
+    parts = [
+        map(_float_key if float_key else _hashable, column)
+        for column, float_key in zip(columns, coerced)
+    ]
+    for key in zip(*parts):
+        yield None if None in key else key
+
+
+def _row_keys(
+    rows: Sequence[RowT], positions: Sequence[int], coerced: Sequence[bool]
+) -> Iterator[Optional[Tuple[Any, ...]]]:
+    """:func:`_join_keys` of row tuples, keyed on *positions*."""
+    return _join_keys([map(operator.itemgetter(p), rows) for p in positions], coerced)
 
 
 class Executor:
@@ -266,11 +404,10 @@ class Executor:
         """Execute a pre-compiled logical plan (see :mod:`repro.sql.plan`)."""
         blocks = plan.blocks
         if len(blocks) == 1:
-            columns, rows = self._run_block(blocks[0])
-            return QueryResult(columns, rows)
+            return self._run_block(blocks[0])
         return self._execute_union(plan)
 
-    def _run_block(self, block: PlannedBlock) -> Tuple[List[str], List[RowT]]:
+    def _run_block(self, block: PlannedBlock) -> QueryResult:
         """Execute one branch with its sub-plans in reach of ``_subplan``;
         a derived table's own branches nest inside."""
         local = self._local
@@ -293,7 +430,8 @@ class Executor:
             for position, block in enumerate(blocks):
                 self._check_cancel()
                 started = time.perf_counter()
-                columns, branch_rows = self._run_block(block)
+                branch = self._run_block(block)
+                columns, branch_rows = branch.columns, branch.row_list()
                 if self.analyze:
                     elapsed_ms = (time.perf_counter() - started) * 1000.0
                     self._trace(
@@ -346,13 +484,13 @@ class Executor:
 
     def run_subquery(self, statement: SelectStatement) -> List[RowT]:
         """The rows of an IN/EXISTS subquery."""
-        return self.execute_plan(self._subplan(statement).plan).rows
+        return self.execute_plan(self._subplan(statement).plan).row_list()
 
     # ------------------------------------------------------------------
     # one SELECT block
     # ------------------------------------------------------------------
 
-    def _execute_block(self, planned: PlannedBlock) -> Tuple[List[str], List[RowT]]:
+    def _execute_block(self, planned: PlannedBlock) -> QueryResult:
         self._check_cancel()
         statement = planned.statement
         # the conjunct list is read-only here; sharing it across
@@ -373,8 +511,8 @@ class Executor:
         else:
             columns, rows = self._project(statement, relation)
             source_rows = relation.rows
-        return self._finish_block(
-            statement, columns, rows, relation.schema, source_rows
+        return QueryResult(
+            *self._finish_block(statement, columns, rows, relation.schema, source_rows)
         )
 
     def _finish_block(
@@ -431,7 +569,10 @@ class Executor:
         entry = self._scan_schemas.get(key)
         if entry is not None and entry[0] is table:
             return entry[1]
-        schema = RowSchema([(binding, c) for c in table.column_names])
+        schema = RowSchema(
+            [(binding, c) for c in table.column_names],
+            [column.sql_type for column in table.columns],
+        )
         self._scan_schemas[key] = (table, schema)
         return schema
 
@@ -585,7 +726,7 @@ class Executor:
             schema = subplan.schema
             if schema is None:
                 schema = RowSchema([(binding, c) for c in result.columns])
-            return Relation(schema, result.rows, binding)
+            return Relation(schema, result.row_list(), binding)
         raise ExecutionError(f"cannot scan {node!r}")
 
     # -- pushdown -----------------------------------------------------------
@@ -1005,6 +1146,18 @@ class Executor:
         compiled_residual = self._combine_compiled(schema, residual)
         output: List[RowT] = []
         if left_keys:
+            coerced = _key_coercion(left.schema, right.schema, left_keys, right_keys)
+            if coerced is not None:
+                return self._coerced_join(
+                    left,
+                    right,
+                    left_keys,
+                    right_keys,
+                    coerced,
+                    schema,
+                    compiled_residual,
+                    estimate,
+                )
             if self.profile.hash_join:
                 # index-aware access path: a small probe side against an
                 # already-indexed full base table beats building a new
@@ -1148,6 +1301,40 @@ class Executor:
         )
         return Relation(schema, output)
 
+    def _coerced_join(
+        self,
+        left: Relation,
+        right: Relation,
+        left_keys: Sequence[int],
+        right_keys: Sequence[int],
+        coerced: Tuple[bool, ...],
+        schema: RowSchema,
+        compiled_residual: Optional[Callable[[RowT], Any]],
+        estimate: Optional[float],
+    ) -> Relation:
+        """An equi-join with a key ``sql_compare`` compares as floats
+        (:func:`_key_coercion`): a hash join on the coerced keys, the right
+        side built and the left probed.  No index serves it: an index is
+        keyed on the stored values."""
+        self.stats.hash_joins += 1
+        buckets: Dict[Tuple[Any, ...], List[RowT]] = {}
+        for row, key in zip(right.rows, _row_keys(right.rows, right_keys, coerced)):
+            if key is not None:
+                buckets.setdefault(key, []).append(row)
+        output: List[RowT] = []
+        probe = _row_keys(left.rows, left_keys, coerced)
+        for left_row, key in zip(self._cancellable_rows(left.rows), probe):
+            for right_row in buckets.get(key, ()):
+                combined = left_row + right_row
+                if compiled_residual is None or compiled_residual(combined) is True:
+                    output.append(combined)
+        self._trace_join(
+            f"HashJoin (coerced keys) build={len(right.rows)} probe={len(left.rows)}",
+            estimate,
+            len(output),
+        )
+        return Relation(schema, output)
+
     def _left_join(
         self, left: Relation, right: Relation, condition: Optional[Expr]
     ) -> Relation:
@@ -1160,21 +1347,21 @@ class Executor:
         output: List[RowT] = []
         if left_keys and (self.profile.hash_join or len(right.rows) > 64):
             self.stats.hash_joins += 1
+            coerced = _key_coercion(
+                left.schema, right.schema, left_keys, right_keys
+            ) or (False,) * len(left_keys)
             buckets: Dict[Tuple[Any, ...], List[RowT]] = {}
-            for row in right.rows:
-                key = tuple(_hashable(row[p]) for p in right_keys)
-                if any(part is None for part in key):
-                    continue
-                buckets.setdefault(key, []).append(row)
-            for left_row in self._cancellable_rows(left.rows):
-                key = tuple(_hashable(left_row[p]) for p in left_keys)
+            for row, key in zip(right.rows, _row_keys(right.rows, right_keys, coerced)):
+                if key is not None:
+                    buckets.setdefault(key, []).append(row)
+            probe = _row_keys(left.rows, left_keys, coerced)
+            for left_row, key in zip(self._cancellable_rows(left.rows), probe):
                 matched = False
-                if not any(part is None for part in key):
-                    for right_row in buckets.get(key, ()):
-                        combined = left_row + right_row
-                        if compiled_residual is None or compiled_residual(combined) is True:
-                            output.append(combined)
-                            matched = True
+                for right_row in buckets.get(key, ()):
+                    combined = left_row + right_row
+                    if compiled_residual is None or compiled_residual(combined) is True:
+                        output.append(combined)
+                        matched = True
                 if not matched:
                     output.append(left_row + null_pad)
             return Relation(schema, output)

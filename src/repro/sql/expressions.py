@@ -40,12 +40,22 @@ class RowSchema:
     unambiguous across the schema.
     """
 
-    __slots__ = ("fields", "_by_key", "_by_name", "_memo")
+    __slots__ = ("fields", "types", "_by_key", "_by_name", "_memo")
 
-    def __init__(self, fields: Sequence[Tuple[Optional[str], str]]):
+    def __init__(
+        self,
+        fields: Sequence[Tuple[Optional[str], str]],
+        types: Optional[Sequence[Optional[SqlType]]] = None,
+    ):
         self.fields: Tuple[Tuple[Optional[str], str], ...] = tuple(
             (qualifier.lower() if qualifier else None, name.lower())
             for qualifier, name in fields
+        )
+        #: each field's declared type (None where unknown: a derived
+        #: table's or a computed column), or None for a schema of no
+        #: base-table columns
+        self.types: Optional[Tuple[Optional[SqlType], ...]] = (
+            tuple(types) if types is not None else None
         )
         self._by_key: Dict[Tuple[str, str], int] = {}
         for position, (qualifier, name) in enumerate(self.fields):
@@ -104,6 +114,12 @@ class RowSchema:
         """
         schema = RowSchema.__new__(RowSchema)
         schema.fields = self.fields + other.fields
+        if self.types is None and other.types is None:
+            schema.types = None
+        else:
+            schema.types = (self.types or (None,) * len(self.fields)) + (
+                other.types or (None,) * len(other.fields)
+            )
         by_key = self._by_key.copy()
         offset = len(self.fields)
         for key, position in other._by_key.items():

@@ -67,7 +67,17 @@ from .columnar import (
     select_null,
 )
 from .errors import ExecutionError
-from .executor import Executor, Relation, RowT, _column_literal, _hashable, _mirror_op
+from .executor import (
+    Executor,
+    QueryResult,
+    Relation,
+    RowT,
+    _column_literal,
+    _hashable,
+    _join_keys,
+    _key_coercion,
+    _mirror_op,
+)
 from .expressions import RowSchema
 from .optimizer import canonical_predicate, scan_key
 from .plan import PlannedBlock
@@ -115,36 +125,46 @@ class _Leg:
 class _DerivedLeg:
     """One derived-table (subquery) constituent of a batch relation.
 
-    The sub-execution's result rows are carried as-is; ``positions``
-    index into that row list.  No codecs and no indexes, so filters on a
-    derived leg always take the compiled-expression path.
+    The sub-execution's result is carried as-is; ``positions`` index
+    into its rows.  A column-major result is gathered from its value
+    columns, and a leg whose positions cover the whole result hands a
+    column out unchanged: it is shared through the scan context, so no
+    caller may mutate a gathered column.  No codecs and no indexes, so
+    filters on a derived leg always take the compiled-expression path.
     """
 
-    __slots__ = ("rows", "positions", "width", "key")
+    __slots__ = ("result", "positions", "width", "key")
 
     table = None  # duck-types _Leg for BatchRelation.base_table
 
     def __init__(
-        self, rows: List[RowT], positions, width: int, key: Optional[str] = None
+        self, result: QueryResult, positions, key: Optional[str] = None
     ) -> None:
-        self.rows = rows
+        self.result = result
         self.positions = positions
-        self.width = width
+        self.width = len(result.columns)
         self.key = key  # shared-scan namespace of the source derived table
 
     def codec(self, local: int):
         return None
 
     def gather(self, local: int) -> list:
-        rows = self.rows
-        return [rows[i][local] for i in self.positions]
+        positions = self.positions
+        values = self.result.values
+        if values is None:
+            rows = self.result.row_list()
+            return [rows[i][local] for i in positions]
+        column = values[local]
+        if isinstance(positions, range) and len(positions) == len(column):
+            return column
+        return list(map(column.__getitem__, positions))
 
     def gather_rows(self) -> List[RowT]:
-        rows = self.rows
+        rows = self.result.row_list()
         return [rows[i] for i in self.positions]
 
     def replace(self, positions) -> "_DerivedLeg":
-        return _DerivedLeg(self.rows, positions, self.width, self.key)
+        return _DerivedLeg(self.result, positions, self.key)
 
 
 class BatchRelation:
@@ -228,16 +248,14 @@ class VectorizedExecutor(Executor):
     # block dispatch
     # ------------------------------------------------------------------
 
-    def _execute_block(self, planned: PlannedBlock) -> Tuple[List[str], List[RowT]]:
+    def _execute_block(self, planned: PlannedBlock) -> QueryResult:
         if planned.batch_eligible:
             self.stats.batch_blocks += 1
             return self._execute_block_batch(planned)
         self.stats.batch_fallbacks += 1
         return super()._execute_block(planned)
 
-    def _execute_block_batch(
-        self, planned: PlannedBlock
-    ) -> Tuple[List[str], List[RowT]]:
+    def _execute_block_batch(self, planned: PlannedBlock) -> QueryResult:
         self._check_cancel()
         statement = planned.statement
         where_conjuncts = planned.where_conjuncts
@@ -276,7 +294,17 @@ class VectorizedExecutor(Executor):
             columns, rows = self._aggregate(statement, reduced)
             source_schema = reduced.schema
         else:
-            columns, rows = self._batch_project(statement, relation)
+            columns, values = self._batch_project(statement, relation)
+            if not (
+                statement.distinct
+                or statement.order_by
+                or statement.limit is not None
+                or statement.offset is not None
+                or statement.union is not None
+            ):
+                # no operator tail: the answer stays column-major
+                return QueryResult.from_columns(columns, values, relation.size)
+            rows = list(zip(*values)) if values else [()] * relation.size
             source_schema = relation.schema
             if (
                 statement.order_by
@@ -287,8 +315,8 @@ class VectorizedExecutor(Executor):
                 # materialize the source rows so the inherited combined
                 # sort behaves exactly like the row path
                 source_rows = relation.materialize()
-        return self._finish_block(
-            statement, columns, rows, source_schema, source_rows
+        return QueryResult(
+            *self._finish_block(statement, columns, rows, source_schema, source_rows)
         )
 
     def _batch_legs(
@@ -349,21 +377,17 @@ class VectorizedExecutor(Executor):
         cached = shared.lookup_scan(shared_key) if shared is not None else None
         if cached is None:
             result = self.execute_plan(subplan.plan)
-            positions = range(len(result.rows))
-            cached = (tuple(result.columns), result.rows, positions)
+            cached = (result, range(len(result)))
             if shared is not None:
                 shared.store_scan(shared_key, cached)
-        columns, rows, positions = cached
+        result, positions = cached
         schema = subplan.schema
         if schema is None:
-            schema = RowSchema([(binding, c) for c in columns])
+            schema = RowSchema([(binding, c) for c in result.columns])
         self._trace(
-            f"BatchSubqueryScan as {binding} ({len(rows)} rows)"
+            f"BatchSubqueryScan as {binding} ({len(result)} rows)"
         )
-        return BatchRelation(
-            schema,
-            [_DerivedLeg(rows, positions, len(columns), subplan.key)],
-        )
+        return BatchRelation(schema, [_DerivedLeg(result, positions, subplan.key)])
 
     def _batch_filter_leg(
         self, relation: BatchRelation, conjuncts: List[Expr]
@@ -611,7 +635,16 @@ class VectorizedExecutor(Executor):
         left_keys, right_keys, _, residual = self._equi_keys(
             left, right, conjuncts
         )
-        if left_keys:
+        coerced = (
+            _key_coercion(left.schema, right.schema, left_keys, right_keys)
+            if left_keys
+            else None
+        )
+        if coerced is not None:
+            joined = self._batch_coerced_join(
+                left, right, left_keys, right_keys, coerced, schema, estimate
+            )
+        elif left_keys:
             joined = None
             right_unfiltered = (
                 right.base_table is not None
@@ -789,6 +822,41 @@ class VectorizedExecutor(Executor):
         )
         return joined
 
+    def _batch_coerced_join(
+        self,
+        left: BatchRelation,
+        right: BatchRelation,
+        left_keys: Sequence[int],
+        right_keys: Sequence[int],
+        coerced: Tuple[bool, ...],
+        schema: RowSchema,
+        estimate: Optional[float],
+    ) -> BatchRelation:
+        """Positional mirror of ``Executor._coerced_join``."""
+        self.stats.hash_joins += 1
+        buckets: Dict[Tuple[Any, ...], List[int]] = {}
+        build = _join_keys([right.gather_column(p) for p in right_keys], coerced)
+        for index, key in enumerate(build):
+            if key is not None:
+                buckets.setdefault(key, []).append(index)
+        left_take: List[int] = []
+        right_take: List[int] = []
+        probe = _join_keys([left.gather_column(p) for p in left_keys], coerced)
+        for index, key in enumerate(probe):
+            matches = buckets.get(key)
+            if matches:
+                right_take.extend(matches)
+                left_take.extend([index] * len(matches))
+        joined = BatchRelation(
+            schema, left.take_legs(left_take) + right.take_legs(right_take)
+        )
+        self._trace_join(
+            f"BatchHashJoin (coerced keys) build={right.size} probe={left.size}",
+            estimate,
+            joined.size,
+        )
+        return joined
+
     def _batch_index_nl(
         self,
         left: BatchRelation,
@@ -848,7 +916,8 @@ class VectorizedExecutor(Executor):
 
     def _batch_project(
         self, statement: SelectStatement, relation: BatchRelation
-    ) -> Tuple[List[str], List[RowT]]:
+    ) -> Tuple[List[str], List[list]]:
+        """The output names and one value column per select item."""
         self._check_cancel()
         items = self._expand_items(statement.items, relation.schema)
         columns = [item.output_name for item in items]
@@ -859,11 +928,7 @@ class VectorizedExecutor(Executor):
                 value_columns.append(relation.gather_column(position))
             else:
                 value_columns.append(self._batch_values(relation, item.expr))
-        if len(value_columns) == 1:
-            rows = [(value,) for value in value_columns[0]]
-        else:
-            rows = list(zip(*value_columns))
-        return columns, rows
+        return columns, value_columns
 
     def _reduced_relation(
         self, statement: SelectStatement, relation: BatchRelation

@@ -138,3 +138,27 @@ def npd_engine(npd_benchmark) -> OBDAEngine:
 @pytest.fixture(scope="session")
 def npd_reasoner(npd_benchmark) -> QLReasoner:
     return QLReasoner(npd_benchmark.ontology)
+
+
+@pytest.fixture(scope="session")
+def engines_s025():
+    """``best-s025`` and ``default-s025``: the benchmark's engines at
+    scale 0.25 without growth, with the catalogue and bulk queries."""
+    from repro.analysis import analyze
+    from repro.npd.seed import SeedProfile
+    from test_unfolder_residue import BULK_QUERIES
+
+    bench = build_benchmark(seed=1, profile=SeedProfile().scaled(0.25))
+    report = analyze(bench.database, bench.ontology, bench.mappings, perf=False)
+    best = OBDAEngine(
+        bench.database,
+        bench.ontology,
+        bench.mappings,
+        factbase=report.factbase,
+        constraints=report.constraints.constraints,
+        executor="vectorized",
+    )
+    default = OBDAEngine(bench.database, bench.ontology, bench.mappings)
+    queries = {qid: q.sparql for qid, q in bench.queries.items()}
+    queries.update(BULK_QUERIES)
+    return {"best": best, "default": default}, queries

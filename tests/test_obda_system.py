@@ -1,7 +1,20 @@
 """End-to-end tests for the OBDA engine on the paper's Example 4.1."""
 
+import pytest
 
-from repro.obda import OBDAEngine, materialize, virtual_extension_sizes
+from repro.obda import (
+    RDF_TYPE_IRI,
+    ConstantTermMap,
+    IriTermMap,
+    LiteralTermMap,
+    MappingAssertion,
+    MappingCollection,
+    MappingError,
+    OBDAEngine,
+    Template,
+    materialize,
+    virtual_extension_sizes,
+)
 from repro.rdf import IRI, Literal
 
 EX = "http://ex.org/"
@@ -166,6 +179,48 @@ class TestConfigurations:
         assert (
             unopt.execute(q).metrics.sql_characters
             >= opt.execute(q).metrics.sql_characters
+        )
+
+
+class TestMappingValidation:
+    @staticmethod
+    def _mappings(source_sql):
+        renamed = MappingAssertion(
+            "renamed",
+            "SELECT id, name AS branch FROM temployee",
+            IriTermMap(Template(EX + "emp/{id}")),
+            RDF_TYPE_IRI,
+            ConstantTermMap(IRI(EX + "Renamed")),
+        )
+        alias = MappingAssertion(
+            "alias",
+            source_sql,
+            IriTermMap(Template(EX + "emp/{id}")),
+            EX + "alias",
+            LiteralTermMap("name"),
+        )
+        return MappingCollection([renamed, alias])
+
+    def test_unknown_term_map_column_fails_construction(
+        self, example_db, example_ontology
+    ):
+        mappings = self._mappings("SELECT id, name AS branch FROM temployee")
+        with pytest.raises(MappingError, match=r"alias: column 'name' not in source"):
+            OBDAEngine(example_db, example_ontology, mappings)
+
+    def test_valid_and_unparseable_sources_still_build(
+        self, example_db, example_ontology
+    ):
+        valid = OBDAEngine(
+            example_db, example_ontology, self._mappings("SELECT id, name FROM temployee")
+        )
+        rows = valid.execute(PRE + "SELECT ?v WHERE { ?x :alias ?v }").to_python_rows()
+        assert sorted(rows) == [("John",), ("Lisa",)]
+        # an unparseable source is left to fail at query time, as before
+        OBDAEngine(
+            example_db,
+            example_ontology,
+            self._mappings("SELECT id, name FROM temployee WHERE"),
         )
 
 

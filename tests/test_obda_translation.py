@@ -27,6 +27,7 @@ from repro.rdf.terms import (
     XSD_INTEGER,
     XSD_STRING,
 )
+from repro.sql.executor import QueryResult
 from repro.sql.types import Geometry
 
 METAS = [
@@ -65,6 +66,12 @@ EDGE_VALUES = [
     "2024-05-17",
     Geometry(((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 0.0))),
 ]
+
+
+def _encode_rows(values, metas, token=None):
+    """``_encode_answer`` over a row-major SQL result of *values*."""
+    result = QueryResult([f"c{index}" for index in range(len(metas))], values)
+    return _encode_answer(result.value_columns(), len(result), metas, token)
 
 
 def _reference(value, meta):
@@ -198,15 +205,15 @@ class TestTranslateRows:
             tuple(_make_term(value, meta) for value, meta in zip(row, metas))
             for row in values
         ]
-        assert _encode_answer(values, metas).rows() == expected
+        assert _encode_rows(values, metas).rows() == expected
 
     def test_zero_columns_keep_the_row_count(self):
-        answer = _encode_answer([(), (), ()], [])
+        answer = _encode_rows([(), (), ()], [])
         assert len(answer) == 3
         assert answer.rows() == [(), (), ()]
 
     def test_no_rows_keep_the_columns(self):
-        answer = _encode_answer([], [VarMeta("iri"), None])
+        answer = _encode_rows([], [VarMeta("iri"), None])
         assert len(answer) == 0 and len(answer.columns) == 2
         assert answer.rows() == []
 
@@ -219,5 +226,5 @@ class TestTranslateRows:
 
         token = CountingToken()
         values = [(index, index) for index in range(8193)]
-        _encode_answer(values, [VarMeta("literal", XSD_INTEGER)] * 2, token)
+        _encode_rows(values, [VarMeta("literal", XSD_INTEGER)] * 2, token)
         assert token.checks == 2

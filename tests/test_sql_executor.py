@@ -317,3 +317,74 @@ class TestProfilesAgree:
             + example_db.stats.nested_loop_joins
             > 0
         )
+
+
+class TestCrossTypeEquiJoin:
+    """An equi-join of a number or a boolean with text matches as ``=``
+    does (``sql_compare``: both as floats) on every join operator, with or
+    without a hash index on the text column."""
+
+    @pytest.fixture()
+    def codes(self, db):
+        db.execute_script(
+            """
+            CREATE TABLE tcode (code VARCHAR(10), label VARCHAR(10));
+            INSERT INTO tcode VALUES ('1', 'one'), ('2', 'two'), ('2.0', 'two again'),
+                ('x', 'ex'), (NULL, 'none');
+            CREATE TABLE tflag (flag BOOLEAN, note VARCHAR(10));
+            INSERT INTO tflag VALUES (TRUE, 't'), (FALSE, 'f'), (NULL, 'n');
+            """
+        )
+        return db
+
+    JOINS = [
+        "SELECT e.name, c.label FROM temployee e JOIN tcode c ON e.id = c.code",
+        "SELECT e.name, c.label FROM temployee e, tcode c WHERE e.id = c.code",
+        "SELECT e.name, c.label FROM tcode c JOIN temployee e ON c.code = e.id",
+        "SELECT e.name, c.label FROM temployee e JOIN tcode c "
+        "ON e.id = c.code AND e.name = e.name",
+    ]
+
+    @pytest.mark.parametrize("executor", ["row", "vectorized"])
+    @pytest.mark.parametrize("sql", JOINS)
+    def test_number_against_text(self, codes, executor, sql):
+        rows = codes.execute_plan(codes.compile(sql), executor=executor).rows
+        reference = codes.compile(sql.replace("e.id", "e.id + 0"))
+        assert sorted(rows) == [("John", "one"), ("Lisa", "two"), ("Lisa", "two again")]
+        assert sorted(rows) == sorted(codes.execute_plan(reference, executor=executor).rows)
+
+    @pytest.mark.parametrize("executor", ["row", "vectorized"])
+    def test_boolean_against_text(self, codes, executor):
+        sql = "SELECT f.note, c.label FROM tflag f JOIN tcode c ON f.flag = c.code"
+        rows = codes.execute_plan(codes.compile(sql), executor=executor).rows
+        assert sorted(rows) == [("t", "one")]
+
+    def test_left_join(self, codes):
+        rows = codes.query(
+            "SELECT e.name, c.label FROM temployee e LEFT JOIN tcode c "
+            "ON e.id = c.code AND c.label <> 'two'"
+        ).rows
+        assert sorted(rows) == [("John", "one"), ("Lisa", "two again")]
+
+    @pytest.mark.parametrize("executor", ["row", "vectorized"])
+    def test_indexed_text_column(self, codes, executor):
+        # enough rows for the index-nested-loop access paths to apply
+        codes.execute_script(
+            "INSERT INTO tcode VALUES "
+            + ", ".join(f"('{n}', 'n{n}')" for n in range(3, 200))
+            + "; CREATE INDEX tcode_code ON tcode (code);"
+        )
+        sql = "SELECT e.name, c.label FROM temployee e JOIN tcode c ON e.id = c.code"
+        rows = codes.execute_plan(codes.compile(sql), executor=executor).rows
+        assert sorted(rows) == [("John", "one"), ("Lisa", "two"), ("Lisa", "two again")]
+
+    @pytest.mark.parametrize("executor", ["row", "vectorized"])
+    def test_same_type_join_keeps_its_operator(self, codes, executor):
+        trace = codes.explain(
+            "SELECT e.name, s.product FROM temployee e "
+            "JOIN tsellsproduct s ON e.id = s.id",
+            executor=executor,
+        )
+        assert not any("coerced" in line for line in trace)
+        trace = codes.explain(self.JOINS[0], executor=executor)
+        assert any("coerced keys" in line for line in trace)

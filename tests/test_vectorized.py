@@ -22,6 +22,7 @@ from repro.npd.seed import SeedProfile
 from repro.obda import OBDAEngine
 from repro.sql.engine import Database
 from repro.sql.errors import ExecutionError
+from repro.sql.executor import QueryResult
 
 # ---------------------------------------------------------------------------
 # fixtures
@@ -233,6 +234,53 @@ def vec_db() -> Database:
         [(i, f"w{i}", 100.0 + i, i % 2) for i in range(50)],
     )
     return db
+
+
+class TestColumnMajorResults:
+    """A block with no DISTINCT, ORDER BY, LIMIT/OFFSET or UNION hands
+    its value columns on; row tuples are built only when read."""
+
+    def test_columns_lazy_rows_and_row_executor_agree(self, engines_s025):
+        engines, queries = engines_s025
+        engine = engines["best"]
+        database = engine.database
+        column_major = set()
+        for query_id, sparql in sorted(queries.items()):
+            statement = engine.unfold(sparql).statement
+            if statement is None:
+                continue
+            plan = database.compile(statement)
+            result = database.execute_plan(plan, executor="vectorized")
+            if result.values is not None:
+                column_major.add(query_id)
+            rows = database.execute_plan(plan, executor="row").rows
+            view = result.value_columns()
+            assert len(result.rows) == len(result) == len(rows), query_id
+            assert all(len(column) == len(result) for column in view), query_id
+            assert list(zip(*view)) == list(result.rows), query_id
+            assert Counter(result.rows) == Counter(rows), query_id
+        assert {"b1", "b2"} <= column_major
+
+    def test_bulk_answer_builds_no_row_tuples(self, engines_s025, monkeypatch):
+        engines, queries = engines_s025
+        built, results = [], []
+        row_list = QueryResult.row_list
+        execute_plan = Database.execute_plan
+
+        def counted_row_list(result):
+            built.append(result.columns)
+            return row_list(result)
+
+        def recorded_execute_plan(database, *args, **kwargs):
+            results.append(execute_plan(database, *args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(QueryResult, "row_list", counted_row_list)
+        monkeypatch.setattr(Database, "execute_plan", recorded_execute_plan)
+        answer = engines["best"].execute(queries["b1"])
+        assert len(answer) == 1440 and len(answer.answer.columns) == 4
+        assert built == []
+        assert [result.values is not None for result in results] == [True]
 
 
 class TestDMLVisibility:
