@@ -28,8 +28,8 @@ import operator
 import threading
 import time
 from collections.abc import Sequence
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from .ast import (
     BinaryOp,
@@ -62,12 +62,14 @@ from .catalog import Catalog, Table
 from .columnar import index_probe_fits
 from .errors import ExecutionError
 from .expressions import ExpressionCompiler, RowSchema, sql_compare
+from .joins import INDEX, INNER, LEFT, NATURAL, NESTED, JoinPlan, _hashable, plan_join
 from .optimizer import CostModel, SharedScanContext, scan_key
 from .plan import CompiledPlan, PlannedBlock, SubPlan, compile_select
 from .profiles import EngineProfile, postgresql_profile
 from .types import SqlType
 
 RowT = Tuple[Any, ...]
+ColumnTypes = Optional[Tuple[Optional[SqlType], ...]]
 
 
 @dataclass
@@ -118,6 +120,14 @@ class Relation:
     def size(self) -> int:
         return len(self.rows)
 
+    @property
+    def build_source(self) -> List[RowT]:
+        """What keys a shared hash-join build over this relation."""
+        return self.rows
+
+    def gather_column(self, position: int) -> List[Any]:
+        return list(map(operator.itemgetter(position), self.rows))
+
     def stats_view(self) -> "Relation":
         """What the cost model reads; the batch relation builds a stand-in."""
         return self
@@ -135,21 +145,30 @@ class QueryResult:
     other than ``len`` reads ``rows``.
     """
 
-    __slots__ = ("columns", "values", "_rows", "_size")
+    __slots__ = ("columns", "values", "types", "_rows", "_size")
 
-    def __init__(self, columns: List[str], rows: List[RowT]):
+    def __init__(
+        self, columns: List[str], rows: List[RowT], types: ColumnTypes = None
+    ):
         self.columns = columns
         #: the value columns of a column-major result; None when row-major
         self.values: Optional[List[Sequence[Any]]] = None
+        #: each column's declared type when it is a plain base-table
+        #: column (a derived table's join keys read them); or None
+        self.types = types
         self._rows: Optional[List[RowT]] = rows
         self._size = 0
 
     @classmethod
     def from_columns(
-        cls, columns: List[str], values: List[Sequence[Any]], size: int
+        cls,
+        columns: List[str],
+        values: List[Sequence[Any]],
+        size: int,
+        types: ColumnTypes = None,
     ) -> "QueryResult":
         """A column-major result of *size* rows (*values* may be empty)."""
-        result = cls(columns, None)
+        result = cls(columns, None, types)
         result.values = values
         result._size = size
         return result
@@ -226,6 +245,43 @@ class _RowView(Sequence):
         return repr(self._result.row_list())
 
 
+def _item_types(items: Sequence[SelectItem], schema: RowSchema) -> ColumnTypes:
+    """The declared type of each plain column of a select list (None for
+    a computed one); None when no item has one."""
+    if schema.types is None:
+        return None
+    types = tuple(
+        schema.types[schema.resolve(item.expr)]
+        if isinstance(item.expr, ColumnRef)
+        else None
+        for item in items
+    )
+    return None if types.count(None) == len(types) else types
+
+
+def _common_types(branch_types: Sequence[ColumnTypes]) -> ColumnTypes:
+    """The column types every branch of a UNION agrees on."""
+    if None in branch_types:
+        return None
+    types = tuple(
+        column[0] if column.count(column[0]) == len(column) else None
+        for column in zip(*branch_types)
+    )
+    return None if types.count(None) == len(types) else types
+
+
+def _derived_schema(
+    subplan: SubPlan, binding: str, result: QueryResult
+) -> RowSchema:
+    """The row schema of a derived table, typed from its result."""
+    schema = subplan.schema
+    if schema is None:
+        return RowSchema([(binding, c) for c in result.columns], result.types)
+    if result.types is None:
+        return schema
+    return RowSchema(schema.fields, result.types)
+
+
 def _sort_key_function(
     compiled: List[Tuple[Callable[[RowT], Any], bool]]
 ) -> Callable[[RowT], Any]:
@@ -253,74 +309,17 @@ def _sort_key_function(
     return functools.cmp_to_key(compare)
 
 
-def _hashable(value: Any) -> Any:
-    return value if not isinstance(value, list) else tuple(value)
-
-
-#: declared types whose values ``sql_compare`` compares with text as floats
-_FLOAT_COMPARED = frozenset(
-    {SqlType.INTEGER, SqlType.BIGINT, SqlType.DOUBLE, SqlType.DECIMAL, SqlType.BOOLEAN}
-)
-_TEXT_TYPES = frozenset({SqlType.VARCHAR, SqlType.TEXT, SqlType.DATE})
-
-
-def _key_coercion(
-    left: RowSchema,
-    right: RowSchema,
-    left_keys: Sequence[int],
-    right_keys: Sequence[int],
-) -> Optional[Tuple[bool, ...]]:
-    """Which equi-join key pairs ``sql_compare`` compares as floats: a
-    number or a boolean against text, as in ``1 = '1'``.  None when no
-    pair does: every key then matches by Python equality, which is what
-    ``sql_compare`` does within one type class.  Decided from the declared
-    column types, once per join; a column without one (a derived table's)
-    matches by Python equality."""
-    if left.types is None or right.types is None:
-        return None
-    coerced = tuple(
-        (left_type in _TEXT_TYPES and right_type in _FLOAT_COMPARED)
-        or (left_type in _FLOAT_COMPARED and right_type in _TEXT_TYPES)
-        for left_type, right_type in zip(
-            map(left.types.__getitem__, left_keys),
-            map(right.types.__getitem__, right_keys),
-        )
-    )
-    return coerced if any(coerced) else None
-
-
-def _float_key(value: Any) -> Optional[float]:
-    """A key ``sql_compare`` compares as a float; None (no match) for NULL
-    or text that is not a number."""
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        return None
-
-
-def _join_keys(
-    columns: Sequence[Iterable[Any]], coerced: Sequence[bool]
-) -> Iterator[Optional[Tuple[Any, ...]]]:
-    """The equi-join key of each row, given the key columns: a tuple of
-    the values, those of a *coerced* key as floats (:func:`_float_key`);
-    None for a row no key can match (a NULL part)."""
-    parts = [
-        map(_float_key if float_key else _hashable, column)
-        for column, float_key in zip(columns, coerced)
-    ]
-    for key in zip(*parts):
-        yield None if None in key else key
-
-
-def _row_keys(
-    rows: Sequence[RowT], positions: Sequence[int], coerced: Sequence[bool]
-) -> Iterator[Optional[Tuple[Any, ...]]]:
-    """:func:`_join_keys` of row tuples, keyed on *positions*."""
-    return _join_keys([map(operator.itemgetter(p), rows) for p in positions], coerced)
-
-
 class Executor:
     """Evaluates statements against a catalog under an engine profile."""
+
+    #: trace line of each physical join (see repro.sql.joins.plan_join)
+    JOIN_LABELS = {
+        "hash": "HashJoin build={build} probe={probe}",
+        "coerced": "HashJoin (coerced keys) build={build} probe={probe}",
+        "auto_key": "AutoKeyJoin (derived) build={build} probe={probe}",
+        "index": "IndexNLJoin outer={probe} inner={table}",
+        "nested": "BlockNLJoin outer={probe} inner={build}",
+    }
 
     def __init__(self, catalog: Catalog, profile: Optional[EngineProfile] = None):
         self.catalog = catalog
@@ -426,6 +425,7 @@ class Executor:
         if owns_shared:
             self._shared = SharedScanContext()
         branch_results: List[Tuple[List[str], List[RowT]]] = []
+        branch_types: List[ColumnTypes] = []
         try:
             for position, block in enumerate(blocks):
                 self._check_cancel()
@@ -439,6 +439,7 @@ class Executor:
                         f"{len(branch_rows)} rows in {elapsed_ms:.2f} ms"
                     )
                 branch_results.append((columns, branch_rows))
+                branch_types.append(branch.types)
         finally:
             if owns_shared:
                 context = self._shared
@@ -466,7 +467,7 @@ class Executor:
             order_by = _resolve_ordinals(head.order_by, first_columns)
             rows = self._order_rows(rows, order_by, schema)
         rows = _apply_limit(rows, head.limit, head.offset)
-        return QueryResult(first_columns, rows)
+        return QueryResult(first_columns, rows, _common_types(branch_types))
 
     def _subplan(self, node: Any) -> SubPlan:
         """The running block's sub-plan for a derived table (*node* is its
@@ -506,13 +507,15 @@ class Executor:
         if remaining:
             relation = self._filter_compiled(relation, remaining)
         source_rows: Optional[List[RowT]] = None
+        types = None
         if planned.has_aggregates or statement.group_by:
             columns, rows = self._aggregate(statement, relation)
         else:
-            columns, rows = self._project(statement, relation)
+            columns, rows, types = self._project(statement, relation)
             source_rows = relation.rows
         return QueryResult(
-            *self._finish_block(statement, columns, rows, relation.schema, source_rows)
+            *self._finish_block(statement, columns, rows, relation.schema, source_rows),
+            types,
         )
 
     def _finish_block(
@@ -723,9 +726,7 @@ class Executor:
             subplan = self._subplan(node)
             result = self.execute_plan(subplan.plan)
             binding = node.alias.lower()
-            schema = subplan.schema
-            if schema is None:
-                schema = RowSchema([(binding, c) for c in result.columns])
+            schema = _derived_schema(subplan, binding, result)
             return Relation(schema, result.row_list(), binding)
         raise ExecutionError(f"cannot scan {node!r}")
 
@@ -1042,97 +1043,6 @@ class Executor:
                 message += f" actual={actual}"
         self.trace.append(message)
 
-    def _hash_build(
-        self, build: Relation, build_keys: Sequence[int]
-    ) -> Dict[Tuple[Any, ...], List[RowT]]:
-        """Build (or reuse) the hash-join bucket table for one side.
-
-        With an active shared-scan context the buckets are keyed by the
-        identity of the (shared) row list and the key positions, so
-        disjuncts hashing the same scan on the same columns build once.
-        """
-        key_positions = tuple(build_keys)
-        if self._shared is not None:
-            cached = self._shared.lookup_build(build.rows, key_positions)
-            if cached is not None:
-                return cached
-        buckets: Dict[Any, List[RowT]] = {}
-        if len(key_positions) == 1:
-            # single-key joins (the OBDA common case) bucket on the bare
-            # value; the probe side uses the same scalar keys
-            position = key_positions[0]
-            for row in build.rows:
-                value = row[position]
-                if value is None:
-                    continue
-                if isinstance(value, list):
-                    value = tuple(value)
-                buckets.setdefault(value, []).append(row)
-        else:
-            for row in build.rows:
-                key = tuple(_hashable(row[p]) for p in build_keys)
-                if any(part is None for part in key):
-                    continue
-                buckets.setdefault(key, []).append(row)
-        if self._shared is not None:
-            self._shared.store_build(build.rows, key_positions, buckets)
-        return buckets
-
-    def _index_nl_join(
-        self,
-        left: Relation,
-        right: Relation,
-        left_keys: Sequence[int],
-        index: Any,
-        schema: RowSchema,
-        compiled_residual: Optional[Callable[[RowT], Any]],
-        estimate: Optional[float],
-    ) -> Relation:
-        self.stats.index_nl_joins += 1
-        table = right.base_table
-        assert table is not None
-        output: List[RowT] = []
-        rows = table.rows
-        if len(left_keys) == 1:
-            position = left_keys[0]
-            for left_row in self._cancellable_rows(left.rows):
-                value = left_row[position]
-                if value is None:
-                    continue
-                if isinstance(value, list):
-                    value = tuple(value)
-                for row_id in sorted(index.lookup((value,))):
-                    right_row = rows[row_id]
-                    if right_row is None:
-                        continue
-                    combined = left_row + right_row
-                    if (
-                        compiled_residual is None
-                        or compiled_residual(combined) is True
-                    ):
-                        output.append(combined)
-        else:
-            for left_row in self._cancellable_rows(left.rows):
-                key = tuple(_hashable(left_row[p]) for p in left_keys)
-                if any(part is None for part in key):
-                    continue
-                for row_id in sorted(index.lookup(key)):
-                    right_row = rows[row_id]
-                    if right_row is None:
-                        continue
-                    combined = left_row + right_row
-                    if (
-                        compiled_residual is None
-                        or compiled_residual(combined) is True
-                    ):
-                        output.append(combined)
-        self._trace_join(
-            f"IndexNLJoin outer={len(left.rows)} inner={table.name}",
-            estimate,
-            len(output),
-        )
-        return Relation(schema, output)
-
     def _inner_join(
         self,
         left: Relation,
@@ -1140,280 +1050,97 @@ class Executor:
         conjuncts: Sequence[Expr],
         estimate: Optional[float] = None,
     ) -> Relation:
-        self._check_cancel()
-        schema = left.schema.concat(right.schema)
-        left_keys, right_keys, _, residual = self._equi_keys(left, right, conjuncts)
-        compiled_residual = self._combine_compiled(schema, residual)
-        output: List[RowT] = []
-        if left_keys:
-            coerced = _key_coercion(left.schema, right.schema, left_keys, right_keys)
-            if coerced is not None:
-                return self._coerced_join(
-                    left,
-                    right,
-                    left_keys,
-                    right_keys,
-                    coerced,
-                    schema,
-                    compiled_residual,
-                    estimate,
-                )
-            if self.profile.hash_join:
-                # index-aware access path: a small probe side against an
-                # already-indexed full base table beats building a new
-                # hash table over it
-                if (
-                    right.base_table is not None
-                    and len(right.rows) == right.base_table.row_count
-                    and len(left.rows) * 4 <= len(right.rows)
-                ):
-                    columns = [right.schema.fields[p][1] for p in right_keys]
-                    index = right.base_table.hash_index_for(columns)
-                    if index is not None:
-                        return self._index_nl_join(
-                            left,
-                            right,
-                            left_keys,
-                            index,
-                            schema,
-                            compiled_residual,
-                            estimate,
-                        )
-                self.stats.hash_joins += 1
-                # build-side selection: hash the smaller input
-                swap = len(left.rows) < len(right.rows)
-                if swap:
-                    self.stats.build_side_swaps += 1
-                build, probe = (left, right) if swap else (right, left)
-                build_keys, probe_keys = (
-                    (left_keys, right_keys) if swap else (right_keys, left_keys)
-                )
-                buckets = self._hash_build(build, build_keys)
-                if len(probe_keys) == 1:
-                    # scalar probe keys, matching _hash_build's buckets
-                    position = probe_keys[0]
-                    empty: Tuple[RowT, ...] = ()
-                    for probe_row in self._cancellable_rows(probe.rows):
-                        value = probe_row[position]
-                        if value is None:
-                            continue
-                        if isinstance(value, list):
-                            value = tuple(value)
-                        for build_row in buckets.get(value, empty):
-                            combined = (
-                                build_row + probe_row
-                                if swap
-                                else probe_row + build_row
-                            )
-                            if (
-                                compiled_residual is None
-                                or compiled_residual(combined) is True
-                            ):
-                                output.append(combined)
-                else:
-                    for probe_row in self._cancellable_rows(probe.rows):
-                        key = tuple(_hashable(probe_row[p]) for p in probe_keys)
-                        if any(part is None for part in key):
-                            continue
-                        for build_row in buckets.get(key, ()):
-                            combined = (
-                                build_row + probe_row
-                                if swap
-                                else probe_row + build_row
-                            )
-                            if (
-                                compiled_residual is None
-                                or compiled_residual(combined) is True
-                            ):
-                                output.append(combined)
-                self._trace_join(
-                    f"HashJoin build={len(build.rows)} probe={len(probe.rows)}"
-                    + (" (swapped)" if swap else ""),
-                    estimate,
-                    len(output),
-                )
-                return Relation(schema, output)
-            # index nested loop: probe right base-table index if available
-            index = None
-            if right.base_table is not None and len(right.rows) == right.base_table.row_count:
-                columns = [right.schema.fields[p][1] for p in right_keys]
-                index = right.base_table.hash_index_for(columns)
-                if index is None and right.base_table.row_count > 64:
-                    index = right.base_table.create_hash_index(columns)
-            if index is not None:
-                return self._index_nl_join(
-                    left, right, left_keys, index, schema, compiled_residual, estimate
-                )
-            # derived-table auto-keying (MySQL 5.6+): equi-joins against a
-            # materialized subquery get a transient hash key, counted as an
-            # index NL join rather than a hash join
-            self.stats.index_nl_joins += 1
-            buckets = self._hash_build(right, right_keys)
-            if len(left_keys) == 1:
-                position = left_keys[0]
-                empty = ()
-                for left_row in self._cancellable_rows(left.rows):
-                    value = left_row[position]
-                    if value is None:
-                        continue
-                    if isinstance(value, list):
-                        value = tuple(value)
-                    for right_row in buckets.get(value, empty):
-                        combined = left_row + right_row
-                        if (
-                            compiled_residual is None
-                            or compiled_residual(combined) is True
-                        ):
-                            output.append(combined)
-            else:
-                for left_row in self._cancellable_rows(left.rows):
-                    key = tuple(_hashable(left_row[p]) for p in left_keys)
-                    if any(part is None for part in key):
-                        continue
-                    for right_row in buckets.get(key, ()):
-                        combined = left_row + right_row
-                        if (
-                            compiled_residual is None
-                            or compiled_residual(combined) is True
-                        ):
-                            output.append(combined)
-            self._trace_join(
-                f"AutoKeyJoin (derived) build={len(right.rows)} "
-                f"probe={len(left.rows)}",
-                estimate,
-                len(output),
-            )
-            return Relation(schema, output)
-        # block nested loop fallback; the inner loop is the row-batch
-        # boundary here -- a cross join's cost is outer x inner, so outer
-        # polls alone could stall for a huge inner relation
-        self.stats.nested_loop_joins += 1
-        compiled = self._combine_compiled(schema, list(conjuncts))
-        for left_row in self._cancellable_rows(left.rows, interval=64):
-            for right_row in self._cancellable_rows(right.rows):
-                combined = left_row + right_row
-                if compiled is None or compiled(combined) is True:
-                    output.append(combined)
-        self._trace_join(
-            f"BlockNLJoin outer={len(left.rows)} inner={len(right.rows)}",
-            estimate,
-            len(output),
-        )
-        return Relation(schema, output)
-
-    def _coerced_join(
-        self,
-        left: Relation,
-        right: Relation,
-        left_keys: Sequence[int],
-        right_keys: Sequence[int],
-        coerced: Tuple[bool, ...],
-        schema: RowSchema,
-        compiled_residual: Optional[Callable[[RowT], Any]],
-        estimate: Optional[float],
-    ) -> Relation:
-        """An equi-join with a key ``sql_compare`` compares as floats
-        (:func:`_key_coercion`): a hash join on the coerced keys, the right
-        side built and the left probed.  No index serves it: an index is
-        keyed on the stored values."""
-        self.stats.hash_joins += 1
-        buckets: Dict[Tuple[Any, ...], List[RowT]] = {}
-        for row, key in zip(right.rows, _row_keys(right.rows, right_keys, coerced)):
-            if key is not None:
-                buckets.setdefault(key, []).append(row)
-        output: List[RowT] = []
-        probe = _row_keys(left.rows, left_keys, coerced)
-        for left_row, key in zip(self._cancellable_rows(left.rows), probe):
-            for right_row in buckets.get(key, ()):
-                combined = left_row + right_row
-                if compiled_residual is None or compiled_residual(combined) is True:
-                    output.append(combined)
-        self._trace_join(
-            f"HashJoin (coerced keys) build={len(right.rows)} probe={len(left.rows)}",
-            estimate,
-            len(output),
-        )
-        return Relation(schema, output)
+        return self._join(left, right, conjuncts, INNER, estimate)
 
     def _left_join(
         self, left: Relation, right: Relation, condition: Optional[Expr]
     ) -> Relation:
+        return self._join(left, right, split_conjuncts(condition), LEFT)
+
+    def _join(
+        self,
+        left: Relation,
+        right: Relation,
+        conjuncts: Sequence[Expr],
+        kind: str,
+        estimate: Optional[float] = None,
+    ) -> Relation:
+        """An INNER or LEFT join on *conjuncts*: the equi-key pairs drive
+        the physical join (:func:`~repro.sql.joins.plan_join`), the rest
+        is its residual -- all of them for a nested loop."""
         self._check_cancel()
         schema = left.schema.concat(right.schema)
-        conjuncts = split_conjuncts(condition)
         left_keys, right_keys, _, residual = self._equi_keys(left, right, conjuncts)
-        compiled_residual = self._combine_compiled(schema, residual)
-        null_pad = (None,) * len(right.schema)
-        output: List[RowT] = []
-        if left_keys and (self.profile.hash_join or len(right.rows) > 64):
-            self.stats.hash_joins += 1
-            coerced = _key_coercion(
-                left.schema, right.schema, left_keys, right_keys
-            ) or (False,) * len(left_keys)
-            buckets: Dict[Tuple[Any, ...], List[RowT]] = {}
-            for row, key in zip(right.rows, _row_keys(right.rows, right_keys, coerced)):
-                if key is not None:
-                    buckets.setdefault(key, []).append(row)
-            probe = _row_keys(left.rows, left_keys, coerced)
-            for left_row, key in zip(self._cancellable_rows(left.rows), probe):
-                matched = False
-                for right_row in buckets.get(key, ()):
-                    combined = left_row + right_row
-                    if compiled_residual is None or compiled_residual(combined) is True:
-                        output.append(combined)
-                        matched = True
-                if not matched:
-                    output.append(left_row + null_pad)
-            return Relation(schema, output)
-        self.stats.nested_loop_joins += 1
-        compiled = self._combine_compiled(schema, conjuncts)
-        for left_row in self._cancellable_rows(left.rows, interval=64):
-            matched = False
-            for right_row in self._cancellable_rows(right.rows):
-                combined = left_row + right_row
-                if compiled is None or compiled(combined) is True:
-                    output.append(combined)
-                    matched = True
-            if not matched:
-                output.append(left_row + null_pad)
+        plan = plan_join(self, left, right, left_keys, right_keys, kind)
+        test = self._combine_compiled(
+            schema, conjuncts if plan.method == NESTED else residual
+        )
+        pad = (None,) * len(right.schema) if kind == LEFT else None
+        output = self._probe_rows(plan, left, right, right.rows, test, pad)
+        if plan.label is not None:
+            self._trace_join(plan.label, estimate, len(output))
         return Relation(schema, output)
 
     def _natural_join(self, left: Relation, right: Relation) -> Relation:
+        """Keyed on the shared column names; the output keeps every left
+        column and the right ones not shared."""
         self._check_cancel()
         left_names = [name for _, name in left.schema.fields]
         right_names = [name for _, name in right.schema.fields]
         shared = [name for name in left_names if name in right_names]
-        left_positions = {name: left_names.index(name) for name in shared}
-        right_positions = {name: right_names.index(name) for name in shared}
-        # output schema: all left fields + right fields minus shared
-        kept_right = [
-            (position, field)
-            for position, field in enumerate(right.schema.fields)
-            if field[1] not in shared
-        ]
-        schema = RowSchema(list(left.schema.fields) + [f for _, f in kept_right])
-        output: List[RowT] = []
+        left_keys = [left_names.index(name) for name in shared]
+        right_keys = [right_names.index(name) for name in shared]
+        kept = [p for p, name in enumerate(right_names) if name not in shared]
+        plan = plan_join(self, left, right, left_keys, right_keys, NATURAL)
+        right_rows = right.rows
         if shared:
-            buckets: Dict[Tuple[Any, ...], List[RowT]] = {}
-            for row in right.rows:
-                key = tuple(_hashable(row[right_positions[name]]) for name in shared)
-                if any(part is None for part in key):
-                    continue
-                buckets.setdefault(key, []).append(row)
-            self.stats.hash_joins += 1
-            for left_row in left.rows:
-                key = tuple(_hashable(left_row[left_positions[name]]) for name in shared)
-                if any(part is None for part in key):
-                    continue
-                for right_row in buckets.get(key, ()):
-                    trimmed = tuple(right_row[p] for p, _ in kept_right)
-                    output.append(left_row + trimmed)
+            right_rows = [tuple(map(row.__getitem__, kept)) for row in right_rows]
+        output = self._probe_rows(plan, left, right, right_rows)
+        return Relation(left.schema.concat(right.schema.select(kept)), output)
+
+    def _probe_rows(
+        self,
+        plan: JoinPlan,
+        left: Relation,
+        right: Relation,
+        right_rows: Sequence[RowT],
+        test: Optional[Callable[[RowT], Any]] = None,
+        pad: Optional[RowT] = None,
+    ) -> List[RowT]:
+        """The row path's one probe loop: each probe row joined with the
+        build rows its key's bucket holds, in probe then bucket order,
+        kept when *test* (the residual) passes; a LEFT join appends its
+        NULL *pad* to a probe row with none kept."""
+        if plan.build_left:
+            probe_rows, build_rows = right_rows, left.rows
         else:
-            self.stats.nested_loop_joins += 1
-            for left_row in left.rows:
-                for right_row in right.rows:
-                    output.append(left_row + right_row)
-        return Relation(schema, output)
+            probe_rows = left.rows
+            build_rows = (
+                right.base_table.rows if plan.method == INDEX else right_rows
+            )
+        interval = None
+        if plan.method == NESTED:
+            # a cross join costs outer x inner: poll every ~batch of pairs
+            interval = max(1, self.CANCEL_BATCH_ROWS // max(1, len(build_rows)))
+        build_left = plan.build_left
+        get = plan.buckets.get
+        output: List[RowT] = []
+        append = output.append
+        for probe_row, key in zip(
+            self._cancellable_rows(probe_rows, interval), plan.keys
+        ):
+            matched = False
+            for position in get(key, ()):
+                build_row = build_rows[position]
+                combined = (
+                    build_row + probe_row if build_left else probe_row + build_row
+                )
+                if test is None or test(combined) is True:
+                    append(combined)
+                    matched = True
+            if pad is not None and not matched:
+                append(probe_row + pad)
+        return output
 
     # ------------------------------------------------------------------
     # projection / aggregation / dedup / ordering
@@ -1435,10 +1162,11 @@ class Executor:
 
     def _project(
         self, statement: SelectStatement, relation: Relation
-    ) -> Tuple[List[str], List[RowT]]:
+    ) -> Tuple[List[str], List[RowT], ColumnTypes]:
         self._check_cancel()
         items = self._expand_items(statement.items, relation.schema)
         columns = [item.output_name for item in items]
+        types = _item_types(items, relation.schema)
         if all(isinstance(item.expr, ColumnRef) for item in items):
             # pure column projection (the OBDA-unfolding common case):
             # one itemgetter per row instead of one closure call per cell
@@ -1454,13 +1182,13 @@ class Executor:
                 rows = [
                     getter(row) for row in self._cancellable_rows(relation.rows)
                 ]
-            return columns, rows
+            return columns, rows, types
         compiled = self._compile_all(relation.schema, [item.expr for item in items])
         rows = [
             tuple(fn(row) for fn in compiled)
             for row in self._cancellable_rows(relation.rows)
         ]
-        return columns, rows
+        return columns, rows, types
 
     def _aggregate(
         self, statement: SelectStatement, relation: Relation

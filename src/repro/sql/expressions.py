@@ -129,6 +129,14 @@ class RowSchema:
         schema._memo = {}
         return schema
 
+    def select(self, positions: Sequence[int]) -> "RowSchema":
+        """The fields at *positions*, with their types."""
+        types = self.types
+        return RowSchema(
+            [self.fields[p] for p in positions],
+            None if types is None else [types[p] for p in positions],
+        )
+
     def names(self) -> List[str]:
         return [name for _, name in self.fields]
 

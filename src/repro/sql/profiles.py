@@ -9,8 +9,7 @@ gating physical operators on a profile:
 * the MySQL-like profile only has index-nested-loop joins (MySQL had no
   hash join until 8.0.18, well after the paper) and sort-based
   deduplication for DISTINCT/UNION;
-* the PostgreSQL-like profile enables hash joins and hash aggregation/
-  deduplication.
+* the PostgreSQL-like profile enables hash joins and hash deduplication.
 
 Everything else -- data, indexes, plans -- is identical, which keeps the
 comparison honest.
@@ -28,11 +27,6 @@ class EngineProfile:
     name: str
     hash_join: bool
     hash_distinct: bool
-    hash_aggregate: bool
-    # When a join has no usable index and hash joins are disabled, the
-    # executor falls back to block-nested-loop; this caps the block size
-    # (rows) to emulate MySQL's join_buffer behaviour.
-    block_nested_loop_buffer: int = 4096
 
     def describe(self) -> str:
         joins = "hash+index-NL" if self.hash_join else "index-NL only"
@@ -46,17 +40,15 @@ def mysql_profile() -> EngineProfile:
         name="mysql",
         hash_join=False,
         hash_distinct=False,
-        hash_aggregate=False,
     )
 
 
 def postgresql_profile() -> EngineProfile:
-    """A PostgreSQL-like profile: hash joins and hash dedup/aggregation."""
+    """A PostgreSQL-like profile: hash joins and hash dedup."""
     return EngineProfile(
         name="postgresql",
         hash_join=True,
         hash_distinct=True,
-        hash_aggregate=True,
     )
 
 

@@ -21,12 +21,11 @@ Design points:
   agreement with ``sql_compare``; otherwise the conjunct is evaluated by
   the same compiled expressions the row path uses, over gathered rows, so
   the two paths cannot disagree.
-* **One join planner, mirrored operator choice** -- join ordering is the
-  inherited search itself (``Executor._join_relations``); per pair, index
-  scans, index-nested-loop gating, build-side swaps and the
-  shared-scan/build caches replicate the row path's decisions one-to-one
-  (including their statistics counters), so EXPLAIN output and optimizer
-  behaviour stay comparable.
+* **One join planner, one join core** -- join ordering is the inherited
+  search itself (``Executor._join_relations``), and per pair the physical
+  join, its counters, keys, shared buckets and trace label come from
+  :mod:`repro.sql.joins`, as on the row path; only the probe loop is this
+  executor's own, emitting take-lists instead of rows.
 * **Operator-tail reuse** -- DISTINCT/ORDER BY/LIMIT run through the
   inherited ``_finish_block``, and aggregation feeds the inherited
   ``_aggregate`` with a reduced-schema materialization, keeping
@@ -68,17 +67,18 @@ from .columnar import (
 )
 from .errors import ExecutionError
 from .executor import (
+    ColumnTypes,
     Executor,
     QueryResult,
     Relation,
     RowT,
     _column_literal,
-    _hashable,
-    _join_keys,
-    _key_coercion,
+    _derived_schema,
+    _item_types,
     _mirror_op,
 )
 from .expressions import RowSchema
+from .joins import INDEX, NESTED, JoinPlan, plan_join
 from .optimizer import canonical_predicate, scan_key
 from .plan import PlannedBlock
 
@@ -197,6 +197,13 @@ class BatchRelation:
     def base_table(self) -> Optional[Table]:
         return self.legs[0].table if len(self.legs) == 1 else None
 
+    @property
+    def build_source(self):
+        """What keys a shared hash-join build over this relation: a single
+        leg's position list (identity-stable across disjuncts); None for a
+        joined relation."""
+        return self.legs[0].positions if len(self.legs) == 1 else None
+
     def leg_local(self, position: int):
         offsets = self._offsets
         for index in range(len(self.legs) - 1, -1, -1):
@@ -244,6 +251,14 @@ class BatchRelation:
 class VectorizedExecutor(Executor):
     """Batch-at-a-time executor; falls back to the row path per block."""
 
+    JOIN_LABELS = {
+        "hash": "BatchHashJoin build={build} probe={probe}",
+        "coerced": "BatchHashJoin (coerced keys) build={build} probe={probe}",
+        "auto_key": "BatchAutoKeyJoin build={build} probe={probe}",
+        "index": "BatchIndexNLJoin outer={probe} inner={table}",
+        "nested": "BatchNLJoin outer={probe} inner={build}",
+    }
+
     # ------------------------------------------------------------------
     # block dispatch
     # ------------------------------------------------------------------
@@ -289,12 +304,13 @@ class VectorizedExecutor(Executor):
         if remaining:
             relation = self._batch_filter(relation, remaining)
         source_rows: Optional[List[RowT]] = None
+        types = None
         if planned.has_aggregates or statement.group_by:
             reduced = self._reduced_relation(statement, relation)
             columns, rows = self._aggregate(statement, reduced)
             source_schema = reduced.schema
         else:
-            columns, values = self._batch_project(statement, relation)
+            columns, values, types = self._batch_project(statement, relation)
             if not (
                 statement.distinct
                 or statement.order_by
@@ -303,7 +319,7 @@ class VectorizedExecutor(Executor):
                 or statement.union is not None
             ):
                 # no operator tail: the answer stays column-major
-                return QueryResult.from_columns(columns, values, relation.size)
+                return QueryResult.from_columns(columns, values, relation.size, types)
             rows = list(zip(*values)) if values else [()] * relation.size
             source_schema = relation.schema
             if (
@@ -316,7 +332,8 @@ class VectorizedExecutor(Executor):
                 # sort behaves exactly like the row path
                 source_rows = relation.materialize()
         return QueryResult(
-            *self._finish_block(statement, columns, rows, source_schema, source_rows)
+            *self._finish_block(statement, columns, rows, source_schema, source_rows),
+            types,
         )
 
     def _batch_legs(
@@ -381,9 +398,7 @@ class VectorizedExecutor(Executor):
             if shared is not None:
                 shared.store_scan(shared_key, cached)
         result, positions = cached
-        schema = subplan.schema
-        if schema is None:
-            schema = RowSchema([(binding, c) for c in result.columns])
+        schema = _derived_schema(subplan, binding, result)
         self._trace(
             f"BatchSubqueryScan as {binding} ({len(result)} rows)"
         )
@@ -626,289 +641,56 @@ class VectorizedExecutor(Executor):
         conjuncts: Sequence[Expr],
         estimate: Optional[float] = None,
     ):
-        """Pairwise-join step of the inherited join planner."""
+        """Pairwise-join step of the inherited join planner: the physical
+        join the row path would take (:func:`~repro.sql.joins.plan_join`),
+        probed into take-lists; the residual filters the joined legs."""
         if not isinstance(left, BatchRelation):
             # row relations of a fallback block keep the row operators
             return super()._inner_join(left, right, conjuncts, estimate)
         self._check_cancel()
-        schema = left.schema.concat(right.schema)
         left_keys, right_keys, _, residual = self._equi_keys(
             left, right, conjuncts
         )
-        coerced = (
-            _key_coercion(left.schema, right.schema, left_keys, right_keys)
-            if left_keys
-            else None
-        )
-        if coerced is not None:
-            joined = self._batch_coerced_join(
-                left, right, left_keys, right_keys, coerced, schema, estimate
-            )
-        elif left_keys:
-            joined = None
-            right_unfiltered = (
-                right.base_table is not None
-                and right.size == right.base_table.row_count
-            )
-            if self.profile.hash_join:
-                if right_unfiltered and left.size * 4 <= right.size:
-                    columns = [right.schema.fields[p][1] for p in right_keys]
-                    index = right.base_table.hash_index_for(columns)
-                    if index is not None:
-                        joined = self._batch_index_nl(
-                            left, right, left_keys, index, schema, estimate
-                        )
-                if joined is None:
-                    joined = self._batch_hash_join(
-                        left,
-                        right,
-                        left_keys,
-                        right_keys,
-                        schema,
-                        estimate,
-                    )
-            else:
-                index = None
-                if right_unfiltered:
-                    columns = [right.schema.fields[p][1] for p in right_keys]
-                    index = right.base_table.hash_index_for(columns)
-                    if index is None and right.base_table.row_count > 64:
-                        index = right.base_table.create_hash_index(columns)
-                if index is not None:
-                    joined = self._batch_index_nl(
-                        left, right, left_keys, index, schema, estimate
-                    )
-                else:
-                    # derived-table auto-keying analogue: build right,
-                    # probe left, counted as an index NL join
-                    joined = self._batch_hash_join(
-                        left,
-                        right,
-                        left_keys,
-                        right_keys,
-                        schema,
-                        estimate,
-                        count_as_index_nl=True,
-                    )
-        else:
-            # positional cross product; conjuncts become a post-filter
-            self.stats.nested_loop_joins += 1
-            left_take = [
-                i for i in range(left.size) for _ in range(right.size)
-            ]
-            right_take = list(range(right.size)) * left.size
-            joined = BatchRelation(
-                schema, left.take_legs(left_take) + right.take_legs(right_take)
-            )
-            self._trace_join(
-                f"BatchNLJoin outer={left.size} inner={right.size}",
-                estimate,
-                joined.size,
-            )
+        plan = plan_join(self, left, right, left_keys, right_keys)
+        if plan.method == NESTED:
             residual = list(conjuncts)
+        probe_take, build_take = self._probe_positions(plan)
+        left_take, right_take = (
+            (build_take, probe_take) if plan.build_left else (probe_take, build_take)
+        )
+        if plan.method == INDEX:
+            right_legs = [right.legs[0].replace(right_take)]
+        else:
+            right_legs = right.take_legs(right_take)
+        joined = BatchRelation(
+            left.schema.concat(right.schema), left.take_legs(left_take) + right_legs
+        )
+        if plan.label is not None:
+            self._trace_join(plan.label, estimate, joined.size)
         if residual:
             joined = self._batch_filter(joined, residual)
         return joined
 
-    def _batch_hash_build(
-        self, relation: BatchRelation, keys: Sequence[int]
-    ) -> Dict[Any, List[int]]:
-        """Bucket table mapping key -> row indices of *relation*.
-
-        Single-leg builds are shared through the scan context, keyed by
-        the identity of the (shared) position list -- the positional
-        analogue of the row path's build sharing.
-        """
-        key_positions = tuple(keys)
-        shared = self._shared
-        share_on = None
-        if shared is not None and len(relation.legs) == 1:
-            share_on = relation.legs[0].positions
-            cached = shared.lookup_build(share_on, key_positions)
-            if cached is not None:
-                return cached
-        values = [relation.gather_column(p) for p in keys]
-        buckets: Dict[Any, List[int]] = {}
-        if len(keys) == 1:
-            for index, value in enumerate(values[0]):
-                if value is None:
-                    continue
-                if isinstance(value, list):
-                    value = tuple(value)
-                bucket = buckets.get(value)
-                if bucket is None:
-                    buckets[value] = [index]
-                else:
-                    bucket.append(index)
-        else:
-            for index, raw in enumerate(zip(*values)):
-                key = tuple(_hashable(part) for part in raw)
-                if any(part is None for part in key):
-                    continue
-                buckets.setdefault(key, []).append(index)
-        if share_on is not None and shared is not None:
-            shared.store_build(share_on, key_positions, buckets)
-        return buckets
-
-    def _batch_hash_join(
-        self,
-        left: BatchRelation,
-        right: BatchRelation,
-        left_keys: Sequence[int],
-        right_keys: Sequence[int],
-        schema: RowSchema,
-        estimate: Optional[float],
-        count_as_index_nl: bool = False,
-    ) -> BatchRelation:
-        if count_as_index_nl:
-            self.stats.index_nl_joins += 1
-            swap = False
-        else:
-            self.stats.hash_joins += 1
-            # build-side selection: hash the smaller input
-            swap = left.size < right.size
-            if swap:
-                self.stats.build_side_swaps += 1
-        build, probe = (left, right) if swap else (right, left)
-        build_keys, probe_keys = (
-            (left_keys, right_keys) if swap else (right_keys, left_keys)
-        )
-        buckets = self._batch_hash_build(build, build_keys)
-        probe_values = [probe.gather_column(p) for p in probe_keys]
-        build_take: List[int] = []
+    def _probe_positions(self, plan: JoinPlan) -> Tuple[List[int], List[int]]:
+        """The batch path's one probe loop: (probe, build) position pairs,
+        in probe then bucket order."""
+        get = plan.buckets.get
         probe_take: List[int] = []
+        build_take: List[int] = []
         token = self.cancel_token
-        if len(probe_keys) == 1:
-            get = buckets.get
-            for index, value in enumerate(probe_values[0]):
-                if token is not None and index % self.CANCEL_BATCH_ROWS == 0:
-                    token.check()
-                if value is None:
-                    continue
-                if isinstance(value, list):
-                    value = tuple(value)
-                matches = get(value)
-                if matches:
-                    if len(matches) == 1:
-                        build_take.append(matches[0])
-                        probe_take.append(index)
-                    else:
-                        build_take.extend(matches)
-                        probe_take.extend([index] * len(matches))
-        else:
-            get = buckets.get
-            for index, raw in enumerate(zip(*probe_values)):
-                if token is not None and index % self.CANCEL_BATCH_ROWS == 0:
-                    token.check()
-                key = tuple(_hashable(part) for part in raw)
-                if any(part is None for part in key):
-                    continue
-                matches = get(key)
-                if matches:
-                    build_take.extend(matches)
-                    probe_take.extend([index] * len(matches))
-        left_take, right_take = (
-            (build_take, probe_take) if swap else (probe_take, build_take)
-        )
-        joined = BatchRelation(
-            schema, left.take_legs(left_take) + right.take_legs(right_take)
-        )
-        label = "BatchAutoKeyJoin" if count_as_index_nl else "BatchHashJoin"
-        self._trace_join(
-            f"{label} build={build.size} probe={probe.size}"
-            + (" (swapped)" if swap else ""),
-            estimate,
-            joined.size,
-        )
-        return joined
-
-    def _batch_coerced_join(
-        self,
-        left: BatchRelation,
-        right: BatchRelation,
-        left_keys: Sequence[int],
-        right_keys: Sequence[int],
-        coerced: Tuple[bool, ...],
-        schema: RowSchema,
-        estimate: Optional[float],
-    ) -> BatchRelation:
-        """Positional mirror of ``Executor._coerced_join``."""
-        self.stats.hash_joins += 1
-        buckets: Dict[Tuple[Any, ...], List[int]] = {}
-        build = _join_keys([right.gather_column(p) for p in right_keys], coerced)
-        for index, key in enumerate(build):
-            if key is not None:
-                buckets.setdefault(key, []).append(index)
-        left_take: List[int] = []
-        right_take: List[int] = []
-        probe = _join_keys([left.gather_column(p) for p in left_keys], coerced)
-        for index, key in enumerate(probe):
-            matches = buckets.get(key)
+        step = self.CANCEL_BATCH_ROWS
+        for position, key in enumerate(plan.keys):
+            if token is not None and position % step == 0:
+                token.check()
+            matches = get(key)
             if matches:
-                right_take.extend(matches)
-                left_take.extend([index] * len(matches))
-        joined = BatchRelation(
-            schema, left.take_legs(left_take) + right.take_legs(right_take)
-        )
-        self._trace_join(
-            f"BatchHashJoin (coerced keys) build={right.size} probe={left.size}",
-            estimate,
-            joined.size,
-        )
-        return joined
-
-    def _batch_index_nl(
-        self,
-        left: BatchRelation,
-        right: BatchRelation,
-        left_keys: Sequence[int],
-        index,
-        schema: RowSchema,
-        estimate: Optional[float],
-    ) -> BatchRelation:
-        """Probe the right base table's hash index with left key vectors."""
-        self.stats.index_nl_joins += 1
-        right_leg = right.legs[0]
-        live = right_leg.store.live
-        left_values = [left.gather_column(p) for p in left_keys]
-        left_take: List[int] = []
-        right_positions: List[int] = []
-        token = self.cancel_token
-        if len(left_keys) == 1:
-            for position, value in enumerate(left_values[0]):
-                if token is not None and position % self.CANCEL_BATCH_ROWS == 0:
-                    token.check()
-                if value is None:
-                    continue
-                if isinstance(value, list):
-                    value = tuple(value)
-                row_ids = index.lookup((value,))
-                if row_ids:
-                    for row_id in sorted(row_ids):
-                        if live[row_id]:
-                            left_take.append(position)
-                            right_positions.append(row_id)
-        else:
-            for position, raw in enumerate(zip(*left_values)):
-                if token is not None and position % self.CANCEL_BATCH_ROWS == 0:
-                    token.check()
-                key = tuple(_hashable(part) for part in raw)
-                if any(part is None for part in key):
-                    continue
-                for row_id in sorted(index.lookup(key)):
-                    if live[row_id]:
-                        left_take.append(position)
-                        right_positions.append(row_id)
-        joined = BatchRelation(
-            schema,
-            left.take_legs(left_take) + [right_leg.replace(right_positions)],
-        )
-        self._trace_join(
-            f"BatchIndexNLJoin outer={left.size} inner={right_leg.table.name}",
-            estimate,
-            joined.size,
-        )
-        return joined
+                if len(matches) == 1:
+                    build_take.append(matches[0])
+                    probe_take.append(position)
+                else:
+                    build_take.extend(matches)
+                    probe_take.extend([position] * len(matches))
+        return probe_take, build_take
 
     # ------------------------------------------------------------------
     # projection + aggregation feeds
@@ -916,8 +698,9 @@ class VectorizedExecutor(Executor):
 
     def _batch_project(
         self, statement: SelectStatement, relation: BatchRelation
-    ) -> Tuple[List[str], List[list]]:
-        """The output names and one value column per select item."""
+    ) -> Tuple[List[str], List[list], ColumnTypes]:
+        """The output names, one value column per select item and the
+        items' declared types."""
         self._check_cancel()
         items = self._expand_items(statement.items, relation.schema)
         columns = [item.output_name for item in items]
@@ -928,7 +711,7 @@ class VectorizedExecutor(Executor):
                 value_columns.append(relation.gather_column(position))
             else:
                 value_columns.append(self._batch_values(relation, item.expr))
-        return columns, value_columns
+        return columns, value_columns, _item_types(items, relation.schema)
 
     def _reduced_relation(
         self, statement: SelectStatement, relation: BatchRelation

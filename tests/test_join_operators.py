@@ -130,62 +130,286 @@ def _bag(rows):
 
 #: (case, profile, executor) -> (rows digest, COUNTERS, join trace lines)
 EXPECTED = {
-    ('coerced', 'mysql', 'row'): ('5146ed2f59b3', (1, 0, 0, 0, 158, 0), ['HashJoin (coerced keys) build=100 probe=10']),
-    ('coerced', 'mysql', 'vectorized'): ('5146ed2f59b3', (1, 0, 0, 0, 158, 0), ['BatchHashJoin (coerced keys) build=100 probe=10']),
-    ('coerced', 'postgresql', 'row'): ('5146ed2f59b3', (1, 0, 0, 0, 158, 0), ['HashJoin (coerced keys) build=100 probe=10']),
-    ('coerced', 'postgresql', 'vectorized'): ('5146ed2f59b3', (1, 0, 0, 0, 158, 0), ['BatchHashJoin (coerced keys) build=100 probe=10']),
-    ('derived', 'mysql', 'row'): ('9455bc35dabe', (0, 1, 0, 0, 9, 0), ['AutoKeyJoin (derived) build=100 probe=10']),
-    ('derived', 'mysql', 'vectorized'): ('9455bc35dabe', (0, 1, 0, 0, 9, 0), ['BatchAutoKeyJoin build=100 probe=10']),
-    ('derived', 'postgresql', 'row'): ('9455bc35dabe', (1, 0, 0, 1, 9, 0), ['HashJoin build=10 probe=100 (swapped)']),
-    ('derived', 'postgresql', 'vectorized'): ('9455bc35dabe', (1, 0, 0, 1, 9, 0), ['BatchHashJoin build=10 probe=100 (swapped)']),
-    ('hash', 'mysql', 'row'): ('197bf1a78a5b', (0, 1, 0, 0, 185, 0), ['AutoKeyJoin (derived) build=30 probe=30']),
-    ('hash', 'mysql', 'vectorized'): ('197bf1a78a5b', (0, 1, 0, 0, 185, 0), ['BatchAutoKeyJoin build=30 probe=30']),
-    ('hash', 'postgresql', 'row'): ('197bf1a78a5b', (1, 0, 0, 0, 185, 0), ['HashJoin build=30 probe=30']),
-    ('hash', 'postgresql', 'vectorized'): ('197bf1a78a5b', (1, 0, 0, 0, 185, 0), ['BatchHashJoin build=30 probe=30']),
-    ('index_nl', 'mysql', 'row'): ('9455bc35dabe', (0, 1, 0, 0, 9, 0), ['IndexNLJoin outer=10 inner=big']),
-    ('index_nl', 'mysql', 'vectorized'): ('9455bc35dabe', (0, 1, 0, 0, 9, 0), ['BatchIndexNLJoin outer=10 inner=big']),
-    ('index_nl', 'postgresql', 'row'): ('9455bc35dabe', (0, 1, 0, 0, 9, 0), ['IndexNLJoin outer=10 inner=big']),
-    ('index_nl', 'postgresql', 'vectorized'): ('9455bc35dabe', (0, 1, 0, 0, 9, 0), ['BatchIndexNLJoin outer=10 inner=big']),
-    ('left_big', 'mysql', 'row'): ('06e9cffbc5ad', (1, 0, 0, 0, 10, 0), []),
-    ('left_big', 'mysql', 'vectorized'): ('06e9cffbc5ad', (1, 0, 0, 0, 10, 0), []),
-    ('left_big', 'postgresql', 'row'): ('06e9cffbc5ad', (1, 0, 0, 0, 10, 0), []),
-    ('left_big', 'postgresql', 'vectorized'): ('06e9cffbc5ad', (1, 0, 0, 0, 10, 0), []),
-    ('left_small', 'mysql', 'row'): ('c3b5ac8e826f', (0, 0, 1, 0, 45, 0), []),
-    ('left_small', 'mysql', 'vectorized'): ('c3b5ac8e826f', (0, 0, 1, 0, 45, 0), []),
-    ('left_small', 'postgresql', 'row'): ('c3b5ac8e826f', (1, 0, 0, 0, 45, 0), []),
-    ('left_small', 'postgresql', 'vectorized'): ('c3b5ac8e826f', (1, 0, 0, 0, 45, 0), []),
-    ('multi_key', 'mysql', 'row'): ('4b0f85a57863', (0, 1, 0, 0, 46, 0), ['AutoKeyJoin (derived) build=30 probe=30']),
-    ('multi_key', 'mysql', 'vectorized'): ('4b0f85a57863', (0, 1, 0, 0, 46, 0), ['BatchAutoKeyJoin build=30 probe=30']),
-    ('multi_key', 'postgresql', 'row'): ('4b0f85a57863', (1, 0, 0, 0, 46, 0), ['HashJoin build=30 probe=30']),
-    ('multi_key', 'postgresql', 'vectorized'): ('4b0f85a57863', (1, 0, 0, 0, 46, 0), ['BatchHashJoin build=30 probe=30']),
-    ('natural', 'mysql', 'row'): ('011247d41173', (1, 0, 0, 0, 25, 0), []),
-    ('natural', 'mysql', 'vectorized'): ('011247d41173', (1, 0, 0, 0, 25, 0), []),
-    ('natural', 'postgresql', 'row'): ('011247d41173', (1, 0, 0, 0, 25, 0), []),
-    ('natural', 'postgresql', 'vectorized'): ('011247d41173', (1, 0, 0, 0, 25, 0), []),
-    ('natural_cross', 'mysql', 'row'): ('a4f5a4218f7f', (0, 0, 1, 0, 70, 0), []),
-    ('natural_cross', 'mysql', 'vectorized'): ('a4f5a4218f7f', (0, 0, 1, 0, 70, 0), []),
-    ('natural_cross', 'postgresql', 'row'): ('a4f5a4218f7f', (0, 0, 1, 0, 70, 0), []),
-    ('natural_cross', 'postgresql', 'vectorized'): ('a4f5a4218f7f', (0, 0, 1, 0, 70, 0), []),
-    ('nested_loop', 'mysql', 'row'): ('1dbad144d23a', (0, 0, 1, 0, 29, 0), ['BlockNLJoin outer=7 inner=10']),
-    ('nested_loop', 'mysql', 'vectorized'): ('1dbad144d23a', (0, 0, 1, 0, 29, 0), ['BatchNLJoin outer=7 inner=10']),
-    ('nested_loop', 'postgresql', 'row'): ('1dbad144d23a', (0, 0, 1, 0, 29, 0), ['BlockNLJoin outer=7 inner=10']),
-    ('nested_loop', 'postgresql', 'vectorized'): ('1dbad144d23a', (0, 0, 1, 0, 29, 0), ['BatchNLJoin outer=7 inner=10']),
-    ('null_keys', 'mysql', 'row'): ('7c789538d739', (0, 1, 0, 0, 61, 0), ['AutoKeyJoin (derived) build=30 probe=10']),
-    ('null_keys', 'mysql', 'vectorized'): ('7c789538d739', (0, 1, 0, 0, 61, 0), ['BatchAutoKeyJoin build=30 probe=10']),
-    ('null_keys', 'postgresql', 'row'): ('9741d6abb288', (1, 0, 0, 1, 61, 0), ['HashJoin build=10 probe=30 (swapped)']),
-    ('null_keys', 'postgresql', 'vectorized'): ('9741d6abb288', (1, 0, 0, 1, 61, 0), ['BatchHashJoin build=10 probe=30 (swapped)']),
-    ('swapped_hash', 'mysql', 'row'): ('098947b4b397', (0, 1, 0, 0, 391, 0), ['IndexNLJoin outer=30 inner=big']),
-    ('swapped_hash', 'mysql', 'vectorized'): ('098947b4b397', (0, 1, 0, 0, 391, 0), ['BatchIndexNLJoin outer=30 inner=big']),
-    ('swapped_hash', 'postgresql', 'row'): ('5f26e63c7951', (1, 0, 0, 1, 391, 0), ['HashJoin build=30 probe=100 (swapped)']),
-    ('swapped_hash', 'postgresql', 'vectorized'): ('5f26e63c7951', (1, 0, 0, 1, 391, 0), ['BatchHashJoin build=30 probe=100 (swapped)']),
-    ('three_way', 'mysql', 'row'): ('145687113c6d', (0, 2, 0, 0, 43, 0), ['IndexNLJoin outer=10 inner=big', 'AutoKeyJoin (derived) build=29 probe=9']),
-    ('three_way', 'mysql', 'vectorized'): ('145687113c6d', (0, 2, 0, 0, 43, 0), ['BatchIndexNLJoin outer=10 inner=big', 'BatchAutoKeyJoin build=29 probe=9']),
-    ('three_way', 'postgresql', 'row'): ('2a9c777f066a', (1, 1, 0, 1, 43, 0), ['IndexNLJoin outer=10 inner=big', 'HashJoin build=9 probe=29 (swapped)']),
-    ('three_way', 'postgresql', 'vectorized'): ('2a9c777f066a', (1, 1, 0, 1, 43, 0), ['BatchIndexNLJoin outer=10 inner=big', 'BatchHashJoin build=9 probe=29 (swapped)']),
-    ('union', 'mysql', 'row'): ('3b04b32e4edb', (0, 2, 0, 0, 50, 1), ['AutoKeyJoin (derived) build=30 probe=7', 'AutoKeyJoin (derived) build=30 probe=7']),
-    ('union', 'mysql', 'vectorized'): ('3b04b32e4edb', (0, 2, 0, 0, 50, 1), ['BatchAutoKeyJoin build=30 probe=7', 'BatchAutoKeyJoin build=30 probe=7']),
-    ('union', 'postgresql', 'row'): ('a6559f75a2f7', (2, 0, 0, 2, 50, 1), ['HashJoin build=7 probe=30 (swapped)', 'HashJoin build=7 probe=30 (swapped)']),
-    ('union', 'postgresql', 'vectorized'): ('a6559f75a2f7', (2, 0, 0, 2, 50, 1), ['BatchHashJoin build=7 probe=30 (swapped)', 'BatchHashJoin build=7 probe=30 (swapped)']),
+    ("coerced", "mysql", "row"): (
+        "5146ed2f59b3",
+        (1, 0, 0, 0, 158, 0),
+        ["HashJoin (coerced keys) build=100 probe=10"],
+    ),
+    ("coerced", "mysql", "vectorized"): (
+        "5146ed2f59b3",
+        (1, 0, 0, 0, 158, 0),
+        ["BatchHashJoin (coerced keys) build=100 probe=10"],
+    ),
+    ("coerced", "postgresql", "row"): (
+        "5146ed2f59b3",
+        (1, 0, 0, 0, 158, 0),
+        ["HashJoin (coerced keys) build=100 probe=10"],
+    ),
+    ("coerced", "postgresql", "vectorized"): (
+        "5146ed2f59b3",
+        (1, 0, 0, 0, 158, 0),
+        ["BatchHashJoin (coerced keys) build=100 probe=10"],
+    ),
+    ("derived", "mysql", "row"): (
+        "9455bc35dabe",
+        (0, 1, 0, 0, 9, 0),
+        ["AutoKeyJoin (derived) build=100 probe=10"],
+    ),
+    ("derived", "mysql", "vectorized"): (
+        "9455bc35dabe",
+        (0, 1, 0, 0, 9, 0),
+        ["BatchAutoKeyJoin build=100 probe=10"],
+    ),
+    ("derived", "postgresql", "row"): (
+        "9455bc35dabe",
+        (1, 0, 0, 1, 9, 0),
+        ["HashJoin build=10 probe=100 (swapped)"],
+    ),
+    ("derived", "postgresql", "vectorized"): (
+        "9455bc35dabe",
+        (1, 0, 0, 1, 9, 0),
+        ["BatchHashJoin build=10 probe=100 (swapped)"],
+    ),
+    ("hash", "mysql", "row"): (
+        "197bf1a78a5b",
+        (0, 1, 0, 0, 185, 0),
+        ["AutoKeyJoin (derived) build=30 probe=30"],
+    ),
+    ("hash", "mysql", "vectorized"): (
+        "197bf1a78a5b",
+        (0, 1, 0, 0, 185, 0),
+        ["BatchAutoKeyJoin build=30 probe=30"],
+    ),
+    ("hash", "postgresql", "row"): (
+        "197bf1a78a5b",
+        (1, 0, 0, 0, 185, 0),
+        ["HashJoin build=30 probe=30"],
+    ),
+    ("hash", "postgresql", "vectorized"): (
+        "197bf1a78a5b",
+        (1, 0, 0, 0, 185, 0),
+        ["BatchHashJoin build=30 probe=30"],
+    ),
+    ("index_nl", "mysql", "row"): (
+        "9455bc35dabe",
+        (0, 1, 0, 0, 9, 0),
+        ["IndexNLJoin outer=10 inner=big"],
+    ),
+    ("index_nl", "mysql", "vectorized"): (
+        "9455bc35dabe",
+        (0, 1, 0, 0, 9, 0),
+        ["BatchIndexNLJoin outer=10 inner=big"],
+    ),
+    ("index_nl", "postgresql", "row"): (
+        "9455bc35dabe",
+        (0, 1, 0, 0, 9, 0),
+        ["IndexNLJoin outer=10 inner=big"],
+    ),
+    ("index_nl", "postgresql", "vectorized"): (
+        "9455bc35dabe",
+        (0, 1, 0, 0, 9, 0),
+        ["BatchIndexNLJoin outer=10 inner=big"],
+    ),
+    ("left_big", "mysql", "row"): (
+        "06e9cffbc5ad",
+        (1, 0, 0, 0, 10, 0),
+        [],
+    ),
+    ("left_big", "mysql", "vectorized"): (
+        "06e9cffbc5ad",
+        (1, 0, 0, 0, 10, 0),
+        [],
+    ),
+    ("left_big", "postgresql", "row"): (
+        "06e9cffbc5ad",
+        (1, 0, 0, 0, 10, 0),
+        [],
+    ),
+    ("left_big", "postgresql", "vectorized"): (
+        "06e9cffbc5ad",
+        (1, 0, 0, 0, 10, 0),
+        [],
+    ),
+    ("left_small", "mysql", "row"): (
+        "c3b5ac8e826f",
+        (0, 0, 1, 0, 45, 0),
+        [],
+    ),
+    ("left_small", "mysql", "vectorized"): (
+        "c3b5ac8e826f",
+        (0, 0, 1, 0, 45, 0),
+        [],
+    ),
+    ("left_small", "postgresql", "row"): (
+        "c3b5ac8e826f",
+        (1, 0, 0, 0, 45, 0),
+        [],
+    ),
+    ("left_small", "postgresql", "vectorized"): (
+        "c3b5ac8e826f",
+        (1, 0, 0, 0, 45, 0),
+        [],
+    ),
+    ("multi_key", "mysql", "row"): (
+        "4b0f85a57863",
+        (0, 1, 0, 0, 46, 0),
+        ["AutoKeyJoin (derived) build=30 probe=30"],
+    ),
+    ("multi_key", "mysql", "vectorized"): (
+        "4b0f85a57863",
+        (0, 1, 0, 0, 46, 0),
+        ["BatchAutoKeyJoin build=30 probe=30"],
+    ),
+    ("multi_key", "postgresql", "row"): (
+        "4b0f85a57863",
+        (1, 0, 0, 0, 46, 0),
+        ["HashJoin build=30 probe=30"],
+    ),
+    ("multi_key", "postgresql", "vectorized"): (
+        "4b0f85a57863",
+        (1, 0, 0, 0, 46, 0),
+        ["BatchHashJoin build=30 probe=30"],
+    ),
+    ("natural", "mysql", "row"): (
+        "011247d41173",
+        (1, 0, 0, 0, 25, 0),
+        [],
+    ),
+    ("natural", "mysql", "vectorized"): (
+        "011247d41173",
+        (1, 0, 0, 0, 25, 0),
+        [],
+    ),
+    ("natural", "postgresql", "row"): (
+        "011247d41173",
+        (1, 0, 0, 0, 25, 0),
+        [],
+    ),
+    ("natural", "postgresql", "vectorized"): (
+        "011247d41173",
+        (1, 0, 0, 0, 25, 0),
+        [],
+    ),
+    ("natural_cross", "mysql", "row"): (
+        "a4f5a4218f7f",
+        (0, 0, 1, 0, 70, 0),
+        [],
+    ),
+    ("natural_cross", "mysql", "vectorized"): (
+        "a4f5a4218f7f",
+        (0, 0, 1, 0, 70, 0),
+        [],
+    ),
+    ("natural_cross", "postgresql", "row"): (
+        "a4f5a4218f7f",
+        (0, 0, 1, 0, 70, 0),
+        [],
+    ),
+    ("natural_cross", "postgresql", "vectorized"): (
+        "a4f5a4218f7f",
+        (0, 0, 1, 0, 70, 0),
+        [],
+    ),
+    ("nested_loop", "mysql", "row"): (
+        "1dbad144d23a",
+        (0, 0, 1, 0, 29, 0),
+        ["BlockNLJoin outer=7 inner=10"],
+    ),
+    ("nested_loop", "mysql", "vectorized"): (
+        "1dbad144d23a",
+        (0, 0, 1, 0, 29, 0),
+        ["BatchNLJoin outer=7 inner=10"],
+    ),
+    ("nested_loop", "postgresql", "row"): (
+        "1dbad144d23a",
+        (0, 0, 1, 0, 29, 0),
+        ["BlockNLJoin outer=7 inner=10"],
+    ),
+    ("nested_loop", "postgresql", "vectorized"): (
+        "1dbad144d23a",
+        (0, 0, 1, 0, 29, 0),
+        ["BatchNLJoin outer=7 inner=10"],
+    ),
+    ("null_keys", "mysql", "row"): (
+        "7c789538d739",
+        (0, 1, 0, 0, 61, 0),
+        ["AutoKeyJoin (derived) build=30 probe=10"],
+    ),
+    ("null_keys", "mysql", "vectorized"): (
+        "7c789538d739",
+        (0, 1, 0, 0, 61, 0),
+        ["BatchAutoKeyJoin build=30 probe=10"],
+    ),
+    ("null_keys", "postgresql", "row"): (
+        "9741d6abb288",
+        (1, 0, 0, 1, 61, 0),
+        ["HashJoin build=10 probe=30 (swapped)"],
+    ),
+    ("null_keys", "postgresql", "vectorized"): (
+        "9741d6abb288",
+        (1, 0, 0, 1, 61, 0),
+        ["BatchHashJoin build=10 probe=30 (swapped)"],
+    ),
+    ("swapped_hash", "mysql", "row"): (
+        "098947b4b397",
+        (0, 1, 0, 0, 391, 0),
+        ["IndexNLJoin outer=30 inner=big"],
+    ),
+    ("swapped_hash", "mysql", "vectorized"): (
+        "098947b4b397",
+        (0, 1, 0, 0, 391, 0),
+        ["BatchIndexNLJoin outer=30 inner=big"],
+    ),
+    ("swapped_hash", "postgresql", "row"): (
+        "5f26e63c7951",
+        (1, 0, 0, 1, 391, 0),
+        ["HashJoin build=30 probe=100 (swapped)"],
+    ),
+    ("swapped_hash", "postgresql", "vectorized"): (
+        "5f26e63c7951",
+        (1, 0, 0, 1, 391, 0),
+        ["BatchHashJoin build=30 probe=100 (swapped)"],
+    ),
+    ("three_way", "mysql", "row"): (
+        "145687113c6d",
+        (0, 2, 0, 0, 43, 0),
+        ["IndexNLJoin outer=10 inner=big", "AutoKeyJoin (derived) build=29 probe=9"],
+    ),
+    ("three_way", "mysql", "vectorized"): (
+        "145687113c6d",
+        (0, 2, 0, 0, 43, 0),
+        ["BatchIndexNLJoin outer=10 inner=big", "BatchAutoKeyJoin build=29 probe=9"],
+    ),
+    ("three_way", "postgresql", "row"): (
+        "2a9c777f066a",
+        (1, 1, 0, 1, 43, 0),
+        ["IndexNLJoin outer=10 inner=big", "HashJoin build=9 probe=29 (swapped)"],
+    ),
+    ("three_way", "postgresql", "vectorized"): (
+        "2a9c777f066a",
+        (1, 1, 0, 1, 43, 0),
+        ["BatchIndexNLJoin outer=10 inner=big", "BatchHashJoin build=9 probe=29 (swapped)"],
+    ),
+    ("union", "mysql", "row"): (
+        "3b04b32e4edb",
+        (0, 2, 0, 0, 50, 1),
+        ["AutoKeyJoin (derived) build=30 probe=7", "AutoKeyJoin (derived) build=30 probe=7"],
+    ),
+    ("union", "mysql", "vectorized"): (
+        "3b04b32e4edb",
+        (0, 2, 0, 0, 50, 1),
+        ["BatchAutoKeyJoin build=30 probe=7", "BatchAutoKeyJoin build=30 probe=7"],
+    ),
+    ("union", "postgresql", "row"): (
+        "a6559f75a2f7",
+        (2, 0, 0, 2, 50, 1),
+        ["HashJoin build=7 probe=30 (swapped)", "HashJoin build=7 probe=30 (swapped)"],
+    ),
+    ("union", "postgresql", "vectorized"): (
+        "a6559f75a2f7",
+        (2, 0, 0, 2, 50, 1),
+        ["BatchHashJoin build=7 probe=30 (swapped)", "BatchHashJoin build=7 probe=30 (swapped)"],
+    ),
 }
 
 

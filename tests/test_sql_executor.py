@@ -343,6 +343,13 @@ class TestCrossTypeEquiJoin:
         "SELECT e.name, c.label FROM tcode c JOIN temployee e ON c.code = e.id",
         "SELECT e.name, c.label FROM temployee e JOIN tcode c "
         "ON e.id = c.code AND e.name = e.name",
+        "SELECT e.name, c.label FROM temployee e "
+        "JOIN (SELECT code, label FROM tcode) c ON e.id = c.code",
+        "SELECT e.name, c.label FROM (SELECT id, name FROM temployee) e "
+        "JOIN tcode c ON e.id = c.code",
+        "SELECT e.name, c.label FROM (SELECT id, name FROM temployee "
+        "UNION ALL SELECT id, name FROM temployee WHERE id < 0) e "
+        "JOIN (SELECT code, label FROM tcode) c ON e.id = c.code",
     ]
 
     @pytest.mark.parametrize("executor", ["row", "vectorized"])
@@ -364,6 +371,15 @@ class TestCrossTypeEquiJoin:
             "SELECT e.name, c.label FROM temployee e LEFT JOIN tcode c "
             "ON e.id = c.code AND c.label <> 'two'"
         ).rows
+        assert sorted(rows) == [("John", "one"), ("Lisa", "two again")]
+
+    @pytest.mark.parametrize("executor", ["row", "vectorized"])
+    def test_left_join_derived_table(self, codes, executor):
+        sql = (
+            "SELECT e.name, c.label FROM temployee e LEFT JOIN "
+            "(SELECT code, label FROM tcode) c ON e.id = c.code AND c.label <> 'two'"
+        )
+        rows = codes.execute_plan(codes.compile(sql), executor=executor).rows
         assert sorted(rows) == [("John", "one"), ("Lisa", "two again")]
 
     @pytest.mark.parametrize("executor", ["row", "vectorized"])
