@@ -693,10 +693,9 @@ class Executor:
         right = self._plan_tree(node.right)
         if node.kind == "NATURAL":
             joined = self._natural_join(left, right)
-        elif node.kind == "LEFT":
-            joined = self._left_join(left, right, node.condition)
         else:
-            joined = self._inner_join(left, right, split_conjuncts(node.condition))
+            kind = LEFT if node.kind == "LEFT" else INNER
+            joined = self._join(left, right, split_conjuncts(node.condition), kind)
         self.stats.join_rows += joined.size
         return joined
 
@@ -1051,11 +1050,6 @@ class Executor:
         estimate: Optional[float] = None,
     ) -> Relation:
         return self._join(left, right, conjuncts, INNER, estimate)
-
-    def _left_join(
-        self, left: Relation, right: Relation, condition: Optional[Expr]
-    ) -> Relation:
-        return self._join(left, right, split_conjuncts(condition), LEFT)
 
     def _join(
         self,

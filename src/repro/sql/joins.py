@@ -267,20 +267,20 @@ def plan_join(
     """:func:`choose_join`, then the probe keys and the buckets it reads,
     and its trace label (INNER joins only, and only while tracing)."""
     choice = choose_join(executor, left, right, left_keys, right_keys, kind)
-    method, build_left, coerced = choice.method, choice.build_left, choice.coerced
+    method, build_left = choice.method, choice.build_left
     build, probe = (left, right) if build_left else (right, left)
+    build_keys, probe_keys = (
+        (left_keys, right_keys) if build_left else (right_keys, left_keys)
+    )
     if method == NESTED:
         keys: Sequence[Key] = repeat((), probe.size)
         buckets: Any = {(): range(build.size)}
-    elif method == INDEX:
-        keys = key_column([left.gather_column(p) for p in left_keys], None)
-        buckets = IndexBuckets(right.base_table, choice.index, len(right_keys))
     else:
-        build_keys, probe_keys = (
-            (left_keys, right_keys) if build_left else (right_keys, left_keys)
-        )
-        keys = key_column([probe.gather_column(p) for p in probe_keys], coerced)
-        buckets = build_buckets(executor._shared, build, build_keys, coerced)
+        keys = key_column([probe.gather_column(p) for p in probe_keys], choice.coerced)
+        if method == INDEX:
+            buckets = IndexBuckets(right.base_table, choice.index, len(right_keys))
+        else:
+            buckets = build_buckets(executor._shared, build, build_keys, choice.coerced)
     label = None
     if kind == INNER and executor.trace is not None:
         label = executor.JOIN_LABELS[choice.label].format(
