@@ -277,9 +277,7 @@ def _derived_schema(
     schema = subplan.schema
     if schema is None:
         return RowSchema([(binding, c) for c in result.columns], result.types)
-    if result.types is None:
-        return schema
-    return RowSchema(schema.fields, result.types)
+    return schema if result.types is None else RowSchema(schema.fields, result.types)
 
 
 def _sort_key_function(
@@ -695,7 +693,7 @@ class Executor:
             joined = self._natural_join(left, right)
         else:
             kind = LEFT if node.kind == "LEFT" else INNER
-            joined = self._join(left, right, split_conjuncts(node.condition), kind)
+            joined = self._join(left, right, split_conjuncts(node.condition), kind=kind)
         self.stats.join_rows += joined.size
         return joined
 
@@ -891,7 +889,7 @@ class Executor:
         The one join-order search of both executors: it reads only what a
         row :class:`Relation` and the vectorized ``BatchRelation`` both
         expose (``schema``, ``size``, ``stats_view()``) and delegates the
-        two physical steps -- the pairwise join (:meth:`_inner_join`) and
+        two physical steps -- the pairwise join (:meth:`_join`) and
         the residual filter (:meth:`_filter_compiled`) -- which the
         vectorized executor overrides for its relation type.
 
@@ -961,9 +959,7 @@ class Executor:
                     for conjunct, owners in edges
                     if not any(conjunct is used for used in connecting)
                 ]
-            current = self._inner_join(
-                current, candidate, connecting, estimate=estimate
-            )
+            current = self._join(current, candidate, connecting, estimate)
             self.stats.join_rows += current.size
         # every >=2-owner edge is consumed the round its last owner joins;
         # `edges` can only hold leftovers if a cross join raced one in
@@ -1042,22 +1038,13 @@ class Executor:
                 message += f" actual={actual}"
         self.trace.append(message)
 
-    def _inner_join(
-        self,
-        left: Relation,
-        right: Relation,
-        conjuncts: Sequence[Expr],
-        estimate: Optional[float] = None,
-    ) -> Relation:
-        return self._join(left, right, conjuncts, INNER, estimate)
-
     def _join(
         self,
         left: Relation,
         right: Relation,
         conjuncts: Sequence[Expr],
-        kind: str,
         estimate: Optional[float] = None,
+        kind: str = INNER,
     ) -> Relation:
         """An INNER or LEFT join on *conjuncts*: the equi-key pairs drive
         the physical join (:func:`~repro.sql.joins.plan_join`), the rest
@@ -1117,23 +1104,28 @@ class Executor:
             # a cross join costs outer x inner: poll every ~batch of pairs
             interval = max(1, self.CANCEL_BATCH_ROWS // max(1, len(build_rows)))
         build_left = plan.build_left
-        get = plan.buckets.get
+        get = plan.matches
         output: List[RowT] = []
         append = output.append
         for probe_row, key in zip(
             self._cancellable_rows(probe_rows, interval), plan.keys
         ):
-            matched = False
-            for position in get(key, ()):
-                build_row = build_rows[position]
-                combined = (
-                    build_row + probe_row if build_left else probe_row + build_row
-                )
-                if test is None or test(combined) is True:
-                    append(combined)
-                    matched = True
-            if pad is not None and not matched:
-                append(probe_row + pad)
+            found = get(key)
+            if found:
+                matched = False
+                for position in found:
+                    build_row = build_rows[position]
+                    combined = (
+                        build_row + probe_row if build_left else probe_row + build_row
+                    )
+                    if test is None or test(combined) is True:
+                        append(combined)
+                        matched = True
+                if matched or pad is None:
+                    continue
+            elif pad is None:
+                continue
+            append(probe_row + pad)
         return output
 
     # ------------------------------------------------------------------
@@ -1160,11 +1152,13 @@ class Executor:
         self._check_cancel()
         items = self._expand_items(statement.items, relation.schema)
         columns = [item.output_name for item in items]
-        types = _item_types(items, relation.schema)
         if all(isinstance(item.expr, ColumnRef) for item in items):
             # pure column projection (the OBDA-unfolding common case):
             # one itemgetter per row instead of one closure call per cell
             positions = [relation.schema.resolve(item.expr) for item in items]
+            types = relation.schema.types
+            if types is not None:
+                types = tuple(map(types.__getitem__, positions))
             if len(positions) == 1:
                 position = positions[0]
                 rows = [
@@ -1182,7 +1176,7 @@ class Executor:
             tuple(fn(row) for fn in compiled)
             for row in self._cancellable_rows(relation.rows)
         ]
-        return columns, rows, types
+        return columns, rows, _item_types(items, relation.schema)
 
     def _aggregate(
         self, statement: SelectStatement, relation: Relation

@@ -12,9 +12,9 @@ way and trace it under the same name.  This module makes that choice
 * one bucket build, key -> positions (:func:`build_buckets`), never
   holding the None key and shared across a UNION's disjuncts through
   :class:`~repro.sql.optimizer.SharedScanContext`;
-* one index probe (:class:`IndexBuckets`), the sorted live row ids a base
-  table's hash index holds for a key, read through the same ``get`` as
-  buckets.
+* one index probe (:func:`index_matches`), the sorted (live) row ids a
+  base table's hash index holds for a key, called as the buckets' ``get``
+  is.
 
 A nested loop is the join on no keys: every row's key is ``()`` and one
 bucket holds the whole build side.  So each executor keeps a single
@@ -29,7 +29,7 @@ identity keys a shared build; None when the build is never shared).
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .expressions import RowSchema
 from .types import SqlType
@@ -49,11 +49,20 @@ NATURAL = "natural"
 #: by nested loop there
 AUTO_INDEX_ROWS = 64
 
-#: declared types whose values ``sql_compare`` compares with text as floats
-_FLOAT_COMPARED = frozenset(
-    {SqlType.INTEGER, SqlType.BIGINT, SqlType.DOUBLE, SqlType.DECIMAL, SqlType.BOOLEAN}
+#: declared type pairs ``sql_compare`` compares as floats: a number or a
+#: boolean against text
+_COERCED_PAIRS = frozenset(
+    pair
+    for number in (
+        SqlType.INTEGER,
+        SqlType.BIGINT,
+        SqlType.DOUBLE,
+        SqlType.DECIMAL,
+        SqlType.BOOLEAN,
+    )
+    for text in (SqlType.VARCHAR, SqlType.TEXT, SqlType.DATE)
+    for pair in ((number, text), (text, number))
 )
-_TEXT_TYPES = frozenset({SqlType.VARCHAR, SqlType.TEXT, SqlType.DATE})
 
 Key = Any
 Coercion = Optional[Tuple[bool, ...]]
@@ -84,21 +93,18 @@ def key_coercion(
     ``sql_compare`` does within one type class.  Decided from the
     declared column types, field by field; a field without one (a
     computed column) matches by Python equality."""
+    if left.types is None or right.types is None:
+        return None
     coerced = tuple(
-        _compared_as_floats(_field_type(left, lk), _field_type(right, rk))
-        for lk, rk in zip(left_keys, right_keys)
+        map(
+            _COERCED_PAIRS.__contains__,
+            zip(
+                map(left.types.__getitem__, left_keys),
+                map(right.types.__getitem__, right_keys),
+            ),
+        )
     )
-    return coerced if any(coerced) else None
-
-
-def _field_type(schema: RowSchema, position: int) -> Optional[SqlType]:
-    return None if schema.types is None else schema.types[position]
-
-
-def _compared_as_floats(left: Optional[SqlType], right: Optional[SqlType]) -> bool:
-    return (left in _TEXT_TYPES and right in _FLOAT_COMPARED) or (
-        left in _FLOAT_COMPARED and right in _TEXT_TYPES
-    )
+    return coerced if True in coerced else None
 
 
 def key_column(columns: Sequence[Sequence[Any]], coerced: Coercion) -> Sequence[Key]:
@@ -132,8 +138,8 @@ def build_buckets(
     keys build once.
     """
     source = relation.build_source if shared is not None else None
-    cache_key = (tuple(keys), coerced)
     if source is not None:
+        cache_key = (tuple(keys), coerced)
         cached = shared.lookup_build(source, cache_key)
         if cached is not None:
             return cached
@@ -152,23 +158,21 @@ def build_buckets(
     return buckets
 
 
-class IndexBuckets:
-    """A base table's hash index read as buckets: a key's sorted live
-    row ids (an index also holds NULL keys, which match nothing)."""
+def index_matches(index, width: int) -> Callable[[Key], Optional[List[int]]]:
+    """A base table's hash index read as buckets: the sorted row ids it
+    holds for a join key of *width* parts, or None.  The ids are live
+    ones: ``Table.delete_row`` takes a row out of every hash index before
+    it drops the row.  An index also holds NULL keys, which match
+    nothing."""
+    lookup = index.lookup
 
-    __slots__ = ("rows", "lookup", "single")
-
-    def __init__(self, table, index, width: int) -> None:
-        self.rows = table.rows
-        self.lookup = index.lookup
-        self.single = width == 1
-
-    def get(self, key: Key, default: Any = None) -> Any:
+    def matches(key: Key) -> Optional[List[int]]:
         if key is None:
-            return default
-        rows = self.rows
-        row_ids = self.lookup((key,) if self.single else key)
-        return [row_id for row_id in sorted(row_ids) if rows[row_id] is not None]
+            return None
+        row_ids = lookup((key,) if width == 1 else key)
+        return sorted(row_ids) if row_ids else None
+
+    return matches
 
 
 class JoinChoice(NamedTuple):
@@ -191,9 +195,10 @@ class JoinPlan(NamedTuple):
     method: str
     build_left: bool
     #: the probe side's key per row (the left side unless build_left)
-    keys: Sequence[Key]
-    #: key -> build-side positions (row ids of the base table for INDEX)
-    buckets: Any
+    keys: Iterable[Key]
+    #: a key's build-side positions (row ids of the base table for INDEX),
+    #: or None: ``get`` of the buckets
+    matches: Callable[[Key], Optional[Sequence[int]]]
     #: the trace line before EXPLAIN ANALYZE's counts; None when not traced
     label: Optional[str]
 
@@ -234,7 +239,8 @@ def choose_join(
         return JoinChoice(HASH, "coerced" if coerced else "hash", coerced=coerced)
     table = right.base_table
     whole = table is not None and right.size == table.row_count
-    columns = [right.schema.fields[p][1] for p in right_keys]
+    if whole:
+        columns = [right.schema.fields[p][1] for p in right_keys]
     index = None
     if profile.hash_join:
         if whole and left.size * 4 <= right.size:
@@ -273,14 +279,16 @@ def plan_join(
         (left_keys, right_keys) if build_left else (right_keys, left_keys)
     )
     if method == NESTED:
-        keys: Sequence[Key] = repeat((), probe.size)
-        buckets: Any = {(): range(build.size)}
+        keys: Iterable[Key] = repeat((), probe.size)
+        matches = {(): range(build.size)}.get
     else:
         keys = key_column([probe.gather_column(p) for p in probe_keys], choice.coerced)
         if method == INDEX:
-            buckets = IndexBuckets(right.base_table, choice.index, len(right_keys))
+            matches = index_matches(choice.index, len(right_keys))
         else:
-            buckets = build_buckets(executor._shared, build, build_keys, choice.coerced)
+            matches = build_buckets(
+                executor._shared, build, build_keys, choice.coerced
+            ).get
     label = None
     if kind == INNER and executor.trace is not None:
         label = executor.JOIN_LABELS[choice.label].format(
@@ -288,4 +296,4 @@ def plan_join(
             probe=probe.size,
             table=right.base_table.name if method == INDEX else None,
         ) + (" (swapped)" if build_left else "")
-    return JoinPlan(method, build_left, keys, buckets, label)
+    return JoinPlan(method, build_left, keys, matches, label)

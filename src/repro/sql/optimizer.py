@@ -22,7 +22,7 @@ step, which is a much easier problem than full-query cost prediction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from .ast import (
     Between,
@@ -289,14 +289,14 @@ class SharedScanContext:
     ``Relation.rows``.
 
     Hash-join build tables are keyed by the *identity* of the shared row
-    list plus the key positions: two disjuncts hashing the same shared
-    scan on the same columns reuse one bucket dict.  The referenced lists
-    are pinned in the cache, so ids stay unambiguous for the context's
-    lifetime.
+    (or position) list plus the key positions and their coercion: two
+    disjuncts hashing the same shared scan on the same columns reuse one
+    bucket dict.  The referenced lists are pinned in the cache, so ids
+    stay unambiguous for the context's lifetime.
     """
 
     _scans: Dict[Tuple[str, frozenset], List[tuple]] = field(default_factory=dict)
-    _builds: Dict[Tuple[int, Tuple[int, ...]], Tuple[Any, Dict]] = field(
+    _builds: Dict[Tuple[int, Hashable], Tuple[Any, Dict]] = field(
         default_factory=dict
     )
     hits: int = 0
@@ -315,9 +315,7 @@ class SharedScanContext:
     def store_scan(self, key: Tuple[str, frozenset], rows: List[tuple]) -> None:
         self._scans.setdefault(key, rows)
 
-    def lookup_build(
-        self, rows: List[tuple], key_positions: Tuple[int, ...]
-    ) -> Optional[Dict]:
+    def lookup_build(self, rows: Sequence[Any], key_positions: Hashable) -> Optional[Dict]:
         entry = self._builds.get((id(rows), key_positions))
         if entry is None:
             self.build_misses += 1
@@ -326,7 +324,7 @@ class SharedScanContext:
         return entry[1]
 
     def store_build(
-        self, rows: List[tuple], key_positions: Tuple[int, ...], buckets: Dict
+        self, rows: Sequence[Any], key_positions: Hashable, buckets: Dict
     ) -> None:
         # keep a reference to *rows* so the id() key cannot be reused
         self._builds.setdefault((id(rows), key_positions), (rows, buckets))

@@ -3,7 +3,7 @@
 :class:`VectorizedExecutor` subclasses the row-at-a-time
 :class:`~repro.sql.executor.Executor` and overrides one entry point,
 ``_execute_block``, plus the two physical steps the inherited join-order
-search delegates (``_inner_join``, ``_filter_compiled``).  Blocks whose
+search delegates (``_join``, ``_filter_compiled``).  Blocks whose
 logical shape the batch path covers (``PlannedBlock.batch_eligible``:
 base tables glued by inner joins, no subquery predicates) run on column
 vectors with late materialization; everything else falls through to the
@@ -78,7 +78,7 @@ from .executor import (
     _mirror_op,
 )
 from .expressions import RowSchema
-from .joins import INDEX, NESTED, JoinPlan, plan_join
+from .joins import INDEX, INNER, NESTED, plan_join
 from .optimizer import canonical_predicate, scan_key
 from .plan import PlannedBlock
 
@@ -634,19 +634,20 @@ class VectorizedExecutor(Executor):
             return self._batch_filter(relation, conjuncts)
         return super()._filter_compiled(relation, conjuncts)
 
-    def _inner_join(
+    def _join(
         self,
         left,
         right,
         conjuncts: Sequence[Expr],
         estimate: Optional[float] = None,
+        kind: str = INNER,
     ):
         """Pairwise-join step of the inherited join planner: the physical
         join the row path would take (:func:`~repro.sql.joins.plan_join`),
         probed into take-lists; the residual filters the joined legs."""
         if not isinstance(left, BatchRelation):
             # row relations of a fallback block keep the row operators
-            return super()._inner_join(left, right, conjuncts, estimate)
+            return super()._join(left, right, conjuncts, estimate, kind)
         self._check_cancel()
         left_keys, right_keys, _, residual = self._equi_keys(
             left, right, conjuncts
@@ -654,7 +655,23 @@ class VectorizedExecutor(Executor):
         plan = plan_join(self, left, right, left_keys, right_keys)
         if plan.method == NESTED:
             residual = list(conjuncts)
-        probe_take, build_take = self._probe_positions(plan)
+        # the one probe loop: (probe, build) position pairs in probe
+        # then bucket order
+        get = plan.matches
+        probe_take: List[int] = []
+        build_take: List[int] = []
+        token = self.cancel_token
+        for position, key in enumerate(plan.keys):
+            if token is not None and position % self.CANCEL_BATCH_ROWS == 0:
+                token.check()
+            matches = get(key)
+            if matches:
+                if len(matches) == 1:
+                    build_take.append(matches[0])
+                    probe_take.append(position)
+                else:
+                    build_take.extend(matches)
+                    probe_take.extend([position] * len(matches))
         left_take, right_take = (
             (build_take, probe_take) if plan.build_left else (probe_take, build_take)
         )
@@ -670,27 +687,6 @@ class VectorizedExecutor(Executor):
         if residual:
             joined = self._batch_filter(joined, residual)
         return joined
-
-    def _probe_positions(self, plan: JoinPlan) -> Tuple[List[int], List[int]]:
-        """The batch path's one probe loop: (probe, build) position pairs,
-        in probe then bucket order."""
-        get = plan.buckets.get
-        probe_take: List[int] = []
-        build_take: List[int] = []
-        token = self.cancel_token
-        step = self.CANCEL_BATCH_ROWS
-        for position, key in enumerate(plan.keys):
-            if token is not None and position % step == 0:
-                token.check()
-            matches = get(key)
-            if matches:
-                if len(matches) == 1:
-                    build_take.append(matches[0])
-                    probe_take.append(position)
-                else:
-                    build_take.extend(matches)
-                    probe_take.extend([position] * len(matches))
-        return probe_take, build_take
 
     # ------------------------------------------------------------------
     # projection + aggregation feeds

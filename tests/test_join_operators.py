@@ -424,3 +424,19 @@ def test_join_operator(case, profile, executor):
     assert rows, "every case answers some rows"
     assert _bag(rows) == _bag(forced)
     assert _observe(db, sql, executor) == EXPECTED[case, profile, executor]
+
+
+@pytest.mark.parametrize("executor", ["row", "vectorized"])
+@pytest.mark.parametrize("profile", ["mysql", "postgresql"])
+def test_index_probe_after_deletes(profile, executor):
+    """An index nested loop over a table with deleted rows joins only
+    the live ones: an index never holds a deleted row's id."""
+    db = _database(profile)
+    db.execute_script("DELETE FROM big WHERE id < 40 OR id = 81")
+    sql, reference = CASES["index_nl"]
+    trace = db.explain(sql, executor=executor)
+    assert any("IndexNLJoin" in line for line in trace)
+    rows = db.execute_plan(db.compile(sql), executor=executor).rows
+    forced = db.execute_plan(db.compile(reference), executor=executor).rows
+    assert rows and _bag(rows) == _bag(forced)
+    assert all(row[0] * 9 >= 40 and row[0] != 9 for row in rows)
