@@ -27,15 +27,17 @@ from .app import ProtocolError, Response, ServerConfig, SparqlEndpoint, _error_r
 
 logger = logging.getLogger("repro.server")
 
-# Young-generation collection threshold while serving.  One bulk
-# response on best-g4 keeps up to about 21 k container objects alive:
-# the 5 760 SQL row tuples while its answer is encoded, plus one entry
-# tuple per distinct value of each column (up to 15 k).  At the default
-# of 700, /metrics ``gc.collections`` counts about 37 young and 3
-# generation-1 collections per bulk request; at 50 000, none.  The
-# serving path leaves no cyclic garbage
-# (tests/test_server.py::TestCollectorPolicy), so collecting less often
-# frees nothing later than reference counting already does.
+# Young-generation collection threshold while serving.  A bulk response
+# on best-g4 now keeps fewer than 100 container objects alive (its
+# answer stays column-major and single-form columns build no entry
+# tuples), so bulk_output triggers no collection even at the default of
+# 700.  The query mixes still do: one in-process round of mix_warm_g4
+# runs about 16 young and 1.4 generation-1 collections at 700 (2.5 ms
+# of 114 ms CPU), mix_rw_default 14 and 1.3 (2.4 ms of 113 ms); at
+# 50 000, none (the verify notes' collector probe).  The serving path
+# leaves no cyclic garbage (tests/test_server.py::TestCollectorPolicy),
+# so collecting less often frees nothing later than reference counting
+# already does.
 YOUNG_THRESHOLD = 50_000
 
 
